@@ -169,7 +169,6 @@ def convert_archive(archive_path, csv_path) -> int:
 def featurize(
     dataset: LabeledDataset,
     config: FeatureConfig = FeatureConfig(),
-    backend: str | None = None,
 ) -> list[LabeledExample]:
     """Feature vectors for every entry, preserving dataset order.
 
@@ -178,7 +177,7 @@ def featurize(
     """
     examples = []
     for entry in dataset.entries:
-        vector = compute_features(entry.corpus, config, backend=backend)
+        vector = compute_features(entry.corpus, config)
         if vector is None:
             raise MalformedDataset(
                 f"{entry.contributor!r} has fewer than {config.min_messages} messages"

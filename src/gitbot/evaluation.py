@@ -5,7 +5,7 @@ weight each class row by its true-class support, matching the
 classification-report convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -330,7 +330,7 @@ def cross_validate(
     return GridSearchResult(rows=rows)
 
 
-def evaluate_pretrained(model, test: LabeledDataset, backend: str | None = None) -> EvaluationReport:
+def evaluate_pretrained(model, test: LabeledDataset) -> EvaluationReport:
     """Score a trained model on a labeled dataset.
 
     Entries whose corpora are too small for the model's feature
@@ -340,7 +340,7 @@ def evaluate_pretrained(model, test: LabeledDataset, backend: str | None = None)
     pairs = []
     n_unknown = 0
     for entry in test.entries:
-        vector = compute_features(entry.corpus, model.feature_config, backend=backend)
+        vector = compute_features(entry.corpus, model.feature_config)
         prediction = model.predict(vector)
         if prediction.label == UNKNOWN:
             n_unknown += 1
@@ -349,16 +349,7 @@ def evaluate_pretrained(model, test: LabeledDataset, backend: str | None = None)
     if not pairs:
         raise EmptyInput("every test entry was unknown")
     report = compute_metrics(pairs, model_descriptor=describe_model(model))
-    return EvaluationReport(
-        bot=report.bot,
-        human=report.human,
-        weighted_precision=report.weighted_precision,
-        weighted_recall=report.weighted_recall,
-        weighted_f1=report.weighted_f1,
-        confusion=report.confusion,
-        model_descriptor=report.model_descriptor,
-        n_unknown=n_unknown,
-    )
+    return replace(report, n_unknown=n_unknown)
 
 
 def describe_model(model) -> str:

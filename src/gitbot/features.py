@@ -10,7 +10,8 @@ from datetime import datetime
 
 import numpy as np
 
-from .similarity import is_empty, normalize_message, pairwise_similarity
+from . import similarity
+from .similarity import normalize_message
 
 FEATURE_NAMES = ("n_messages", "n_empty", "n_patterns", "gini")
 
@@ -65,19 +66,21 @@ class PatternAssignment:
     sizes: list[int] = field(default_factory=list)
 
 
-def cluster_patterns(
-    messages: list[str], eps: float, backend: str | None = None
-) -> PatternAssignment:
+def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     """Group normalized messages into patterns by single linkage.
 
     Two messages share a pattern iff they are connected by a chain of
     pairs whose compound distance (1 - similarity) is <= eps.
+
+    Each pair i < j is compared only if its two messages are not yet in
+    one component: linking such a pair could not change any component.
+    The components of single linkage do not depend on the order in which
+    edges are added, so skipping those pairs gives the same partition as
+    comparing every pair, and the same first-occurrence labels.
     """
     n = len(messages)
     if n == 0:
         raise ValueError("cluster_patterns needs at least one message")
-
-    sim = pairwise_similarity(messages, backend=backend)
 
     parent = list(range(n))
 
@@ -90,11 +93,14 @@ def cluster_patterns(
         return root
 
     for i in range(n):
+        # every link below hangs a root under ri, so ri stays i's root
+        ri = find(i)
         for j in range(i + 1, n):
-            if 1.0 - sim[i, j] <= eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+            rj = find(j)
+            if rj == ri:
+                continue
+            if 1.0 - similarity.compound_similarity(messages[i], messages[j]) <= eps:
+                parent[rj] = ri
 
     pattern_of_root: dict[int, int] = {}
     labels = []
@@ -130,7 +136,6 @@ def gini_coefficient(sizes) -> float:
 def compute_features(
     corpus: MessageCorpus,
     config: FeatureConfig = FeatureConfig(),
-    backend: str | None = None,
 ) -> FeatureVector | None:
     """Feature vector for one corpus, or None when it is too small.
 
@@ -147,7 +152,7 @@ def compute_features(
     n_empty = len(normalized) - len(non_empty)
     if not non_empty:
         return FeatureVector(len(selected), n_empty, 0, 0.0)
-    assignment = cluster_patterns(non_empty, config.distance_threshold, backend=backend)
+    assignment = cluster_patterns(non_empty, config.distance_threshold)
     return FeatureVector(
         n_messages=len(selected),
         n_empty=n_empty,
@@ -155,17 +160,3 @@ def compute_features(
         gini=gini_coefficient(assignment.sizes),
     )
 
-
-# re-exported for callers that normalize outside compute_features
-__all__ = [
-    "FEATURE_NAMES",
-    "FeatureConfig",
-    "FeatureVector",
-    "MessageCorpus",
-    "PatternAssignment",
-    "cluster_patterns",
-    "compute_features",
-    "gini_coefficient",
-    "is_empty",
-    "normalize_message",
-]

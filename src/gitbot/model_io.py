@@ -8,6 +8,7 @@ bytes.
 """
 
 import json
+import math
 from dataclasses import asdict
 
 from .errors import UnreadableModel
@@ -29,6 +30,11 @@ def _node_to_obj(node: TreeNode):
     }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _node_from_obj(obj) -> TreeNode:
     if not isinstance(obj, dict):
         raise UnreadableModel("tree node is not an object")
@@ -37,7 +43,7 @@ def _node_from_obj(obj) -> TreeNode:
         if (
             not isinstance(counts, list)
             or len(counts) != 2
-            or not all(isinstance(c, int) and c >= 0 for c in counts)
+            or not all(_is_int(c) and c >= 0 for c in counts)
             or sum(counts) == 0
         ):
             raise UnreadableModel(f"invalid leaf counts: {counts!r}")
@@ -49,8 +55,10 @@ def _node_from_obj(obj) -> TreeNode:
         right = _node_from_obj(obj["right"])
     except KeyError as exc:
         raise UnreadableModel(f"tree node missing field {exc}") from exc
-    if not isinstance(feature, int) or not 0 <= feature < 4:
+    if not _is_int(feature) or not 0 <= feature < 4:
         raise UnreadableModel(f"invalid split feature index: {feature!r}")
+    if not (_is_int(threshold) or isinstance(threshold, float)) or not math.isfinite(threshold):
+        raise UnreadableModel(f"invalid split threshold: {threshold!r}")
     return Split(feature=feature, threshold=float(threshold), left=left, right=right)
 
 

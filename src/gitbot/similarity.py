@@ -6,24 +6,12 @@ Levenshtein similarity. This exact composition is recorded in saved
 model files (see model_io.SIMILARITY_ID) so that training and
 prediction always agree on the metric.
 
-Pairwise matrices over a corpus are the hot path: a JIT-compiled
-kernel is used when numba is available, with a plain-Python fallback.
-Without numba installed the fallback is the default. Set
-GITBOT_DISABLE_NUMBA=1 to force the fallback. Both backends produce
-bit-identical float64 results.
+There is one similarity path: features.cluster_patterns calls
+compound_similarity once for each pair of messages that is not yet in
+one pattern. No pairwise matrix is built.
 """
 
-import os
-
-import numpy as np
-
-from . import _kernels
-
 SIMILARITY_ID = "mean(token-jaccard, normalized-levenshtein)"
-
-_numba_default = _kernels.NUMBA_AVAILABLE and os.environ.get(
-    "GITBOT_DISABLE_NUMBA", ""
-).strip() in ("", "0")
 
 
 def normalize_message(raw: str) -> str:
@@ -83,33 +71,3 @@ def compound_similarity(a: str, b: str) -> float:
     """Mean of Jaccard and Levenshtein similarity, in [0, 1]."""
     return 0.5 * (jaccard_similarity(a, b) + levenshtein_similarity(a, b))
 
-
-def _pairwise_python(messages):
-    n = len(messages)
-    out = np.ones((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim = compound_similarity(messages[i], messages[j])
-            out[i, j] = sim
-            out[j, i] = sim
-    return out
-
-
-def pairwise_similarity(messages, backend: str | None = None) -> np.ndarray:
-    """Symmetric n x n compound-similarity matrix for normalized messages.
-
-    backend is "numba", "python", or None for the module default
-    (numba when available and not disabled via GITBOT_DISABLE_NUMBA).
-    backend="numba" raises RuntimeError when numba is not installed
-    rather than falling back to Python.
-    """
-    if backend is None:
-        backend = "numba" if _numba_default else "python"
-    if backend == "python":
-        return _pairwise_python(messages)
-    if backend == "numba":
-        if not _kernels.NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        chars, char_lens, tokens, token_lens = _kernels.encode_corpus(messages)
-        return _kernels.pairwise_kernel(chars, char_lens, tokens, token_lens)
-    raise ValueError(f"unknown backend {backend!r}")

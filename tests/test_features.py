@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitbot.features import (
     FeatureConfig,
@@ -40,6 +42,20 @@ def oracle_clusters(messages, eps):
     return out
 
 
+# A few short words: drawn corpora hold many exact duplicates and chains
+# of messages that differ by one word.
+TEMPLATE_WORDS = ("fix", "bug", "bump", "deps", "docs", "v1", "v2")
+
+template_corpora = st.lists(
+    st.lists(st.sampled_from(TEMPLATE_WORDS), min_size=1, max_size=4).map(" ".join),
+    min_size=1,
+    max_size=40,
+)
+
+# the boundaries where ties and the all-in-one case occur, plus any eps
+thresholds = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
 def oracle_gini(sizes):
     """Direct double sum over all ordered pairs."""
     n = len(sizes)
@@ -71,6 +87,11 @@ class TestClusterPatterns:
             corpus = random_corpus(rng, int(rng.integers(2, 16)))
             pa = cluster_patterns(corpus, 0.5)
             assert pa.labels == oracle_clusters(corpus, 0.5)
+
+    @settings(deadline=None)
+    @given(corpus=template_corpora, eps=thresholds)
+    def test_matches_all_pairs_oracle_on_template_corpora(self, corpus, eps):
+        assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
 
     def test_eps_zero_groups_only_exact_duplicates(self):
         corpus = ["fix bug", "fix bug", "fix bugs"]

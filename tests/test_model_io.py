@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +10,12 @@ from gitbot.forest import predict, train_forest
 from gitbot.model_io import MODEL_FORMAT, load_model, model_to_json, save_model
 
 from .test_forest import random_examples
+
+
+def first_leaf(node):
+    while "counts" not in node:
+        node = node["left"]
+    return node
 
 
 @pytest.fixture
@@ -107,3 +114,22 @@ class TestUnreadable:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UnreadableModel):
             load_model(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda root: root.update(threshold=float("nan")),
+            lambda root: root.update(threshold=float("inf")),
+            lambda root: root.update(feature=True),
+            lambda root: first_leaf(root).update(counts=[True, 3]),
+        ],
+        ids=["nan-threshold", "inf-threshold", "bool-feature", "bool-leaf-count"],
+    )
+    def test_invalid_split_or_leaf_in_shipped_model(self, corrupt, tmp_path):
+        shipped = resources.files("gitbot").joinpath("data/default_model.json")
+        doc = json.loads(shipped.read_text("utf-8"))
+        corrupt(doc["trees"][0])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(UnreadableModel):
+            load_model(path)

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from gitbot import _kernels
 from gitbot.similarity import (
     compound_similarity,
     is_empty,
     jaccard_similarity,
     levenshtein_similarity,
     normalize_message,
-    pairwise_similarity,
 )
 
 
@@ -124,71 +122,3 @@ class TestCompound:
             else:
                 assert sim == 1.0
 
-
-def backend_corpora():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        yield random_corpus(rng, int(rng.integers(1, 25)))
-
-
-class TestPairwiseBackends:
-    def test_bit_identical_backends(self):
-        # Calls the kernel directly so that its arithmetic is checked with
-        # or without numba: without it, njit leaves plain Python over arrays.
-        for corpus in backend_corpora():
-            via_python = pairwise_similarity(corpus, backend="python")
-            via_kernel = _kernels.pairwise_kernel(*_kernels.encode_corpus(corpus))
-            assert np.array_equal(via_python, via_kernel)
-
-    def test_numba_backend_matches_python(self):
-        pytest.importorskip("numba")
-        for corpus in backend_corpora():
-            via_python = pairwise_similarity(corpus, backend="python")
-            via_numba = pairwise_similarity(corpus, backend="numba")
-            assert np.array_equal(via_python, via_numba)
-
-    @pytest.mark.skipif(_kernels.NUMBA_AVAILABLE, reason="numba is installed")
-    def test_numba_backend_without_numba_raises(self):
-        with pytest.raises(RuntimeError, match="numba"):
-            pairwise_similarity(["a"], backend="numba")
-
-    def test_matrix_matches_scalar_function(self):
-        rng = np.random.default_rng(4)
-        corpus = random_corpus(rng, 12)
-        matrix = pairwise_similarity(corpus)
-        for i in range(len(corpus)):
-            for j in range(len(corpus)):
-                assert matrix[i, j] == compound_similarity(corpus[i], corpus[j])
-
-    def test_env_flag_selects_python_backend(self, monkeypatch):
-        import importlib
-
-        import gitbot.similarity as mod
-
-        # Pretend numba is present so that only the flag decides the default.
-        monkeypatch.setattr(_kernels, "NUMBA_AVAILABLE", True)
-        try:
-            monkeypatch.delenv("GITBOT_DISABLE_NUMBA", raising=False)
-            importlib.reload(mod)
-            assert mod._numba_default is True
-            monkeypatch.setenv("GITBOT_DISABLE_NUMBA", "1")
-            importlib.reload(mod)
-            assert mod._numba_default is False
-        finally:
-            # Undo before the last reload, so later tests see the real default.
-            monkeypatch.undo()
-            importlib.reload(mod)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            pairwise_similarity(["a"], backend="cuda")
-
-
-def test_kernel_encoding_roundtrip():
-    msgs = ["fix bug", "bug fix fix", ""]
-    chars, char_lens, tokens, token_lens = _kernels.encode_corpus(msgs)
-    assert char_lens.tolist() == [7, 11, 0]
-    # unique sorted token ids per row; "fix"=0, "bug"=1
-    assert tokens[0][: token_lens[0]].tolist() == [0, 1]
-    assert tokens[1][: token_lens[1]].tolist() == [0, 1]
-    assert token_lens[2] == 0
