@@ -1,9 +1,13 @@
 """Comparison classifier families used alongside the random forest.
 
-k-nearest neighbours, logistic regression, and the linear SVM operate
-on z-score standardized features (statistics from the training set);
-the single decision tree reuses the forest's tree grower without
-bootstrap and with every feature eligible at each node.
+Every model here answers `bot_fraction(X)`, like `ForestModel`, and is
+labelled by `forest.predict` and `forest.predict_labels`. k-nearest
+neighbours, logistic regression and the linear SVM work on z-score
+standardized features (statistics from the training set); the two linear
+families share `LinearModel`, whose bot fraction is the sigmoid of the
+score. Logistic regression is fitted by Newton's method. The single
+decision tree is a one-tree `ForestModel` grown without bootstrap and
+with every feature eligible at each node.
 """
 
 import warnings
@@ -11,19 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingleClassData
-from .features import FeatureVector
 from .forest import (
-    BOT,
-    HUMAN,
-    UNKNOWN,
+    ForestModel,
     LabeledExample,
-    Prediction,
-    Split,
-    TreeNode,
+    _check_two_classes,
     _grow,
     _to_arrays,
-    _tree_votes,
 )
 
 
@@ -42,20 +39,6 @@ class Standardizer:
         return (X - self.mean) / self.scale
 
 
-def _check_two_classes(y: np.ndarray):
-    if len(np.unique(y)) < 2:
-        raise SingleClassData("training data must contain both classes")
-
-
-def _predict_one(model, features: FeatureVector | None) -> Prediction:
-    if features is None:
-        return Prediction(UNKNOWN, 0.0)
-    X = features.as_array().reshape(1, -1)
-    label = int(model.predict_labels(X)[0])
-    confidence = float(model.vote_fractions(X)[0])
-    return Prediction(BOT if label == 1 else HUMAN, confidence)
-
-
 @dataclass(frozen=True)
 class KnnModel:
     X: np.ndarray  # standardized training features
@@ -63,22 +46,12 @@ class KnnModel:
     k: int
     scaler: Standardizer
 
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return (self._bot_fraction(X) > 0.5).astype(np.int64)
-
-    def vote_fractions(self, X: np.ndarray) -> np.ndarray:
-        frac = self._bot_fraction(X)
-        return np.maximum(frac, 1.0 - frac)
-
-    def _bot_fraction(self, X: np.ndarray) -> np.ndarray:
+    def bot_fraction(self, X: np.ndarray) -> np.ndarray:
         Z = self.scaler.transform(X)
         d2 = ((Z[:, None, :] - self.X[None, :, :]) ** 2).sum(axis=2)
         # stable sort keeps training order on distance ties
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         return self.y[nearest].mean(axis=1)
-
-    def predict(self, features: FeatureVector | None) -> Prediction:
-        return _predict_one(self, features)
 
 
 def train_knn(data: list[LabeledExample], k: int = 5) -> KnnModel:
@@ -100,78 +73,54 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LinearModel:
+    """Logistic regression or linear SVM: a hyperplane over standardized features."""
+
     weights: np.ndarray
     bias: float
     scaler: Standardizer
     converged: bool
     n_iter: int
 
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self.scaler.transform(X) @ self.weights + self.bias
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return (self._scores(X) > 0.0).astype(np.int64)
-
-    def vote_fractions(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self._scores(X))
-        return np.maximum(p, 1.0 - p)
-
-    def predict(self, features: FeatureVector | None) -> Prediction:
-        return _predict_one(self, features)
+    def bot_fraction(self, X: np.ndarray) -> np.ndarray:
+        return _sigmoid(self.scaler.transform(X) @ self.weights + self.bias)
 
 
 def train_logistic(
     data: list[LabeledExample],
     l2: float = 1e-3,
-    lr: float = 1.0,
     tol: float = 1e-6,
-    max_iter: int = 10000,
-) -> LogisticModel:
-    """Minimize L2-penalized binary cross-entropy by gradient descent."""
+    max_iter: int = 100,
+) -> LinearModel:
+    """Minimize L2-penalized binary cross-entropy by Newton's method.
+
+    The objective is strictly convex in the four weights and the bias,
+    so each step solves one 5x5 system and needs no step size. The bias
+    is not penalized. Convergence is declared when every gradient
+    component is below tol.
+    """
     X, y = _to_arrays(data)
     _check_two_classes(y)
     scaler = Standardizer.fit(X)
-    Z = scaler.transform(X)
+    A = np.hstack([scaler.transform(X), np.ones((len(y), 1))])
     n = len(y)
-    w = np.zeros(Z.shape[1])
-    b = 0.0
+    penalty = np.diag([l2] * (A.shape[1] - 1) + [0.0])
+    theta = np.zeros(A.shape[1])  # weights, then bias
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        residual = _sigmoid(Z @ w + b) - y
-        grad_w = Z.T @ residual / n + l2 * w
-        grad_b = residual.mean()
-        w -= lr * grad_w
-        b -= lr * grad_b
-        if max(np.abs(grad_w).max(), abs(grad_b)) < tol:
+        p = _sigmoid(A @ theta)
+        grad = A.T @ (p - y) / n + penalty @ theta
+        if np.abs(grad).max() < tol:
             converged = True
             break
+        hessian = (A.T * (p * (1.0 - p))) @ A / n + penalty
+        theta -= np.linalg.solve(hessian, grad)
     if not converged:
         warnings.warn("logistic regression hit the iteration cap without converging")
-    return LogisticModel(weights=w, bias=float(b), scaler=scaler, converged=converged, n_iter=iteration)
-
-
-@dataclass(frozen=True)
-class LinearSvmModel:
-    weights: np.ndarray
-    bias: float
-    scaler: Standardizer
-    converged: bool
-    n_iter: int
-
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        return self.scaler.transform(X) @ self.weights + self.bias
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return (self._scores(X) > 0.0).astype(np.int64)
-
-    def vote_fractions(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self._scores(X))
-        return np.maximum(p, 1.0 - p)
-
-    def predict(self, features: FeatureVector | None) -> Prediction:
-        return _predict_one(self, features)
+    return LinearModel(
+        weights=theta[:-1], bias=float(theta[-1]), scaler=scaler, converged=converged, n_iter=iteration
+    )
 
 
 def train_linear_svm(
@@ -179,7 +128,7 @@ def train_linear_svm(
     l2: float = 1e-2,
     tol: float = 1e-8,
     max_iter: int = 5000,
-) -> LinearSvmModel:
+) -> LinearModel:
     """Minimize hinge loss plus L2 penalty by subgradient descent.
 
     Full-batch updates with the 1/(l2 * t) step schedule; convergence
@@ -211,38 +160,15 @@ def train_linear_svm(
         b -= step * grad_b
     if not converged:
         warnings.warn("linear SVM hit the iteration cap without converging")
-    return LinearSvmModel(weights=w, bias=float(b), scaler=scaler, converged=converged, n_iter=iteration)
-
-
-@dataclass(frozen=True)
-class SingleTreeModel:
-    tree: TreeNode
-    max_depth: int
-    criterion: str
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return _tree_votes(self.tree, X)
-
-    def vote_fractions(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        for i, x in enumerate(X):
-            node = self.tree
-            while isinstance(node, Split):
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            humans, bots = node.counts
-            out[i] = max(humans, bots) / (humans + bots)
-        return out
-
-    def predict(self, features: FeatureVector | None) -> Prediction:
-        return _predict_one(self, features)
+    return LinearModel(weights=w, bias=float(b), scaler=scaler, converged=converged, n_iter=iteration)
 
 
 def train_single_tree(
     data: list[LabeledExample], max_depth: int = 8, criterion: str = "entropy"
-) -> SingleTreeModel:
+) -> ForestModel:
     """One tree on the full data, all four features eligible per node."""
     X, y = _to_arrays(data)
     _check_two_classes(y)
     rng = np.random.default_rng(0)  # unused: all features are always candidates
     tree = _grow(X, y, 0, max_depth, X.shape[1], rng, criterion)
-    return SingleTreeModel(tree=tree, max_depth=max_depth, criterion=criterion)
+    return ForestModel(trees=[tree], n_estimators=1, max_depth=max_depth, criterion=criterion, seed=0)

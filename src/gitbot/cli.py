@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 
+from . import forest
 from .dataset import featurize, load_archive, load_dataset
 from .errors import GitbotError
 from .evaluation import (
@@ -107,7 +108,7 @@ def run_analysis(options: CliOptions, model: ForestModel | None = None) -> list[
             raise type(exc)(f"{repo}: {exc}") from exc
         for name, corpus in groups.items():
             features = compute_features(corpus, config)
-            prediction = model.predict(features)
+            prediction = forest.predict(model, features)
             if prediction.label == UNKNOWN:
                 rows.append(ResultRow(name, len(corpus), None, None, UNKNOWN, None))
             else:

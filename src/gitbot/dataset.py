@@ -6,9 +6,9 @@ messages quoted so they may contain commas and newlines. Rows for one
 (contributor, repository) pair are consecutive-or-not and accumulate
 into one corpus, ordered as they appear (most recent first).
 
-An archive converter accepts the JSON-lines layout of the public
-ground-truth commit dump (one object per line with "name",
-"repository", "message" and a boolean "bot") and normalizes it.
+`load_archive` reads the JSON-lines layout of the public ground-truth
+commit dump directly: one object per line with "name", "repository",
+"message" and a boolean "bot".
 """
 
 import csv
@@ -137,33 +137,6 @@ def load_archive(path, min_messages: int = 10) -> LabeledDataset:
                 yield contributor, repository, BOT if is_bot else HUMAN, message
 
     return _build_dataset(rows(), provenance=str(path), min_messages=min_messages)
-
-
-def convert_archive(archive_path, csv_path) -> int:
-    """Normalize an archive file into the canonical CSV; returns row count."""
-    count = 0
-    with open(archive_path, encoding="utf-8") as src, open(
-        csv_path, "w", newline="", encoding="utf-8"
-    ) as dst:
-        writer = csv.writer(dst)
-        writer.writerow(_HEADER)
-        for line_number, line in enumerate(src, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                row = [
-                    record["name"],
-                    record["repository"],
-                    BOT if record["bot"] else HUMAN,
-                    record["message"],
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MalformedDataset(f"line {line_number}: {exc}") from exc
-            writer.writerow(row)
-            count += 1
-    return count
 
 
 def featurize(

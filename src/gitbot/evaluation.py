@@ -5,15 +5,16 @@ weight each class row by its true-class support, matching the
 classification-report convention.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forest
 from .baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
 from .dataset import LabeledDataset
 from .errors import EmptyInput, SingleClassData
 from .features import compute_features
-from .forest import BOT, HUMAN, LABEL_IDS, UNKNOWN, LabeledExample, train_forest
+from .forest import BOT, HUMAN, LABEL_IDS, UNKNOWN, LabeledExample, predict_labels, train_forest
 
 FAMILY_FOREST = "random forest"
 FAMILY_TREE = "decision tree"
@@ -90,29 +91,13 @@ def report_from_counts(
     )
 
 
-def compute_metrics(
-    predictions: list[tuple[str, str]], model_descriptor: str = ""
-) -> EvaluationReport:
-    """Per-class and weighted metrics from (predicted, actual) pairs."""
-    if not predictions:
-        raise EmptyInput("no predictions to score")
-    tp = fn = fp = tn = 0
-    for predicted, actual in predictions:
-        if predicted == UNKNOWN or actual == UNKNOWN:
-            raise ValueError("unknown predictions must be excluded before scoring")
-        if actual == BOT:
-            if predicted == BOT:
-                tp += 1
-            else:
-                fn += 1
-        elif actual == HUMAN:
-            if predicted == BOT:
-                fp += 1
-            else:
-                tn += 1
-        else:
-            raise ValueError(f"unknown label token {actual!r}")
-    return report_from_counts(ConfusionCounts(tp, fn, fp, tn), model_descriptor)
+def confusion_counts(predicted: np.ndarray, actual: np.ndarray) -> ConfusionCounts:
+    """Confusion counts of 0/1 label arrays (1 is bot)."""
+    tp = int(np.sum((predicted == 1) & (actual == 1)))
+    fn = int(np.sum((predicted == 0) & (actual == 1)))
+    fp = int(np.sum((predicted == 1) & (actual == 0)))
+    tn = int(np.sum((predicted == 0) & (actual == 0)))
+    return ConfusionCounts(tp, fn, fp, tn)
 
 
 def _class_indices(labels) -> dict[str, np.ndarray]:
@@ -267,14 +252,6 @@ def train_config(config: GridConfig, data: list[LabeledExample], seed: int = 0):
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
-def _counts_from_ids(predicted: np.ndarray, actual: np.ndarray) -> ConfusionCounts:
-    tp = int(np.sum((predicted == 1) & (actual == 1)))
-    fn = int(np.sum((predicted == 0) & (actual == 1)))
-    fp = int(np.sum((predicted == 1) & (actual == 0)))
-    tn = int(np.sum((predicted == 0) & (actual == 0)))
-    return ConfusionCounts(tp, fn, fp, tn)
-
-
 def cross_validate(
     train: list[LabeledExample],
     grid: list[GridConfig] | None = None,
@@ -300,8 +277,8 @@ def cross_validate(
         for train_idx, test_idx in folds:
             fold_data = [train[i] for i in train_idx]
             model = train_config(config, fold_data, seed=seed)
-            predicted = model.predict_labels(X[test_idx])
-            reports.append(report_from_counts(_counts_from_ids(predicted, y[test_idx])))
+            predicted = predict_labels(model, X[test_idx])
+            reports.append(report_from_counts(confusion_counts(predicted, y[test_idx])))
 
         def mean(metric):
             return float(np.mean([metric(r) for r in reports]))
@@ -337,19 +314,21 @@ def evaluate_pretrained(model, test: LabeledDataset) -> EvaluationReport:
     configuration yield unknown predictions; they are excluded from the
     metrics and reported via n_unknown.
     """
-    pairs = []
+    predicted = []
+    actual = []
     n_unknown = 0
     for entry in test.entries:
         vector = compute_features(entry.corpus, model.feature_config)
-        prediction = model.predict(vector)
+        prediction = forest.predict(model, vector)
         if prediction.label == UNKNOWN:
             n_unknown += 1
             continue
-        pairs.append((prediction.label, entry.label))
-    if not pairs:
+        predicted.append(LABEL_IDS[prediction.label])
+        actual.append(LABEL_IDS[entry.label])
+    if not predicted:
         raise EmptyInput("every test entry was unknown")
-    report = compute_metrics(pairs, model_descriptor=describe_model(model))
-    return replace(report, n_unknown=n_unknown)
+    counts = confusion_counts(np.array(predicted), np.array(actual))
+    return report_from_counts(counts, describe_model(model), n_unknown)
 
 
 def describe_model(model) -> str:

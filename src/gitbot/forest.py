@@ -5,6 +5,10 @@ default, gini available for grid search) with candidate thresholds at
 midpoints between consecutive distinct feature values. Each tree of a
 forest trains on a bootstrap sample and considers a random subset of
 features per node. Training is fully deterministic given a seed.
+
+Every classifier in the package answers `bot_fraction(X)`, the bot
+share of each row in [0, 1]. `predict` and `predict_labels` below derive
+the label and the confidence from it for all of them.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +25,8 @@ UNKNOWN = "unknown"
 
 # integer encoding used throughout: human 0, bot 1 (bot is the positive class)
 LABEL_IDS = {HUMAN: 0, BOT: 1}
-ID_LABELS = {0: HUMAN, 1: BOT}
+
+CRITERIA = ("entropy", "gini")
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ TreeNode = Union[Leaf, Split]
 @dataclass(frozen=True)
 class Prediction:
     label: str  # BOT, HUMAN, or UNKNOWN
-    confidence: float  # fraction of tree votes for the winner; 0 for UNKNOWN
+    confidence: float  # the winner's share, max(f, 1 - f) of bot fraction f; 0 for UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,12 @@ class ForestModel:
     feature_names: tuple[str, ...] = FEATURE_NAMES
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
-    def predict(self, features: FeatureVector | None) -> Prediction:
-        return predict(self, features)
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+    def bot_fraction(self, X: np.ndarray) -> np.ndarray:
+        """Share of the trees voting bot, per row of X."""
         votes = np.zeros(len(X), dtype=np.int64)
         for tree in self.trees:
             votes += _tree_votes(tree, X)
-        return (votes * 2 > len(self.trees)).astype(np.int64)
+        return votes / len(self.trees)
 
 
 def entropy(class_counts) -> float:
@@ -170,6 +173,11 @@ def _to_arrays(data: list[LabeledExample]):
     return X, y
 
 
+def _check_two_classes(y: np.ndarray):
+    if len(np.unique(y)) < 2:
+        raise SingleClassData("training data must contain both classes")
+
+
 def train_tree(
     data: list[LabeledExample],
     max_depth: int,
@@ -195,8 +203,7 @@ def train_forest(
 ) -> ForestModel:
     """Train the forest: bootstrap per tree, random features per node."""
     X, y = _to_arrays(data)
-    if len(np.unique(y)) < 2:
-        raise SingleClassData("training data must contain both classes")
+    _check_two_classes(y)
     n = len(y)
     trees = []
     for child_seed in np.random.SeedSequence(seed).spawn(n_estimators):
@@ -232,20 +239,28 @@ def _tree_votes(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(model: ForestModel, features: FeatureVector | None) -> Prediction:
-    """Majority vote of the trees; ties resolve to human.
+def predict_labels(model, X: np.ndarray) -> np.ndarray:
+    """0/1 labels of the rows of X under any model with `bot_fraction`."""
+    return _labels(model.bot_fraction(X))
 
+
+def _labels(fraction: np.ndarray) -> np.ndarray:
+    # tie goes to human: a false bot label is the costlier mistake
+    return (fraction > 0.5).astype(np.int64)
+
+
+def predict(model, features: FeatureVector | None) -> Prediction:
+    """Label one contributor under any model with `bot_fraction`.
+
+    Bot iff the bot fraction exceeds one half; ties resolve to human.
     A contributor whose corpus was too small for features (None) is
     classified as unknown with confidence 0.
     """
     if features is None:
         return Prediction(UNKNOWN, 0.0)
-    x = features.as_array().reshape(1, -1)
-    bot_votes = int(sum(_tree_votes(tree, x)[0] for tree in model.trees))
-    n = len(model.trees)
-    if bot_votes * 2 > n:
-        return Prediction(BOT, bot_votes / n)
-    return Prediction(HUMAN, (n - bot_votes) / n)
+    fraction = model.bot_fraction(features.as_array().reshape(1, -1))
+    f = float(fraction[0])
+    return Prediction(BOT if _labels(fraction)[0] else HUMAN, max(f, 1.0 - f))
 
 
 def tree_depth(node: TreeNode) -> int:

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 from .errors import UnreadableModel
 from .features import FeatureConfig
-from .forest import ForestModel, Leaf, Split, TreeNode
+from .forest import CRITERIA, ForestModel, Leaf, Split, TreeNode
 from .similarity import SIMILARITY_ID
 
 MODEL_FORMAT = "gitbot-model/1"
@@ -33,6 +33,10 @@ def _node_to_obj(node: TreeNode):
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as an int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
 
 
 def _node_from_obj(obj) -> TreeNode:
@@ -57,7 +61,7 @@ def _node_from_obj(obj) -> TreeNode:
         raise UnreadableModel(f"tree node missing field {exc}") from exc
     if not _is_int(feature) or not 0 <= feature < 4:
         raise UnreadableModel(f"invalid split feature index: {feature!r}")
-    if not (_is_int(threshold) or isinstance(threshold, float)) or not math.isfinite(threshold):
+    if not _is_number(threshold) or not math.isfinite(threshold):
         raise UnreadableModel(f"invalid split threshold: {threshold!r}")
     return Split(feature=feature, threshold=float(threshold), left=left, right=right)
 
@@ -114,11 +118,32 @@ def model_from_json(text: str) -> ForestModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise UnreadableModel(f"malformed model document: {exc}") from exc
+    _check_hyperparameters(model)
     if len(model.trees) != model.n_estimators:
         raise UnreadableModel(
             f"document declares {model.n_estimators} trees but holds {len(model.trees)}"
         )
     return model
+
+
+def _check_hyperparameters(model: ForestModel) -> None:
+    # FeatureConfig's range checks accept true as 1 and 100.5 as a cap
+    config = model.feature_config
+    for name, value in (
+        ("n_estimators", model.n_estimators),
+        ("max_depth", model.max_depth),
+        ("seed", model.seed),
+        ("min_messages", config.min_messages),
+        ("max_messages", config.max_messages),
+    ):
+        if not _is_int(value):
+            raise UnreadableModel(f"{name} must be an integer, got {value!r}")
+    if not _is_number(config.distance_threshold):
+        raise UnreadableModel(
+            f"distance_threshold must be a number, got {config.distance_threshold!r}"
+        )
+    if model.criterion not in CRITERIA:
+        raise UnreadableModel(f"criterion must be one of {CRITERIA}, got {model.criterion!r}")
 
 
 def load_model(path) -> ForestModel:

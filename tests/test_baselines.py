@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,15 @@ from gitbot.baselines import (
 )
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
-from gitbot.forest import BOT, HUMAN, UNKNOWN, LabeledExample, tree_depth
+from gitbot.forest import (
+    BOT,
+    HUMAN,
+    UNKNOWN,
+    LabeledExample,
+    predict,
+    predict_labels,
+    tree_depth,
+)
 
 from .test_forest import example, random_examples
 
@@ -18,7 +28,7 @@ from .test_forest import example, random_examples
 def accuracy(model, data):
     X = np.array([ex.features.as_array() for ex in data])
     y = np.array([1 if ex.label == BOT else 0 for ex in data])
-    return (model.predict_labels(X) == y).mean()
+    return (predict_labels(model, X) == y).mean()
 
 
 SEPARABLE = [example(10, 0, p, 0.0, BOT) for p in (1, 2, 3, 2, 1)] + [
@@ -35,8 +45,8 @@ class TestKnn:
 
     def test_majority_of_neighbours(self):
         model = train_knn(SEPARABLE, k=3)
-        assert model.predict(FeatureVector(10, 0, 2, 0.0)).label == BOT
-        assert model.predict(FeatureVector(10, 0, 52, 0.0)).label == HUMAN
+        assert predict(model, FeatureVector(10, 0, 2, 0.0)).label == BOT
+        assert predict(model, FeatureVector(10, 0, 52, 0.0)).label == HUMAN
 
     def test_standardization_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -59,7 +69,7 @@ class TestKnn:
         for q in queries:
             fv = q.features
             fv_scaled = FeatureVector(fv.n_messages * 1000, fv.n_empty, fv.n_patterns, fv.gini)
-            assert model.predict(fv).label == model_scaled.predict(fv_scaled).label
+            assert predict(model, fv).label == predict(model_scaled, fv_scaled).label
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
@@ -69,7 +79,7 @@ class TestKnn:
 
     def test_unknown_for_insufficient(self):
         model = train_knn(SEPARABLE, k=1)
-        assert model.predict(None).label == UNKNOWN
+        assert predict(model, None).label == UNKNOWN
 
 
 class TestLogistic:
@@ -84,9 +94,16 @@ class TestLogistic:
         assert not model.converged
         assert model.n_iter == 3
 
+    def test_strong_penalty_converges_to_finite_weights(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = train_logistic(SEPARABLE, l2=1e4)
+        assert model.converged
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+
     def test_confidence_is_probability_of_winner(self):
         model = train_logistic(SEPARABLE)
-        prediction = model.predict(FeatureVector(10, 0, 1, 0.0))
+        prediction = predict(model, FeatureVector(10, 0, 1, 0.0))
         assert prediction.label == BOT
         assert 0.5 < prediction.confidence <= 1.0
 
@@ -115,7 +132,7 @@ class TestSingleTree:
         rng = np.random.default_rng(2)
         data = random_examples(rng, 120, separable=False)
         model = train_single_tree(data, max_depth=4)
-        assert tree_depth(model.tree) <= 4
+        assert tree_depth(model.trees[0]) <= 4
 
     def test_separable_data(self):
         model = train_single_tree(SEPARABLE)
@@ -123,7 +140,7 @@ class TestSingleTree:
 
     def test_confidence_from_leaf_purity(self):
         model = train_single_tree(SEPARABLE)
-        prediction = model.predict(FeatureVector(10, 0, 1, 0.0))
+        prediction = predict(model, FeatureVector(10, 0, 1, 0.0))
         assert prediction.confidence == 1.0
 
 

@@ -3,12 +3,7 @@ import json
 
 import pytest
 
-from gitbot.dataset import (
-    convert_archive,
-    featurize,
-    load_archive,
-    load_dataset,
-)
+from gitbot.dataset import featurize, load_archive, load_dataset
 from gitbot.errors import MalformedDataset
 from gitbot.features import FeatureConfig
 
@@ -91,15 +86,6 @@ class TestArchive:
         records = self.archive_records("x", "r", True, 12) + self.archive_records("y", "r", False, 15)
         dataset = load_archive(self.write_archive(tmp_path, records))
         assert dataset.labels() == ["bot", "human"]
-
-    def test_convert_archive_to_canonical_csv(self, tmp_path):
-        records = self.archive_records("x", "r", True, 12)
-        archive = self.write_archive(tmp_path, records)
-        out = tmp_path / "converted.csv"
-        assert convert_archive(archive, out) == 12
-        dataset = load_dataset(out)
-        assert len(dataset) == 1
-        assert dataset.entries[0].label == "bot"
         assert dataset.entries[0].corpus.messages == [f"m {i}" for i in range(12)]
 
     def test_malformed_record(self, tmp_path):

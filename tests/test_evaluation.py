@@ -1,0 +1,177 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gitbot.baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
+from gitbot.dataset import DatasetEntry, LabeledDataset
+from gitbot.errors import SingleClassData
+from gitbot.evaluation import (
+    ConfusionCounts,
+    GridConfig,
+    _stratified_folds,
+    cross_validate,
+    report_from_counts,
+    stratified_split,
+)
+from gitbot.features import FeatureVector, MessageCorpus
+from gitbot.forest import BOT, HUMAN, predict, predict_labels, train_forest
+
+from .test_forest import random_examples
+
+
+def labeled_dataset(n_bots, n_humans):
+    labels = [BOT] * n_bots + [HUMAN] * n_humans
+    order = np.random.default_rng(n_bots * 100 + n_humans).permutation(len(labels))
+    entries = []
+    for i in order:
+        name = f"c{i}"
+        entries.append(DatasetEntry(name, "r", MessageCorpus(name, ["m"] * 10), labels[i]))
+    return LabeledDataset(entries=entries, provenance="test")
+
+
+class TestStratifiedSplit:
+    @pytest.mark.parametrize("n_bots,n_humans", [(1, 1), (5, 5), (7, 20), (33, 4)])
+    @pytest.mark.parametrize("fraction", [0.3, 0.6, 0.8])
+    def test_disjoint_exhaustive_and_stratified(self, n_bots, n_humans, fraction):
+        dataset = labeled_dataset(n_bots, n_humans)
+        train, test = stratified_split(dataset, fraction, seed=3)
+        train_names = [e.contributor for e in train.entries]
+        test_names = [e.contributor for e in test.entries]
+        assert not set(train_names) & set(test_names)
+        assert sorted(train_names + test_names) == sorted(e.contributor for e in dataset.entries)
+        for label, n in ((BOT, n_bots), (HUMAN, n_humans)):
+            assert train.labels().count(label) == int(fraction * n + 0.5)
+            assert test.labels().count(label) == n - int(fraction * n + 0.5)
+
+    def test_keeps_dataset_order(self):
+        dataset = labeled_dataset(6, 9)
+        position = {e.contributor: i for i, e in enumerate(dataset.entries)}
+        for part in stratified_split(dataset, 0.6, seed=0):
+            indices = [position[e.contributor] for e in part.entries]
+            assert indices == sorted(indices)
+
+    def test_single_class_rejected(self):
+        with pytest.raises(SingleClassData):
+            stratified_split(labeled_dataset(4, 0))
+
+
+class TestStratifiedFolds:
+    @pytest.mark.parametrize("n_bots,n_humans,k", [(5, 5, 5), (12, 30, 5), (9, 4, 3), (2, 2, 2)])
+    def test_partition_with_both_classes_everywhere(self, n_bots, n_humans, k):
+        y = np.random.default_rng(k).permutation([1] * n_bots + [0] * n_humans)
+        folds = _stratified_folds(y, k, np.random.default_rng(0))
+        assert len(folds) == k
+        tests = np.concatenate([test for _, test in folds])
+        assert sorted(tests.tolist()) == list(range(len(y)))
+        for train, test in folds:
+            assert sorted(train.tolist() + test.tolist()) == list(range(len(y)))
+            assert set(y[train]) == {0, 1}
+            assert set(y[test]) == {0, 1}
+
+    def test_too_few_per_class_rejected(self):
+        with pytest.raises(SingleClassData):
+            _stratified_folds(np.array([1, 1, 0, 0, 0, 0]), 3, np.random.default_rng(0))
+
+
+counts = st.builds(ConfusionCounts, *[st.integers(0, 50)] * 4)
+
+
+class TestReportFromCounts:
+    @given(counts=counts)
+    def test_metric_identities(self, counts):
+        report = report_from_counts(counts)
+        for metrics in (report.bot, report.human):
+            p, r = metrics.precision, metrics.recall
+            assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0
+            assert metrics.f1 == (pytest.approx(2 * p * r / (p + r)) if p + r else 0.0)
+        assert report.bot.support == counts.tp + counts.fn
+        assert report.human.support == counts.fp + counts.tn
+        total = counts.total
+        for weighted, per_class in (
+            (report.weighted_precision, "precision"),
+            (report.weighted_recall, "recall"),
+            (report.weighted_f1, "f1"),
+        ):
+            expected = (
+                report.bot.support * getattr(report.bot, per_class)
+                + report.human.support * getattr(report.human, per_class)
+            ) / total if total else 0.0
+            assert weighted == pytest.approx(expected)
+
+    def test_zero_divisions_give_zero(self):
+        report = report_from_counts(ConfusionCounts(tp=0, fn=0, fp=4, tn=6))
+        assert (report.bot.precision, report.bot.recall, report.bot.f1) == (0.0, 0.0, 0.0)
+        assert report.bot.support == 0
+        empty = report_from_counts(ConfusionCounts(0, 0, 0, 0))
+        assert empty.weighted_f1 == 0.0 and empty.human.f1 == 0.0
+
+
+GRID = [
+    GridConfig("random forest", "forest(a)", {"n_estimators": 5, "max_depth": 3}),
+    GridConfig("random forest", "forest(b)", {"n_estimators": 5, "max_depth": 1}),
+    GridConfig("decision tree", "tree(a)", {"max_depth": 1}),
+    GridConfig("decision tree", "tree(b)", {"max_depth": 4}),
+    GridConfig("k-nearest neighbours", "knn(a)", {"k": 1}),
+    GridConfig("k-nearest neighbours", "knn(b)", {"k": 7}),
+    GridConfig("logistic regression", "logistic(a)", {"l2": 1e-2}),
+    GridConfig("logistic regression", "logistic(b)", {"l2": 1e3}),
+    GridConfig("support vector machine", "svm(a)", {"l2": 1e-1}),
+]
+
+
+def sort_key(row):
+    return (-row.f1, -row.precision, row.config.name)
+
+
+class TestCrossValidate:
+    def test_best_row_per_family_ordered_by_f1_precision_name(self):
+        data = random_examples(np.random.default_rng(21), 60, separable=False)
+        result = cross_validate(data, GRID, k_folds=3, seed=1)
+        families = [row.family for row in result.rows]
+        assert sorted(families) == sorted({c.family for c in GRID})
+        assert [sort_key(r) for r in result.rows] == sorted(sort_key(r) for r in result.rows)
+        for row in result.rows:
+            alone = [
+                cross_validate(data, [c], k_folds=3, seed=1).rows[0]
+                for c in GRID
+                if c.family == row.family
+            ]
+            assert row == min(alone, key=sort_key)
+
+
+TRAINERS = [
+    lambda data: train_forest(data, n_estimators=7, max_depth=4, seed=5),
+    lambda data: train_single_tree(data, max_depth=3),
+    lambda data: train_knn(data, k=4),
+    train_logistic,
+    lambda data: train_linear_svm(data, l2=0.1),
+]
+
+
+@pytest.fixture(scope="module")
+def models():
+    data = random_examples(np.random.default_rng(4), 50, separable=False)
+    return [train(data) for train in TRAINERS]
+
+
+vectors = st.builds(
+    FeatureVector,
+    st.integers(1, 100),
+    st.integers(0, 10),
+    st.integers(0, 100),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(deadline=None)
+@given(fv=vectors)
+def test_every_model_obeys_one_contract(models, fv):
+    X = fv.as_array().reshape(1, -1)
+    for model in models:
+        f = float(model.bot_fraction(X)[0])
+        prediction = predict(model, fv)
+        assert prediction.label == (BOT if predict_labels(model, X)[0] == 1 else HUMAN)
+        assert prediction.label == (BOT if f > 0.5 else HUMAN)  # ties go to human
+        assert prediction.confidence == max(f, 1.0 - f)
+        assert 0.5 <= prediction.confidence <= 1.0

@@ -14,6 +14,7 @@ from gitbot.forest import (
     best_split,
     entropy,
     predict,
+    predict_labels,
     train_forest,
     train_tree,
     tree_depth,
@@ -118,7 +119,7 @@ class TestTrainTree:
         y = np.array([1 if ex.label == BOT else 0 for ex in data])
         model = ForestModel(trees=[tree], n_estimators=1, max_depth=8,
                             criterion="entropy", seed=0)
-        accuracy = (model.predict_labels(X) == y).mean()
+        accuracy = (predict_labels(model, X) == y).mean()
         majority = max(y.mean(), 1 - y.mean())
         assert accuracy >= majority
 
@@ -158,7 +159,7 @@ class TestTrainForest:
         model = train_forest(train, seed=0)
         X = np.array([ex.features.as_array() for ex in holdout])
         y = np.array([1 if ex.label == BOT else 0 for ex in holdout])
-        pred = model.predict_labels(X)
+        pred = predict_labels(model, X)
         tp = int(((pred == 1) & (y == 1)).sum())
         fp = int(((pred == 1) & (y == 0)).sum())
         fn = int(((pred == 0) & (y == 1)).sum())

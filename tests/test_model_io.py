@@ -118,17 +118,30 @@ class TestUnreadable:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda root: root.update(threshold=float("nan")),
-            lambda root: root.update(threshold=float("inf")),
-            lambda root: root.update(feature=True),
-            lambda root: first_leaf(root).update(counts=[True, 3]),
+            lambda doc: doc["trees"][0].update(threshold=float("nan")),
+            lambda doc: doc["trees"][0].update(threshold=float("inf")),
+            lambda doc: doc["trees"][0].update(feature=True),
+            lambda doc: first_leaf(doc["trees"][0]).update(counts=[True, 3]),
+            lambda doc: doc["feature_config"].update(max_messages=100.5),
+            lambda doc: doc["feature_config"].update(min_messages=True),
+            lambda doc: doc["feature_config"].update(distance_threshold="0.5"),
+            lambda doc: doc["feature_config"].update(distance_threshold=True),
+            lambda doc: doc.update(n_estimators=20.0),
+            lambda doc: doc.update(max_depth=True),
+            lambda doc: doc.update(seed="2020"),
+            lambda doc: doc.update(criterion="log_loss"),
         ],
-        ids=["nan-threshold", "inf-threshold", "bool-feature", "bool-leaf-count"],
+        ids=[
+            "nan-threshold", "inf-threshold", "bool-feature", "bool-leaf-count",
+            "float-max-messages", "bool-min-messages", "string-distance-threshold",
+            "bool-distance-threshold", "float-n-estimators", "bool-max-depth",
+            "string-seed", "unknown-criterion",
+        ],
     )
     def test_invalid_split_or_leaf_in_shipped_model(self, corrupt, tmp_path):
         shipped = resources.files("gitbot").joinpath("data/default_model.json")
         doc = json.loads(shipped.read_text("utf-8"))
-        corrupt(doc["trees"][0])
+        corrupt(doc)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(UnreadableModel):
