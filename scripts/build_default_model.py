@@ -3,8 +3,9 @@
 
 Trains the retained configuration (entropy criterion, 20 trees, depth
 8) on a deterministic synthetic corpus, evaluates it on the held-out
-part, and writes src/gitbot/data/default_model.json. Rerunning always
-yields the same bytes.
+part, and writes src/gitbot/data/default_model.json, or the path given
+to main(output). Rerunning always yields the same bytes, which
+tests/test_model_io.py checks.
 """
 
 from pathlib import Path
@@ -19,12 +20,12 @@ SEED = 2020
 OUTPUT = Path(__file__).resolve().parent.parent / "src" / "gitbot" / "data" / "default_model.json"
 
 
-def main():
+def main(output=OUTPUT):
     dataset = synthetic_dataset(n_bots=300, n_humans=300, seed=SEED)
     train_part, test_part = stratified_split(dataset, 0.6, seed=SEED)
     model = train_forest(featurize(train_part), n_estimators=20, max_depth=8, seed=SEED)
-    save_model(model, OUTPUT)
-    print(f"model written to {OUTPUT}")
+    save_model(model, output)
+    print(f"model written to {output}")
     print(format_report(evaluate_pretrained(model, test_part)))
 
 

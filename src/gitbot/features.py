@@ -70,19 +70,44 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     """Group normalized messages into patterns by single linkage.
 
     Two messages share a pattern iff they are connected by a chain of
-    pairs whose compound distance (1 - similarity) is <= eps.
-
-    Each pair i < j is compared only if its two messages are not yet in
-    one component: linking such a pair could not change any component.
+    pairs whose compound distance (1 - similarity) is <= eps, eps >= 0.
     The components of single linkage do not depend on the order in which
-    edges are added, so skipping those pairs gives the same partition as
-    comparing every pair, and the same first-occurrence labels.
+    edges are added, so each step below that skips a comparison gives the
+    same partition as comparing every pair, and the same first-occurrence
+    labels:
+
+    - Identical messages are at distance 0 <= eps. Each copy is hung
+      under the first occurrence of its text, and only distinct texts
+      are compared.
+    - A pair whose two texts are already in one component is skipped:
+      linking it could not change any component.
+    - A pair is rejected without an edit distance when a lower bound on
+      its distance exceeds eps. The bound is the compound distance with
+      the edit distance d replaced by |la - lb| <= d, evaluated by the
+      same float expression as similarity.compound_similarity, with the
+      token Jaccard taken from per-corpus token-id bitmasks. Every float
+      operation in it is monotone under round-to-nearest, so the bound
+      never exceeds the true distance and no tolerance is needed.
+
+    Every other pair is decided by one call of
+    similarity.compound_similarity.
     """
     n = len(messages)
     if n == 0:
         raise ValueError("cluster_patterns needs at least one message")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
 
-    parent = list(range(n))
+    first: dict[str, int] = {}
+    parent = [first.setdefault(text, i) for i, text in enumerate(messages)]
+
+    token_ids: dict[str, int] = {}
+    distinct = []  # (index of first occurrence, text, length, token mask)
+    for text, i in first.items():
+        mask = 0
+        for token in text.split():
+            mask |= 1 << token_ids.setdefault(token, len(token_ids))
+        distinct.append((i, text, len(text), mask))
 
     def find(x):
         root = x
@@ -92,14 +117,18 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
             parent[x], x = root, parent[x]
         return root
 
-    for i in range(n):
+    for k, (i, text_i, len_i, mask_i) in enumerate(distinct):
         # every link below hangs a root under ri, so ri stays i's root
         ri = find(i)
-        for j in range(i + 1, n):
+        for j, text_j, len_j, mask_j in distinct[k + 1:]:
             rj = find(j)
             if rj == ri:
                 continue
-            if 1.0 - similarity.compound_similarity(messages[i], messages[j]) <= eps:
+            union = (mask_i | mask_j).bit_count()
+            jac = (mask_i & mask_j).bit_count() / union if union else 1.0
+            if 1.0 - 0.5 * (jac + (1.0 - abs(len_i - len_j) / max(len_i, len_j))) > eps:
+                continue
+            if 1.0 - similarity.compound_similarity(text_i, text_j) <= eps:
                 parent[rj] = ri
 
     pattern_of_root: dict[int, int] = {}

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict
 
 from .errors import UnreadableModel
-from .features import FeatureConfig
+from .features import FEATURE_NAMES, FeatureConfig
 from .forest import CRITERIA, ForestModel, Leaf, Split, TreeNode
 from .similarity import SIMILARITY_ID
 
@@ -144,6 +144,10 @@ def _check_hyperparameters(model: ForestModel) -> None:
         )
     if model.criterion not in CRITERIA:
         raise UnreadableModel(f"criterion must be one of {CRITERIA}, got {model.criterion!r}")
+    if model.feature_names != FEATURE_NAMES:
+        raise UnreadableModel(
+            f"feature_names must be {list(FEATURE_NAMES)}, got {list(model.feature_names)!r}"
+        )
 
 
 def load_model(path) -> ForestModel:

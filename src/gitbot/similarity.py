@@ -6,9 +6,16 @@ Levenshtein similarity. This exact composition is recorded in saved
 model files (see model_io.SIMILARITY_ID) so that training and
 prediction always agree on the metric.
 
+The edit distance is computed by the bit-vector algorithm of Myers
+(1999, "A fast bit-vector algorithm for approximate string matching")
+in the formulation of Hyyrö (2001): one column of the dynamic program
+per character of the longer string, held as two Python ints over the
+shorter one, so strings of any length are exact.
+
 There is one similarity path: features.cluster_patterns calls
-compound_similarity once for each pair of messages that is not yet in
-one pattern. No pairwise matrix is built.
+compound_similarity once for each pair of distinct messages that it
+computes, that is, pairs not yet in one pattern and not rejected by its
+exact lower bound on the distance. No pairwise matrix is built.
 """
 
 SIMILARITY_ID = "mean(token-jaccard, normalized-levenshtein)"
@@ -38,22 +45,33 @@ def jaccard_similarity(a: str, b: str) -> float:
 
 
 def _edit_distance(a: str, b: str) -> int:
+    # D[i][j] is the distance of b[:i] and a[:j]. Bit i of pv (mv) is set
+    # when D[i+1][j] - D[i][j] is +1 (-1) in the current column j.
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        curr = [i]
-        for j, cb in enumerate(b, start=1):
-            d = prev[j - 1] + (0 if ca == cb else 1)
-            if prev[j] + 1 < d:
-                d = prev[j] + 1
-            if curr[j - 1] + 1 < d:
-                d = curr[j - 1] + 1
-            curr.append(d)
-        prev = curr
-    return prev[-1]
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    pv, mv = full, 0
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        # shift to row i's horizontal delta; row 0 is D[0][j] = j, so +1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        # ~ sets every bit above the column, which bit_count would count
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    # D[len(b)][len(a)] is D[0][len(a)] plus the last column's vertical deltas
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def levenshtein_similarity(a: str, b: str) -> float:

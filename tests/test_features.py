@@ -52,8 +52,19 @@ template_corpora = st.lists(
     max_size=40,
 )
 
-# the boundaries where ties and the all-in-one case occur, plus any eps
-thresholds = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+# Words of one to twelve characters: texts of different lengths, so that
+# the length bound of cluster_patterns rejects some pairs and passes others.
+MIXED_WORDS = ("a", "ci", "fix", "bump", "typo", "release", "v2.0.1", "dependencies")
+
+mixed_messages = st.lists(st.sampled_from(MIXED_WORDS), min_size=1, max_size=3).map(" ".join)
+mixed_corpora = st.lists(mixed_messages, min_size=1, max_size=30)
+
+# the boundaries where ties and the all-in-one case occur
+boundary_thresholds = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+thresholds = st.one_of(boundary_thresholds, st.floats(0.0, 1.0))
+
+# features over every message of a drawn corpus: the cap never bites
+UNCAPPED = FeatureConfig(min_messages=1, max_messages=100)
 
 
 def oracle_gini(sizes):
@@ -92,6 +103,16 @@ class TestClusterPatterns:
     @given(corpus=template_corpora, eps=thresholds)
     def test_matches_all_pairs_oracle_on_template_corpora(self, corpus, eps):
         assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
+
+    @settings(deadline=None)
+    @given(corpus=mixed_corpora, eps=boundary_thresholds)
+    def test_matches_all_pairs_oracle_on_mixed_length_corpora(self, corpus, eps):
+        assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        with pytest.raises(ValueError):
+            cluster_patterns(["fix bug"], eps)
 
     def test_eps_zero_groups_only_exact_duplicates(self):
         corpus = ["fix bug", "fix bug", "fix bugs"]
@@ -204,6 +225,21 @@ class TestComputeFeatures:
             shuffled = [corpus[i] for i in perm]
             other = compute_features(MessageCorpus("x", shuffled))
             assert (other.n_patterns, other.gini) == (fv.n_patterns, fv.gini)
+
+    @settings(deadline=None)
+    @given(data=st.data(), corpus=mixed_corpora.map(lambda c: c + ["", "  "]))
+    def test_permuting_a_corpus_keeps_its_features(self, data, corpus):
+        shuffled = data.draw(st.permutations(corpus))
+        assert compute_features(MessageCorpus("x", shuffled), UNCAPPED) == compute_features(
+            MessageCorpus("x", corpus), UNCAPPED
+        )
+
+    @settings(deadline=None)
+    @given(corpus=mixed_corpora, message=st.one_of(st.just(""), mixed_messages))
+    def test_appending_a_message_adds_at_most_one_pattern(self, corpus, message):
+        before = compute_features(MessageCorpus("x", corpus), UNCAPPED)
+        after = compute_features(MessageCorpus("x", corpus + [message]), UNCAPPED)
+        assert after.n_patterns <= before.n_patterns + 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import json
+import runpy
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,12 +132,16 @@ class TestUnreadable:
             lambda doc: doc.update(max_depth=True),
             lambda doc: doc.update(seed="2020"),
             lambda doc: doc.update(criterion="log_loss"),
+            lambda doc: doc.update(feature_names=["gini", "n_patterns", "n_empty", "n_messages"]),
+            lambda doc: doc.update(feature_names=["a"]),
+            lambda doc: doc.update(feature_names=["n_messages", "n_empty", "n_patterns", 3]),
         ],
         ids=[
             "nan-threshold", "inf-threshold", "bool-feature", "bool-leaf-count",
             "float-max-messages", "bool-min-messages", "string-distance-threshold",
             "bool-distance-threshold", "float-n-estimators", "bool-max-depth",
-            "string-seed", "unknown-criterion",
+            "string-seed", "unknown-criterion", "permuted-feature-names",
+            "one-feature-name", "non-string-feature-name",
         ],
     )
     def test_invalid_split_or_leaf_in_shipped_model(self, corrupt, tmp_path):
@@ -146,3 +152,11 @@ class TestUnreadable:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(UnreadableModel):
             load_model(path)
+
+
+def test_build_script_reproduces_shipped_model(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_default_model.py"
+    output = tmp_path / "default_model.json"
+    runpy.run_path(str(script))["main"](output)
+    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    assert output.read_bytes() == shipped.read_bytes()

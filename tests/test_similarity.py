@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gitbot.similarity import (
     compound_similarity,
@@ -35,6 +37,11 @@ def random_corpus(rng, n, vocab=("fix", "bug", "add", "test", "doc", "api",
         " ".join(rng.choice(vocab, size=rng.integers(1, 7)))
         for _ in range(n)
     ]
+
+
+# short strings over a few characters, so that drawn pairs share tokens,
+# characters and sometimes all of their text
+texts = st.text(alphabet="ab é中😀", max_size=12)
 
 
 class TestNormalize:
@@ -82,6 +89,20 @@ class TestLevenshtein:
     def test_both_empty(self):
         assert levenshtein_similarity("", "") == 1.0
 
+    # lengths on both sides of each 64-bit word boundary of the bit vectors
+    @pytest.mark.parametrize("la", [0, 1, 2, 63, 64, 65, 127, 128, 129, 200])
+    @pytest.mark.parametrize("alphabet", ["ab", "ab é中😀"], ids=["ascii", "non-ascii"])
+    def test_matches_oracle_across_word_boundaries(self, la, alphabet):
+        rng = np.random.default_rng(la)
+        letters = list(alphabet)
+        for lb in sorted({0, 1, la // 2, max(la - 1, 0), la, la + 1, 200}):
+            a = "".join(rng.choice(letters, size=la))
+            b = "".join(rng.choice(letters, size=lb))
+            m = max(la, lb)
+            expected = 1.0 if m == 0 else 1.0 - oracle_edit_distance(a, b) / m
+            assert levenshtein_similarity(a, b) == expected
+            assert levenshtein_similarity(b, a) == expected
+
     def test_matches_oracle_on_random_strings(self):
         rng = np.random.default_rng(42)
         letters = list("abcdef ")
@@ -105,20 +126,14 @@ class TestCompound:
     def test_fully_dissimilar(self):
         assert compound_similarity("aaa", "zzz") == 0.0
 
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            a, b = random_corpus(rng, 2)
-            assert compound_similarity(a, b) == compound_similarity(b, a)
+    @given(a=texts, b=texts)
+    def test_symmetry(self, a, b):
+        assert compound_similarity(a, b) == compound_similarity(b, a)
 
-    def test_equals_one_only_on_identical(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            a, b = random_corpus(rng, 2)
-            sim = compound_similarity(a, b)
-            assert 0.0 <= sim <= 1.0
-            if a != b:
-                assert sim < 1.0
-            else:
-                assert sim == 1.0
+    @given(a=texts, b=texts)
+    def test_equals_one_only_on_identical(self, a, b):
+        sim = compound_similarity(a, b)
+        assert 0.0 <= sim <= 1.0
+        assert (sim == 1.0) == (a == b)
+        assert compound_similarity(a, a) == 1.0
 
