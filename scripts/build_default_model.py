@@ -12,9 +12,9 @@ from pathlib import Path
 
 from gitbot.dataset import featurize
 from gitbot.evaluation import evaluate_pretrained, format_report, stratified_split
-from gitbot.forest import train_forest
 from gitbot.model_io import save_model
 from gitbot.synthesis import synthetic_dataset
+from gitbot.training import train_forest
 
 SEED = 2020
 OUTPUT = Path(__file__).resolve().parent.parent / "src" / "gitbot" / "data" / "default_model.json"

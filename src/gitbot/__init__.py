@@ -29,16 +29,12 @@ from .forest import (
     ForestModel,
     LabeledExample,
     Prediction,
-    entropy,
     predict,
-    train_forest,
-    train_tree,
 )
 from .identity import IGNORE_IDENTITY, IdentityMapping, apply_mapping, load_mapping
 from .model_io import MODEL_FORMAT, load_model, save_model
 from .similarity import (
     compound_similarity,
-    is_empty,
     jaccard_similarity,
     levenshtein_similarity,
     normalize_message,
@@ -76,11 +72,9 @@ __all__ = [
     "cluster_patterns",
     "compound_similarity",
     "compute_features",
-    "entropy",
     "extract_commits",
     "gini_coefficient",
     "group_messages",
-    "is_empty",
     "jaccard_similarity",
     "levenshtein_similarity",
     "load_mapping",
@@ -88,6 +82,4 @@ __all__ = [
     "normalize_message",
     "predict",
     "save_model",
-    "train_forest",
-    "train_tree",
 ]

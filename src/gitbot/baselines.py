@@ -1,13 +1,14 @@
 """Comparison classifier families used alongside the random forest.
 
 Every model here answers `bot_fraction(X)`, like `ForestModel`, and is
-labelled by `forest.predict` and `forest.predict_labels`. k-nearest
+labelled by `forest.predict` and `training.predict_labels`. k-nearest
 neighbours, logistic regression and the linear SVM work on z-score
 standardized features (statistics from the training set); the two linear
 families share `LinearModel`, whose bot fraction is the sigmoid of the
 score. Logistic regression is fitted by Newton's method. The single
 decision tree is a one-tree `ForestModel` grown without bootstrap and
-with every feature eligible at each node.
+with every feature eligible at each node, by the tree grower of
+`training`.
 """
 
 import warnings
@@ -15,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forest import (
-    ForestModel,
-    LabeledExample,
-    _check_two_classes,
-    _grow,
-    _to_arrays,
-)
+from .forest import ForestModel, LabeledExample
+from .training import _check_two_classes, _grow, _to_arrays
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ error, 2 analysis/training error.
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
@@ -16,22 +17,38 @@ from datetime import date
 from importlib import resources
 
 from . import forest
-from .dataset import featurize, load_archive, load_dataset
 from .errors import GitbotError
-from .evaluation import (
-    FAMILY_FOREST,
-    cross_validate,
-    evaluate_pretrained,
-    format_grid_table,
-    format_report,
-)
 from .extractor import Role, extract_commits, group_messages
 from .features import FeatureConfig, compute_features
-from .forest import UNKNOWN, ForestModel, train_forest
+from .forest import UNKNOWN, ForestModel
 from .identity import IdentityMapping, apply_mapping, load_mapping
 from .model_io import load_model, model_from_json, save_model
 
 TEXT, CSV, JSON = "text", "csv", "json"
+
+# The module docstring is the --help text, so the split is told here:
+# `analyze` runs without numpy, while evaluation and training load it and
+# are imported only when `train` or `evaluate` runs. Attribute -> module
+# of the names those commands call through this module.
+_TRAINING_NAMES = {
+    "load_dataset": "dataset",
+    "featurize": "dataset",
+    "cross_validate": "evaluation",
+    "evaluate_pretrained": "evaluation",
+    "train_forest": "training",
+}
+
+
+def __getattr__(name):
+    """Import a training name on first use; it stays an attribute of this module.
+
+    `run_train` and `run_evaluate` look these names up through the module
+    at call time, so a wrapper set on one still fires. No other name is
+    answered: the import system probes names such as __path__.
+    """
+    if name not in _TRAINING_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_TRAINING_NAMES[name]}", __package__), name)
 
 
 @dataclass(frozen=True)
@@ -173,19 +190,21 @@ def _format_number(value: object) -> str:
 
 
 def run_train(args) -> int:
-    loader = load_archive if args.from_archive else load_dataset
+    from .dataset import load_archive
+    from .evaluation import FAMILY_FOREST, format_grid_table, format_report, stratified_split
+
+    cli = sys.modules[__name__]
+    loader = load_archive if args.from_archive else cli.load_dataset
     dataset = loader(args.dataset, min_messages=args.min_messages)
     config = FeatureConfig(min_messages=args.min_messages)
 
-    from .evaluation import stratified_split
-
     train_part, test_part = stratified_split(dataset, args.train_fraction, seed=args.seed)
-    train_examples = featurize(train_part, config)
-    result = cross_validate(train_examples, k_folds=args.folds, seed=args.seed)
+    train_examples = cli.featurize(train_part, config)
+    result = cli.cross_validate(train_examples, k_folds=args.folds, seed=args.seed)
     print(format_grid_table(result))
 
     best_forest = result.best_for(FAMILY_FOREST)
-    model = train_forest(
+    model = cli.train_forest(
         train_examples,
         seed=args.seed,
         feature_config=config,
@@ -194,16 +213,20 @@ def run_train(args) -> int:
     save_model(model, args.output)
     print(f"model written to {args.output}")
 
-    report = evaluate_pretrained(model, test_part)
+    report = cli.evaluate_pretrained(model, test_part)
     print(format_report(report))
     return 0
 
 
 def run_evaluate(args) -> int:
-    loader = load_archive if args.from_archive else load_dataset
+    from .dataset import load_archive
+    from .evaluation import format_report
+
+    cli = sys.modules[__name__]
+    loader = load_archive if args.from_archive else cli.load_dataset
     model = load_model(args.model) if args.model else load_default_model()
     dataset = loader(args.dataset, min_messages=model.feature_config.min_messages)
-    report = evaluate_pretrained(model, dataset)
+    report = cli.evaluate_pretrained(model, dataset)
     print(format_report(report))
     return 0
 

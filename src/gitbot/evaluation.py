@@ -14,7 +14,8 @@ from .baselines import train_knn, train_linear_svm, train_logistic, train_single
 from .dataset import LabeledDataset
 from .errors import EmptyInput, SingleClassData
 from .features import compute_features
-from .forest import BOT, HUMAN, LABEL_IDS, UNKNOWN, LabeledExample, predict_labels, train_forest
+from .forest import BOT, HUMAN, LABEL_IDS, UNKNOWN, ForestModel, LabeledExample
+from .training import _to_arrays, predict_labels, train_forest
 
 FAMILY_FOREST = "random forest"
 FAMILY_TREE = "decision tree"
@@ -267,8 +268,7 @@ def cross_validate(
         grid = default_grid()
     if not grid:
         raise ValueError("grid must not be empty")
-    X = np.array([ex.features.as_array() for ex in train])
-    y = np.array([LABEL_IDS[ex.label] for ex in train])
+    X, y = _to_arrays(train)
     folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
 
     best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
@@ -307,7 +307,7 @@ def cross_validate(
     return GridSearchResult(rows=rows)
 
 
-def evaluate_pretrained(model, test: LabeledDataset) -> EvaluationReport:
+def evaluate_pretrained(model: ForestModel, test: LabeledDataset) -> EvaluationReport:
     """Score a trained model on a labeled dataset.
 
     Entries whose corpora are too small for the model's feature
@@ -331,14 +331,11 @@ def evaluate_pretrained(model, test: LabeledDataset) -> EvaluationReport:
     return report_from_counts(counts, describe_model(model), n_unknown)
 
 
-def describe_model(model) -> str:
-    name = type(model).__name__
-    if hasattr(model, "n_estimators"):
-        return (
-            f"{name}(criterion={model.criterion}, estimators={model.n_estimators}, "
-            f"depth={model.max_depth}, seed={model.seed})"
-        )
-    return name
+def describe_model(model: ForestModel) -> str:
+    return (
+        f"ForestModel(criterion={model.criterion}, estimators={model.n_estimators}, "
+        f"depth={model.max_depth}, seed={model.seed})"
+    )
 
 
 def format_grid_table(result: GridSearchResult) -> str:

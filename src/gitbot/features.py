@@ -8,8 +8,6 @@ messages), and the Gini coefficient of pattern sizes.
 from dataclasses import dataclass, field
 from datetime import datetime
 
-import numpy as np
-
 from . import similarity
 from .similarity import normalize_message
 
@@ -48,11 +46,9 @@ class FeatureVector:
     n_patterns: int
     gini: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.n_messages, self.n_empty, self.n_patterns, self.gini],
-            dtype=np.float64,
-        )
+    def as_row(self) -> tuple:
+        """The four features in FEATURE_NAMES order."""
+        return (self.n_messages, self.n_empty, self.n_patterns, self.gini)
 
 
 @dataclass(frozen=True)
@@ -148,18 +144,20 @@ def gini_coefficient(sizes) -> float:
     """Inequality of pattern sizes: sum |xi - xj| / (2 n^2 mean).
 
     0 means all patterns hold equally many messages; a single pattern
-    yields 0.
+    yields 0. Sizes are positive integers, so the sum over pairs is an
+    exact integer.
     """
-    x = np.asarray(sizes, dtype=np.float64)
-    if x.size == 0:
+    x = sorted(sizes)
+    if not x:
         raise ValueError("sizes must be non-empty")
-    if np.any(x <= 0):
+    if x[0] <= 0:
         raise ValueError("sizes must all be positive")
-    if x.size == 1:
+    n = len(x)
+    if n == 1:
         return 0.0
-    n = x.size
-    total = np.abs(x[:, None] - x[None, :]).sum()
-    return float(total / (2.0 * n * n * x.mean()))
+    # the k-th smallest size exceeds k sizes and is exceeded by n - 1 - k
+    total = 2 * sum((2 * k - n + 1) * v for k, v in enumerate(x))
+    return total / (2.0 * n * n * (sum(x) / n))
 
 
 def compute_features(

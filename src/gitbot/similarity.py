@@ -26,11 +26,6 @@ def normalize_message(raw: str) -> str:
     return " ".join(raw.split()).lower()
 
 
-def is_empty(raw: str) -> bool:
-    """True iff the message normalizes to the empty string."""
-    return normalize_message(raw) == ""
-
-
 def jaccard_similarity(a: str, b: str) -> float:
     """Token-set Jaccard similarity of two normalized messages.
 

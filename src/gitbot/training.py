@@ -1,0 +1,139 @@
+"""Growing random forests from labeled feature vectors, with numpy.
+
+Trees split greedily on information gain (entropy criterion by
+default, gini available for grid search) with candidate thresholds at
+midpoints between consecutive distinct feature values. Each tree of a
+forest trains on a bootstrap sample and considers a random subset of
+features per node. Training is fully deterministic given a seed.
+
+This is the numpy half of the forest. `forest` holds the model and
+predicts in pure Python; this module is imported by `evaluation`,
+`baselines` and the model build script, and by the CLI only when
+`train` or `evaluate` runs.
+"""
+
+import numpy as np
+
+from .errors import SingleClassData
+from .features import FeatureConfig
+from .forest import LABEL_IDS, ForestModel, LabeledExample, Leaf, Split, TreeNode, is_bot
+
+
+def _impurity(h: np.ndarray, b: np.ndarray, criterion: str) -> np.ndarray:
+    n = h + b
+    ph = h / n
+    pb = b / n
+    if criterion == "gini":
+        return 1.0 - ph * ph - pb * pb
+    out = np.zeros_like(ph)
+    mask = ph > 0
+    out[mask] -= ph[mask] * np.log2(ph[mask])
+    mask = pb > 0
+    out[mask] -= pb[mask] * np.log2(pb[mask])
+    return out
+
+
+def best_split(X: np.ndarray, y: np.ndarray, feature_indices, criterion: str = "entropy"):
+    """Highest-gain (feature, threshold, gain) over the given features.
+
+    Thresholds are midpoints between consecutive distinct sorted
+    values. Returns None when no candidate split has positive gain.
+    Ties are broken toward the lower feature index, then the lower
+    threshold, which keeps training deterministic.
+    """
+    n = len(y)
+    total_b = int(y.sum())
+    total_h = n - total_b
+    parent = _impurity(np.array([total_h]), np.array([total_b]), criterion)[0]
+
+    best = None
+    for f in sorted(feature_indices):
+        vals = X[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y[order]
+        change = np.nonzero(sv[1:] != sv[:-1])[0] + 1
+        if change.size == 0:
+            continue
+        cum_b = np.cumsum(sy)
+        left_n = change.astype(np.float64)
+        left_b = cum_b[change - 1].astype(np.float64)
+        left_h = left_n - left_b
+        right_n = n - left_n
+        right_b = total_b - left_b
+        right_h = right_n - right_b
+        children = (
+            left_n * _impurity(left_h, left_b, criterion)
+            + right_n * _impurity(right_h, right_b, criterion)
+        ) / n
+        gains = parent - children
+        k = int(np.argmax(gains))
+        gain = float(gains[k])
+        if gain > 0.0 and (best is None or gain > best[2]):
+            threshold = float((sv[change[k] - 1] + sv[change[k]]) / 2.0)
+            best = (int(f), threshold, gain)
+    return best
+
+
+def _grow(X, y, depth, max_depth, feature_subset_size, rng, criterion) -> TreeNode:
+    counts_arr = np.bincount(y, minlength=2)
+    counts = (int(counts_arr[0]), int(counts_arr[1]))
+    if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
+        return Leaf(counts)
+    n_features = X.shape[1]
+    k = min(feature_subset_size, n_features)
+    candidates = rng.choice(n_features, size=k, replace=False)
+    found = best_split(X, y, candidates, criterion)
+    if found is None:
+        return Leaf(counts)
+    f, threshold, _ = found
+    mask = X[:, f] <= threshold
+    left = _grow(X[mask], y[mask], depth + 1, max_depth, feature_subset_size, rng, criterion)
+    right = _grow(X[~mask], y[~mask], depth + 1, max_depth, feature_subset_size, rng, criterion)
+    return Split(feature=f, threshold=threshold, left=left, right=right)
+
+
+def _to_arrays(data: list[LabeledExample]):
+    X = np.array([ex.features.as_row() for ex in data], dtype=np.float64)
+    y = np.array([LABEL_IDS[ex.label] for ex in data], dtype=np.int64)
+    return X, y
+
+
+def _check_two_classes(y: np.ndarray):
+    if len(np.unique(y)) < 2:
+        raise SingleClassData("training data must contain both classes")
+
+
+def train_forest(
+    data: list[LabeledExample],
+    n_estimators: int = 20,
+    max_depth: int = 8,
+    seed: int = 0,
+    criterion: str = "entropy",
+    feature_subset_size: int = 2,
+    feature_config: FeatureConfig | None = None,
+) -> ForestModel:
+    """Train the forest: bootstrap per tree, random features per node."""
+    X, y = _to_arrays(data)
+    _check_two_classes(y)
+    n = len(y)
+    trees = []
+    for child_seed in np.random.SeedSequence(seed).spawn(n_estimators):
+        rng = np.random.default_rng(child_seed)
+        idx = rng.integers(0, n, size=n)
+        trees.append(
+            _grow(X[idx], y[idx], 0, max_depth, feature_subset_size, rng, criterion)
+        )
+    return ForestModel(
+        trees=trees,
+        n_estimators=n_estimators,
+        max_depth=max_depth,
+        criterion=criterion,
+        seed=seed,
+        feature_config=feature_config if feature_config is not None else FeatureConfig(),
+    )
+
+
+def predict_labels(model, X: np.ndarray) -> np.ndarray:
+    """0/1 labels of the rows of X under any model with `bot_fraction`."""
+    return is_bot(np.asarray(model.bot_fraction(X))).astype(np.int64)

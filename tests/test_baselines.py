@@ -12,21 +12,14 @@ from gitbot.baselines import (
 )
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
-from gitbot.forest import (
-    BOT,
-    HUMAN,
-    UNKNOWN,
-    LabeledExample,
-    predict,
-    predict_labels,
-    tree_depth,
-)
+from gitbot.forest import BOT, HUMAN, UNKNOWN, LabeledExample, predict
+from gitbot.training import predict_labels
 
-from .test_forest import example, random_examples
+from .test_forest import example, random_examples, tree_depth
 
 
 def accuracy(model, data):
-    X = np.array([ex.features.as_array() for ex in data])
+    X = np.array([ex.features.as_row() for ex in data])
     y = np.array([1 if ex.label == BOT else 0 for ex in data])
     return (predict_labels(model, X) == y).mean()
 

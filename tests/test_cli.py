@@ -1,11 +1,22 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from gitbot import cli
 from gitbot.cli import main
+from gitbot.dataset import load_dataset
+from gitbot.evaluation import evaluate_pretrained, format_report
+from gitbot.model_io import load_model
+from gitbot.synthesis import synthetic_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def analyze_json(capsys, argv):
@@ -76,3 +87,89 @@ def test_model_with_fractional_message_cap_exits_2(capsys, cli_fixture_repo, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_messages" in captured.err
+
+
+def analyze_rows(capsys, argv):
+    assert main(argv) == 0
+    return {row["name"]: row for row in json.loads(capsys.readouterr().out)}
+
+
+def test_mapping_merges_names_and_ignores_the_ignored(capsys, cli_fixture_repo, tmp_path):
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("name,identity\ndave,carol\nrelease-bot,IGNORE\n", encoding="utf-8")
+    rows = analyze_rows(capsys, ["analyze", "--json", "--mapping", str(mapping), str(cli_fixture_repo)])
+    assert {name: row["commits"] for name, row in rows.items()} == {"carol": 37}
+    assert rows["carol"]["prediction"] == "human"
+
+
+def test_committer_groups_by_committer_name(capsys, cli_fixture_repo):
+    # every fixture commit has the committer ci-runner and one of three authors
+    rows = analyze_rows(capsys, ["analyze", "--json", "--committer", str(cli_fixture_repo)])
+    assert {name: row["commits"] for name, row in rows.items()} == {"ci-runner": 87}
+
+
+@pytest.fixture(scope="module")
+def dataset_csv(tmp_path_factory):
+    """A small labeled dataset in the canonical CSV layout."""
+    dataset = synthetic_dataset(n_bots=15, n_humans=15, seed=5, max_messages=20)
+    path = tmp_path_factory.mktemp("dataset") / "dataset.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["contributor_id", "repository_id", "label", "message"])
+        for entry in dataset.entries:
+            for message in entry.corpus.messages:
+                writer.writerow([entry.contributor, entry.repository, entry.label, message])
+    return path
+
+
+def test_train_writes_a_model_and_reports_it(capsys, monkeypatch, dataset_csv, tmp_path):
+    original = cli.train_forest
+    trained = []
+
+    def train_forest(*args, **kwargs):
+        trained.append(original(*args, **kwargs))
+        return trained[-1]
+
+    # the command looks the name up through the module, so this wrapper fires
+    monkeypatch.setattr(cli, "train_forest", train_forest)
+    output = tmp_path / "model.json"
+    argv = ["train", str(dataset_csv), "-o", str(output), "--folds", "3", "--seed", "7"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0].split()[:2] == ["classifier", "family"]
+    assert f"model written to {output}" in lines
+    model = load_model(output)
+    assert [model] == trained
+    test_report = out.split(f"model written to {output}\n", 1)[1]
+    assert test_report.startswith("model: ForestModel(")
+
+
+def test_evaluate_scores_the_shipped_or_a_given_model(capsys, dataset_csv):
+    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    expected = format_report(evaluate_pretrained(load_model(shipped), load_dataset(dataset_csv)))
+    assert main(["evaluate", str(dataset_csv)]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert main(["evaluate", str(dataset_csv), "--model", str(shipped)]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_analyze_never_imports_numpy(cli_fixture_repo):
+    # runs `python -m gitbot analyze --json REPO`, then inspects the interpreter
+    script = (
+        "import runpy, sys\n"
+        "repo = sys.argv[1]\n"
+        "sys.argv = ['gitbot', 'analyze', '--json', repo]\n"
+        "try:\n"
+        "    runpy.run_module('gitbot', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code != 0:\n"
+        "        raise\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('analyze imported numpy')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(cli_fixture_repo)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert {row["name"] for row in json.loads(proc.stdout)} == {"carol", "dave", "release-bot"}

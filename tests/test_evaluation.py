@@ -15,7 +15,8 @@ from gitbot.evaluation import (
     stratified_split,
 )
 from gitbot.features import FeatureVector, MessageCorpus
-from gitbot.forest import BOT, HUMAN, predict, predict_labels, train_forest
+from gitbot.forest import BOT, HUMAN, predict
+from gitbot.training import predict_labels, train_forest
 
 from .test_forest import random_examples
 
@@ -167,7 +168,7 @@ vectors = st.builds(
 @settings(deadline=None)
 @given(fv=vectors)
 def test_every_model_obeys_one_contract(models, fv):
-    X = fv.as_array().reshape(1, -1)
+    X = np.array([fv.as_row()], dtype=np.float64)
     for model in models:
         f = float(model.bot_fraction(X)[0])
         prediction = predict(model, fv)

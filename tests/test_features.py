@@ -75,6 +75,16 @@ def oracle_gini(sizes):
     return total / (2 * n * n * mean)
 
 
+def numpy_gini(sizes):
+    """The former numpy expression, kept as the bit-exactness reference."""
+    x = np.asarray(sizes, dtype=np.float64)
+    if x.size == 1:
+        return 0.0
+    n = x.size
+    total = np.abs(x[:, None] - x[None, :]).sum()
+    return float(total / (2.0 * n * n * x.mean()))
+
+
 class TestClusterPatterns:
     def test_identical_messages_form_one_pattern(self):
         pa = cluster_patterns(["do the thing"] * 10, 0.5)
@@ -164,6 +174,10 @@ class TestGini:
             assert gini_coefficient(sizes) == pytest.approx(
                 oracle_gini(sizes), abs=1e-12
             )
+
+    @given(sizes=st.lists(st.integers(1, 10_000), min_size=1, max_size=150))
+    def test_bit_identical_to_numpy_expression(self, sizes):
+        assert gini_coefficient(sizes) == numpy_gini(sizes)
 
     def test_range(self):
         rng = np.random.default_rng(22)

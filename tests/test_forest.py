@@ -1,25 +1,45 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gitbot.cli import load_default_model
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
 from gitbot.forest import (
     BOT,
+    CRITERIA,
     HUMAN,
     UNKNOWN,
     ForestModel,
     LabeledExample,
     Leaf,
     Split,
-    best_split,
-    entropy,
     predict,
-    predict_labels,
-    train_forest,
-    train_tree,
-    tree_depth,
 )
 from gitbot.model_io import model_to_json
+from gitbot.training import _grow, _impurity, _to_arrays, best_split, predict_labels, train_forest
+
+
+def entropy(class_counts) -> float:
+    """Shannon entropy in bits of a two-class count pair, by the training criterion."""
+    h, b = class_counts
+    if h + b == 0:
+        raise ValueError("entropy of an empty node is undefined")
+    return float(_impurity(np.array([h]), np.array([b]), "entropy")[0])
+
+
+def train_tree(data, max_depth, feature_subset_size, rng, criterion="entropy"):
+    """Grow one decision tree on all of `data`, without bootstrap."""
+    X, y = _to_arrays(data)
+    return _grow(X, y, 0, max_depth, feature_subset_size, rng, criterion)
+
+
+def tree_depth(node) -> int:
+    """Longest root-to-leaf path, in edges."""
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
 def example(n_messages, n_empty, n_patterns, gini, label):
@@ -115,7 +135,7 @@ class TestTrainTree:
         data = random_examples(rng, 40, separable=False)
         tree = train_tree(data, max_depth=8, feature_subset_size=4,
                           rng=np.random.default_rng(0))
-        X = np.array([ex.features.as_array() for ex in data])
+        X = np.array([ex.features.as_row() for ex in data])
         y = np.array([1 if ex.label == BOT else 0 for ex in data])
         model = ForestModel(trees=[tree], n_estimators=1, max_depth=8,
                             criterion="entropy", seed=0)
@@ -157,7 +177,7 @@ class TestTrainForest:
         data = random_examples(rng, 200)
         train, holdout = data[:120], data[120:]
         model = train_forest(train, seed=0)
-        X = np.array([ex.features.as_array() for ex in holdout])
+        X = np.array([ex.features.as_row() for ex in holdout])
         y = np.array([1 if ex.label == BOT else 0 for ex in holdout])
         pred = predict_labels(model, X)
         tp = int(((pred == 1) & (y == 1)).sum())
@@ -220,3 +240,92 @@ class TestPredict:
     def test_leaf_tie_votes_human(self):
         assert Leaf((3, 3)).vote() == 0
         assert Leaf((2, 3)).vote() == 1
+
+
+def numpy_bot_fraction(model, X):
+    """The former numpy walk, kept as the reference: each tree routes all rows at once."""
+
+    def tree_votes(node, X):
+        out = np.empty(len(X), dtype=np.int64)
+        stack = [(node, np.arange(len(X)))]
+        while stack:
+            current, rows = stack.pop()
+            if not len(rows):
+                continue
+            if isinstance(current, Leaf):
+                out[rows] = current.vote()
+                continue
+            mask = X[rows, current.feature] <= current.threshold
+            stack.append((current.left, rows[mask]))
+            stack.append((current.right, rows[~mask]))
+        return out
+
+    votes = np.zeros(len(X), dtype=np.int64)
+    for tree in model.trees:
+        votes += tree_votes(tree, X)
+    return votes / len(model.trees)
+
+
+# thresholds at integers and midpoints, where drawn features land on ties
+thresholds = st.one_of(
+    st.integers(-1, 101).map(float),
+    st.integers(-1, 201).map(lambda k: k / 2),
+    st.floats(-1e9, 1e9),
+)
+leaves = st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(sum).map(Leaf)
+trees = st.recursive(
+    leaves,
+    lambda children: st.builds(Split, st.integers(0, 3), thresholds, children, children),
+    max_leaves=24,
+)
+forests = st.lists(trees, min_size=1, max_size=12).flatmap(
+    lambda drawn: st.builds(
+        ForestModel,
+        trees=st.just(drawn),
+        n_estimators=st.just(len(drawn)),
+        max_depth=st.integers(1, 20),
+        criterion=st.sampled_from(CRITERIA),
+        seed=st.integers(0, 2**63),
+    )
+)
+feature_rows = st.tuples(
+    st.integers(1, 100),
+    st.integers(0, 100),
+    st.integers(0, 100),
+    st.one_of(st.integers(0, 2).map(lambda k: k / 2), st.floats(0.0, 1.0)),
+)
+
+
+def thresholds_of(node):
+    if isinstance(node, Leaf):
+        return []
+    return [(node.feature, node.threshold), *thresholds_of(node.left), *thresholds_of(node.right)]
+
+
+class TestBotFraction:
+    """The per-row walk gives the former numpy walk's fractions, element for element."""
+
+    def assert_matches_numpy_walk(self, model, rows):
+        X = np.array(rows, dtype=np.float64)
+        assert model.bot_fraction(rows) == numpy_bot_fraction(model, X).tolist()
+        assert model.bot_fraction(X) == numpy_bot_fraction(model, X).tolist()
+
+    @settings(deadline=None)
+    @given(rows=st.lists(feature_rows, min_size=1, max_size=20))
+    def test_shipped_model(self, rows):
+        self.assert_matches_numpy_walk(load_default_model(), rows)
+
+    def test_shipped_model_on_its_own_thresholds(self):
+        model = load_default_model()
+        rows = []
+        for feature, threshold in sorted({s for tree in model.trees for s in thresholds_of(tree)}):
+            for value in (np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf)):
+                row = [50.0, 2.0, 20.0, 0.25]
+                row[feature] = float(value)
+                rows.append(row)
+        self.assert_matches_numpy_walk(model, rows)
+
+    @settings(deadline=None)
+    @given(model=forests, rows=st.lists(feature_rows, min_size=1, max_size=20))
+    def test_drawn_forests(self, model, rows):
+        self.assert_matches_numpy_walk(model, rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import runpy
 from importlib import resources
@@ -5,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitbot.errors import UnreadableModel
 from gitbot.features import FeatureConfig, FeatureVector
-from gitbot.forest import predict, train_forest
+from gitbot.forest import predict
 from gitbot.model_io import MODEL_FORMAT, load_model, model_to_json, save_model
+from gitbot.training import train_forest
 
-from .test_forest import random_examples
+from .test_forest import forests, random_examples
 
 
 def first_leaf(node):
@@ -63,6 +67,29 @@ class TestRoundTrip:
         doc = json.loads(model_to_json(model))
         assert doc["format"] == MODEL_FORMAT
         assert len(doc["trees"]) == doc["n_estimators"]
+
+
+feature_configs = st.integers(1, 100).flatmap(
+    lambda low: st.builds(
+        FeatureConfig,
+        min_messages=st.just(low),
+        max_messages=st.integers(low, 1000),
+        distance_threshold=st.floats(0.0, 1.0),
+    )
+)
+
+
+@settings(deadline=None)
+@given(model=forests, config=feature_configs)
+def test_save_load_save_gives_identical_bytes(model, config, tmp_path_factory):
+    model = dataclasses.replace(model, feature_config=config)
+    first = tmp_path_factory.mktemp("roundtrip") / "first.json"
+    second = first.with_name("second.json")
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert loaded == model
 
 
 class TestUnreadable:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gitbot.similarity import (
     compound_similarity,
-    is_empty,
     jaccard_similarity,
     levenshtein_similarity,
     normalize_message,
@@ -29,6 +28,11 @@ def oracle_edit_distance(a, b):
                 d[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return d[-1][-1]
+
+
+def is_empty(raw: str) -> bool:
+    """True iff the message normalizes to the empty string."""
+    return normalize_message(raw) == ""
 
 
 def random_corpus(rng, n, vocab=("fix", "bug", "add", "test", "doc", "api",
