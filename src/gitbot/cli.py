@@ -52,21 +52,6 @@ def __getattr__(name):
 
 
 @dataclass(frozen=True)
-class CliOptions:
-    repositories: list[str]
-    include: list[str] | None = None
-    start_date: date | None = None
-    mapping: str | None = None
-    committer: bool = False
-    min_commits: int | None = None  # None: use the model's training-time value
-    max_commits: int | None = None
-    verbose: bool = False
-    only_predicted: bool = False
-    output_format: str = TEXT
-    model_path: str | None = None
-
-
-@dataclass(frozen=True)
 class ResultRow:
     name: str
     commits: int
@@ -81,44 +66,42 @@ def load_default_model() -> ForestModel:
     return model_from_json(text)
 
 
-def _resolve_model(options: CliOptions) -> ForestModel:
-    if options.model_path is not None:
-        return load_model(options.model_path)
-    return load_default_model()
-
-
-def _analysis_config(options: CliOptions, model: ForestModel) -> FeatureConfig:
+def _analysis_config(args, model: ForestModel) -> FeatureConfig:
     base = model.feature_config
     return FeatureConfig(
-        min_messages=options.min_commits if options.min_commits is not None else base.min_messages,
-        max_messages=options.max_commits if options.max_commits is not None else base.max_messages,
+        min_messages=args.min_commits if args.min_commits is not None else base.min_messages,
+        max_messages=args.max_commits if args.max_commits is not None else base.max_messages,
         distance_threshold=base.distance_threshold,
     )
 
 
-def run_analysis(options: CliOptions, model: ForestModel | None = None) -> list[ResultRow]:
+def run_analysis(args) -> list[ResultRow]:
     """Analyze every repository and return rows sorted by name.
 
+    args holds the parsed `analyze` options. When --min-commits or
+    --max-commits is not given, the model's training-time value is used.
     Any extraction, mapping, or model error aborts the run and carries
     the offending repository's path in its message.
     """
-    if not options.repositories:
+    if not args.repositories:
         raise GitbotError("at least one repository is required")
-    if model is None:
-        model = _resolve_model(options)
-    config = _analysis_config(options, model)
-    role = Role.COMMITTER if options.committer else Role.AUTHOR
+    if args.model_path is not None:
+        model = load_model(args.model_path)
+    else:
+        model = load_default_model()
+    config = _analysis_config(args, model)
+    role = Role.COMMITTER if args.committer else Role.AUTHOR
     mapping = IdentityMapping()
-    if options.mapping is not None:
-        mapping = load_mapping(options.mapping)
+    if args.mapping is not None:
+        mapping = load_mapping(args.mapping)
 
     rows = []
-    for repo in options.repositories:
+    for repo in args.repositories:
         try:
-            commits = extract_commits(repo, role=role, start_date=options.start_date)
-            groups = group_messages(commits, role=role)
-            if options.include is not None:
-                wanted = set(options.include)
+            commits = extract_commits(repo, role=role, start_date=args.start_date)
+            groups = group_messages(commits)
+            if args.include is not None:
+                wanted = set(args.include)
                 groups = {name: c for name, c in groups.items() if name in wanted}
             groups = apply_mapping(groups, mapping)
         except GitbotError as exc:
@@ -139,7 +122,7 @@ def run_analysis(options: CliOptions, model: ForestModel | None = None) -> list[
                         empties=features.n_empty,
                     )
                 )
-    if options.only_predicted:
+    if args.only_predicted:
         rows = [row for row in rows if row.prediction != UNKNOWN]
     rows.sort(key=lambda row: row.name)
     return rows
@@ -304,21 +287,8 @@ def main(argv=None) -> int:
                 and args.min_commits > args.max_commits
             ):
                 parser.error("--min-commits must not exceed --max-commits")
-            options = CliOptions(
-                repositories=args.repositories,
-                include=args.include,
-                start_date=args.start_date,
-                mapping=args.mapping,
-                committer=args.committer,
-                min_commits=args.min_commits,
-                max_commits=args.max_commits,
-                verbose=args.verbose,
-                only_predicted=args.only_predicted,
-                output_format=args.output_format,
-                model_path=args.model_path,
-            )
-            rows = run_analysis(options)
-            sys.stdout.write(format_output(rows, options.output_format, options.verbose))
+            rows = run_analysis(args)
+            sys.stdout.write(format_output(rows, args.output_format, args.verbose))
             return 0
         if args.command == "train":
             return run_train(args)

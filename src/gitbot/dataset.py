@@ -36,7 +36,6 @@ class DatasetEntry:
 @dataclass(frozen=True)
 class LabeledDataset:
     entries: list[DatasetEntry]
-    provenance: str = ""
     n_excluded: int = 0  # corpora dropped for having too few messages
 
     def __len__(self) -> int:
@@ -46,7 +45,7 @@ class LabeledDataset:
         return [entry.label for entry in self.entries]
 
 
-def _build_dataset(rows, provenance: str, min_messages: int) -> LabeledDataset:
+def _build_dataset(rows, min_messages: int) -> LabeledDataset:
     """rows: iterable of (contributor, repository, label, message)."""
     order: list[tuple[str, str]] = []
     messages: dict[tuple[str, str], list[str]] = {}
@@ -84,7 +83,7 @@ def _build_dataset(rows, provenance: str, min_messages: int) -> LabeledDataset:
             n_excluded,
             min_messages,
         )
-    return LabeledDataset(entries=entries, provenance=provenance, n_excluded=n_excluded)
+    return LabeledDataset(entries=entries, n_excluded=n_excluded)
 
 
 def _check_label(token: str, where: str) -> str:
@@ -110,7 +109,7 @@ def load_dataset(path, min_messages: int = 10) -> LabeledDataset:
                 contributor, repository, label, message = row
                 yield contributor, repository, _check_label(label, f"row {row_number}"), message
 
-    return _build_dataset(rows(), provenance=str(path), min_messages=min_messages)
+    return _build_dataset(rows(), min_messages=min_messages)
 
 
 def load_archive(path, min_messages: int = 10) -> LabeledDataset:
@@ -136,7 +135,7 @@ def load_archive(path, min_messages: int = 10) -> LabeledDataset:
                     )
                 yield contributor, repository, BOT if is_bot else HUMAN, message
 
-    return _build_dataset(rows(), provenance=str(path), min_messages=min_messages)
+    return _build_dataset(rows(), min_messages=min_messages)
 
 
 def featurize(

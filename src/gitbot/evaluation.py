@@ -126,14 +126,8 @@ def stratified_split(
     train_idx.sort()
     test_idx.sort()
     return (
-        LabeledDataset(
-            entries=[dataset.entries[i] for i in train_idx],
-            provenance=f"{dataset.provenance} [train {train_fraction:.0%}]",
-        ),
-        LabeledDataset(
-            entries=[dataset.entries[i] for i in test_idx],
-            provenance=f"{dataset.provenance} [test {1 - train_fraction:.0%}]",
-        ),
+        LabeledDataset(entries=[dataset.entries[i] for i in train_idx]),
+        LabeledDataset(entries=[dataset.entries[i] for i in test_idx]),
     )
 
 
@@ -179,9 +173,6 @@ class FamilyResult:
 @dataclass(frozen=True)
 class GridSearchResult:
     rows: list[FamilyResult] = field(default_factory=list)  # F1 descending
-
-    def best(self) -> FamilyResult:
-        return self.rows[0]
 
     def best_for(self, family: str) -> FamilyResult:
         for row in self.rows:
@@ -262,14 +253,22 @@ def cross_validate(
     """Score every configuration by mean weighted F1 over stratified folds.
 
     The best configuration per family is retained; ties break toward
-    higher precision, then the lexicographically smaller name.
+    higher precision, then the lexicographically smaller name. A kNN
+    configuration whose k exceeds the smallest training fold cannot be
+    fitted on every fold and is left out.
     """
     if grid is None:
         grid = default_grid()
-    if not grid:
-        raise ValueError("grid must not be empty")
     X, y = _to_arrays(train)
     folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
+    smallest_fold = min(len(train_idx) for train_idx, _ in folds)
+    grid = [
+        config
+        for config in grid
+        if config.family != FAMILY_KNN or config.params["k"] <= smallest_fold
+    ]
+    if not grid:
+        raise ValueError("grid must not be empty")
 
     best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
     for config in grid:

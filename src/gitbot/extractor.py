@@ -1,15 +1,22 @@
 """Extract commit records from a local git repository via `git log`.
 
-Fields are separated by a NUL byte and records end with NUL-NUL, so
-any printable message content survives parsing (git forbids NUL inside
-commit messages). Output is decoded with surrogateescape, which keeps
-messages byte-exact even when they are not valid UTF-8.
+A record holds only what analysis reads: the selected role's name, its
+Unix time and the message. Fields are separated by a NUL byte and
+records end with NUL-NUL, so any printable message content survives
+parsing (git forbids NUL inside commit messages). Output is decoded
+with surrogateescape, which keeps messages byte-exact even when they
+are not valid UTF-8.
+
+Times are integer Unix seconds (`%at` / `%ct`). git stores dates with
+one-second resolution, so ordering or comparing these integers is
+exactly ordering or comparing the UTC instants, whatever the time zone
+each commit was recorded in.
 """
 
+import calendar
 import enum
 import subprocess
-from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from typing import NamedTuple
 
 from .errors import ExtractionFailed, GitUnavailable, NotAGitRepository
 from .features import MessageCorpus
@@ -22,68 +29,46 @@ class Role(enum.Enum):
     COMMITTER = "committer"
 
 
-@dataclass(frozen=True)
-class RawCommit:
-    hash: str
-    author_name: str
-    committer_name: str
-    timestamp: datetime
+class RawCommit(NamedTuple):
+    name: str  # author or committer name, per the extracted role
+    timestamp: int  # that role's date, in Unix seconds
     message: str
 
-    def name_for(self, role: Role) -> str:
-        return self.author_name if role is Role.AUTHOR else self.committer_name
 
-
-_FIELDS_PER_RECORD = 6  # hash, author, committer, date, body, terminator gap
+_FIELDS_PER_RECORD = 4  # name, time, body, terminator gap
 
 
 def _pretty_format(role: Role) -> str:
-    date_token = "%aI" if role is Role.AUTHOR else "%cI"
-    return f"--pretty=format:%H%x00%an%x00%cn%x00{date_token}%x00%B%x00%x00"
+    fields = "%an%x00%at" if role is Role.AUTHOR else "%cn%x00%ct"
+    return f"--pretty=format:{fields}%x00%B%x00%x00"
 
 
-def _parse_log(stdout: str) -> list[tuple[str, str, str, str, str]]:
+def _parse_log(stdout: str) -> list[RawCommit]:
     if not stdout:
         return []
     tokens = stdout.split("\x00")
-    # each record contributes 6 tokens; one trailing empty token remains
+    # each record contributes 4 tokens; one trailing empty token remains
     if len(tokens) % _FIELDS_PER_RECORD != 1 or tokens[-1] != "":
         raise ExtractionFailed("unexpected git log field layout")
-    records = []
-    for base in range(0, len(tokens) - 1, _FIELDS_PER_RECORD):
-        commit_hash = tokens[base]
-        if base > 0:
-            # records are separated by a newline that fuses onto the hash
-            commit_hash = commit_hash.removeprefix("\n")
-        if tokens[base + 5] != "":
-            raise ExtractionFailed("unexpected git log record terminator")
-        records.append(
-            (
-                commit_hash,
-                tokens[base + 1],
-                tokens[base + 2],
-                tokens[base + 3],
-                tokens[base + 4],
-            )
-        )
-    return records
+    if any(tokens[3::_FIELDS_PER_RECORD]):
+        raise ExtractionFailed("unexpected git log record terminator")
+    # records are separated by a newline that fuses onto the next name
+    names = [name.removeprefix("\n") for name in tokens[0:-1:_FIELDS_PER_RECORD]]
+    try:
+        stamps = [int(field) for field in tokens[1::_FIELDS_PER_RECORD]]
+    except ValueError as exc:
+        raise ExtractionFailed(f"unexpected git log time field: {exc}") from exc
+    return list(map(RawCommit, names, stamps, tokens[2::_FIELDS_PER_RECORD]))
 
 
-def extract_commits(
-    repo_path,
-    role: Role = Role.AUTHOR,
-    start_date: date | None = None,
-    include_merges: bool = True,
-) -> list[RawCommit]:
-    """All commits reachable from HEAD, newest first.
+def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> list[RawCommit]:
+    """All commits reachable from HEAD, newest first, named by `role`.
 
-    When start_date is given, only commits whose timestamp (for the
-    selected role) falls on or after that date are returned. Merge
-    commits are included unless include_merges is False.
+    When start_date (a datetime.date) is given, only commits whose
+    timestamp for the selected role falls on or after UTC midnight of
+    that date are returned.
     """
     cmd = ["git", "-C", str(repo_path), "log", _pretty_format(role)]
-    if not include_merges:
-        cmd.append("--no-merges")
     if start_date is not None:
         cmd.append(f"--since={start_date.isoformat()}")
     try:
@@ -103,45 +88,25 @@ def extract_commits(
             f"git log failed with exit code {proc.returncode}: {detail}", stderr=stderr
         )
 
-    stdout = proc.stdout.decode("utf-8", "surrogateescape")
-    cutoff = None
-    if start_date is not None:
-        cutoff = datetime(
-            start_date.year, start_date.month, start_date.day, tzinfo=timezone.utc
-        )
-
-    commits = []
-    for commit_hash, author, committer, iso_date, body in _parse_log(stdout):
-        timestamp = datetime.fromisoformat(iso_date).astimezone(timezone.utc)
-        if cutoff is not None and timestamp < cutoff:
-            # --since filters on commit date; enforce the role date here
-            continue
-        commits.append(
-            RawCommit(
-                hash=commit_hash,
-                author_name=author,
-                committer_name=committer,
-                timestamp=timestamp,
-                message=body,
-            )
-        )
-    return commits
+    commits = _parse_log(proc.stdout.decode("utf-8", "surrogateescape"))
+    if start_date is None:
+        return commits
+    # --since filters on commit date; enforce the role date here
+    cutoff = calendar.timegm(start_date.timetuple())
+    return [commit for commit in commits if commit.timestamp >= cutoff]
 
 
-def group_messages(
-    commits: list[RawCommit], role: Role = Role.AUTHOR
-) -> dict[str, MessageCorpus]:
-    """Group commit messages per contributor name for the given role.
+def group_messages(commits: list[RawCommit]) -> dict[str, MessageCorpus]:
+    """Group commit messages per contributor name.
 
     Input commits are expected newest first (as extract_commits returns
     them), so each corpus ends up most recent first.
     """
     messages: dict[str, list[str]] = {}
-    timestamps: dict[str, list[datetime]] = {}
-    for commit in commits:
-        name = commit.name_for(role)
-        messages.setdefault(name, []).append(commit.message)
-        timestamps.setdefault(name, []).append(commit.timestamp)
+    timestamps: dict[str, list[int]] = {}
+    for name, timestamp, message in commits:
+        messages.setdefault(name, []).append(message)
+        timestamps.setdefault(name, []).append(timestamp)
     return {
         name: MessageCorpus(
             contributor=name, messages=messages[name], timestamps=timestamps[name]

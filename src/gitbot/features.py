@@ -6,7 +6,6 @@ messages), and the Gini coefficient of pattern sizes.
 """
 
 from dataclasses import dataclass, field
-from datetime import datetime
 
 from . import similarity
 from .similarity import normalize_message
@@ -16,11 +15,16 @@ FEATURE_NAMES = ("n_messages", "n_empty", "n_patterns", "gini")
 
 @dataclass(frozen=True)
 class MessageCorpus:
-    """Commit messages of one contributor identity, most recent first."""
+    """Commit messages of one contributor identity, most recent first.
+
+    timestamps, when given, holds each message's date in Unix seconds,
+    which orders exactly as the UTC instants do; identity merges sort
+    by it.
+    """
 
     contributor: str
     messages: list[str]
-    timestamps: list[datetime] | None = None
+    timestamps: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.messages)

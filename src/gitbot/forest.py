@@ -14,7 +14,7 @@ share of each row in [0, 1]. `predict` below and
 from dataclasses import dataclass, field
 from typing import Union
 
-from .features import FEATURE_NAMES, FeatureConfig, FeatureVector
+from .features import FeatureConfig, FeatureVector
 
 BOT = "bot"
 HUMAN = "human"
@@ -65,7 +65,6 @@ class ForestModel:
     max_depth: int
     criterion: str
     seed: int
-    feature_names: tuple[str, ...] = FEATURE_NAMES
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
     def bot_fraction(self, X) -> list[float]:

@@ -74,7 +74,7 @@ def model_to_json(model: ForestModel) -> str:
         "n_estimators": model.n_estimators,
         "max_depth": model.max_depth,
         "seed": model.seed,
-        "feature_names": list(model.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "feature_config": asdict(model.feature_config),
         "trees": [_node_to_obj(tree) for tree in model.trees],
     }
@@ -103,6 +103,10 @@ def model_from_json(text: str) -> ForestModel:
             f"this build computes {SIMILARITY_ID!r}"
         )
     try:
+        if doc["feature_names"] != list(FEATURE_NAMES):
+            raise UnreadableModel(
+                f"feature_names must be {list(FEATURE_NAMES)}, got {doc['feature_names']!r}"
+            )
         trees = [_node_from_obj(obj) for obj in doc["trees"]]
         config = FeatureConfig(**doc["feature_config"])
         model = ForestModel(
@@ -111,7 +115,6 @@ def model_from_json(text: str) -> ForestModel:
             max_depth=doc["max_depth"],
             criterion=doc["criterion"],
             seed=doc["seed"],
-            feature_names=tuple(doc["feature_names"]),
             feature_config=config,
         )
     except UnreadableModel:
@@ -144,10 +147,6 @@ def _check_hyperparameters(model: ForestModel) -> None:
         )
     if model.criterion not in CRITERIA:
         raise UnreadableModel(f"criterion must be one of {CRITERIA}, got {model.criterion!r}")
-    if model.feature_names != FEATURE_NAMES:
-        raise UnreadableModel(
-            f"feature_names must be {list(FEATURE_NAMES)}, got {list(model.feature_names)!r}"
-        )
 
 
 def load_model(path) -> ForestModel:

@@ -139,4 +139,4 @@ def synthetic_dataset(
                 label=HUMAN,
             )
         )
-    return LabeledDataset(entries=entries, provenance=f"synthetic(seed={seed})")
+    return LabeledDataset(entries=entries)

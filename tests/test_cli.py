@@ -12,9 +12,19 @@ import pytest
 from gitbot import cli
 from gitbot.cli import main
 from gitbot.dataset import load_dataset
-from gitbot.evaluation import evaluate_pretrained, format_report
+from gitbot.evaluation import (
+    FAMILY_FOREST,
+    FAMILY_KNN,
+    FAMILY_LOGISTIC,
+    FAMILY_SVM,
+    FAMILY_TREE,
+    evaluate_pretrained,
+    format_report,
+)
 from gitbot.model_io import load_model
 from gitbot.synthesis import synthetic_dataset
+
+from .conftest import add_commit, init_repo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,17 +112,36 @@ def test_mapping_merges_names_and_ignores_the_ignored(capsys, cli_fixture_repo, 
     assert rows["carol"]["prediction"] == "human"
 
 
+def test_mapping_merges_aliases_newest_utc_instant_first(capsys, monkeypatch, tmp_path):
+    # 10:00 at +05:00 is 05:00Z, an hour before 06:00Z, though its wall clock reads later
+    repo = init_repo(tmp_path / "aliases")
+    add_commit(repo, "alias-utc", "sent at six utc", date="2021-01-01T06:00:00+00:00")
+    add_commit(repo, "alias-east", "sent at ten east", date="2021-01-01T10:00:00+05:00")
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("alias-utc,merged\nalias-east,merged\n", encoding="utf-8")
+    original = cli.compute_features
+    corpora = []
+
+    def compute_features(corpus, config):
+        corpora.append(corpus)
+        return original(corpus, config)
+
+    monkeypatch.setattr(cli, "compute_features", compute_features)
+    assert main(["analyze", "--json", "--mapping", str(mapping), str(repo)]) == 0
+    capsys.readouterr()
+    assert [(c.contributor, c.messages) for c in corpora] == [
+        ("merged", ["sent at six utc\n", "sent at ten east\n"])
+    ]
+
+
 def test_committer_groups_by_committer_name(capsys, cli_fixture_repo):
     # every fixture commit has the committer ci-runner and one of three authors
     rows = analyze_rows(capsys, ["analyze", "--json", "--committer", str(cli_fixture_repo)])
     assert {name: row["commits"] for name, row in rows.items()} == {"ci-runner": 87}
 
 
-@pytest.fixture(scope="module")
-def dataset_csv(tmp_path_factory):
-    """A small labeled dataset in the canonical CSV layout."""
-    dataset = synthetic_dataset(n_bots=15, n_humans=15, seed=5, max_messages=20)
-    path = tmp_path_factory.mktemp("dataset") / "dataset.csv"
+def write_dataset_csv(path, dataset):
+    """Write a labeled dataset in the canonical CSV layout."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["contributor_id", "repository_id", "label", "message"])
@@ -120,6 +149,13 @@ def dataset_csv(tmp_path_factory):
             for message in entry.corpus.messages:
                 writer.writerow([entry.contributor, entry.repository, entry.label, message])
     return path
+
+
+@pytest.fixture(scope="module")
+def dataset_csv(tmp_path_factory):
+    """A small labeled dataset in the canonical CSV layout."""
+    dataset = synthetic_dataset(n_bots=15, n_humans=15, seed=5, max_messages=20)
+    return write_dataset_csv(tmp_path_factory.mktemp("dataset") / "dataset.csv", dataset)
 
 
 def test_train_writes_a_model_and_reports_it(capsys, monkeypatch, dataset_csv, tmp_path):
@@ -143,6 +179,18 @@ def test_train_writes_a_model_and_reports_it(capsys, monkeypatch, dataset_csv, t
     assert [model] == trained
     test_report = out.split(f"model written to {output}\n", 1)[1]
     assert test_report.startswith("model: ForestModel(")
+
+
+def test_train_on_folds_smaller_than_the_largest_knn_k(capsys, tmp_path):
+    # 12 training corpora in 3 folds leave 8 per training fold: knn(k=9) and
+    # knn(k=11) of the default grid cannot be fitted and are left out
+    dataset = synthetic_dataset(n_bots=10, n_humans=10, max_messages=20)
+    path = write_dataset_csv(tmp_path / "dataset.csv", dataset)
+    argv = ["train", str(path), "-o", str(tmp_path / "model.json"), "--folds", "3"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.split("\nmodel written to ", 1)[0].splitlines()
+    families = {FAMILY_FOREST, FAMILY_TREE, FAMILY_KNN, FAMILY_LOGISTIC, FAMILY_SVM}
+    assert sorted(line[:24].rstrip() for line in table[1:]) == sorted(families)
 
 
 def test_evaluate_scores_the_shipped_or_a_given_model(capsys, dataset_csv):

@@ -28,7 +28,7 @@ def labeled_dataset(n_bots, n_humans):
     for i in order:
         name = f"c{i}"
         entries.append(DatasetEntry(name, "r", MessageCorpus(name, ["m"] * 10), labels[i]))
-    return LabeledDataset(entries=entries, provenance="test")
+    return LabeledDataset(entries=entries)
 
 
 class TestStratifiedSplit:

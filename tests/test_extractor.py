@@ -1,9 +1,9 @@
-from datetime import date, timezone
+from datetime import date, datetime
 
 import pytest
 
 from gitbot.errors import ExtractionFailed, GitUnavailable, NotAGitRepository
-from gitbot.extractor import Role, extract_commits, group_messages
+from gitbot.extractor import RawCommit, Role, _parse_log, extract_commits, group_messages
 
 from .conftest import add_commit, init_repo
 
@@ -14,20 +14,19 @@ THREE_COMMITS = [
 ]
 
 
+def unix(iso):
+    """Unix seconds of an ISO 8601 instant with a UTC offset."""
+    return int(datetime.fromisoformat(iso).timestamp())
+
+
 class TestExtractCommits:
     def test_extracts_all_commits_in_log_order(self, make_repo):
         repo = make_repo(THREE_COMMITS)
-        commits = extract_commits(repo)
-        assert len(commits) == 3
-        # git log is newest first
-        assert [c.message.strip() for c in commits] == [
-            "third commit",
-            "second commit",
-            "first commit",
+        # git log is newest first; `git commit -m` ends the message with a newline
+        assert extract_commits(repo) == [
+            RawCommit(name, unix(iso), message + "\n")
+            for name, message, iso in reversed(THREE_COMMITS)
         ]
-        assert all(c.hash for c in commits)
-        assert len({c.hash for c in commits}) == 3
-        assert all(c.timestamp.tzinfo == timezone.utc for c in commits)
 
     def test_start_date_after_everything_yields_empty(self, make_repo):
         repo = make_repo(THREE_COMMITS)
@@ -36,13 +35,53 @@ class TestExtractCommits:
     def test_start_date_filters_older_commits(self, make_repo):
         repo = make_repo(THREE_COMMITS)
         commits = extract_commits(repo, start_date=date(2021, 1, 15))
-        assert [c.author_name for c in commits] == ["alice", "bob"]
+        assert [c.name for c in commits] == ["alice", "bob"]
+
+    def test_start_date_compares_utc_instants(self, tmp_path):
+        # 01:00 at +05:00 is 20:00Z the day before: before UTC midnight of
+        # the start date, although its local calendar day is the start date.
+        # Both are committed later, so git's --since keeps them and the
+        # author-date check alone decides.
+        repo = init_repo(tmp_path / "zones")
+        add_commit(
+            repo,
+            "alice",
+            "authored the evening before in UTC",
+            date="2021-01-15T01:00:00+05:00",
+            committer_date="2021-02-01T00:00:00+00:00",
+        )
+        add_commit(
+            repo,
+            "bob",
+            "authored at UTC midnight",
+            date="2021-01-15T05:00:00+05:00",
+            committer_date="2021-02-01T00:00:00+00:00",
+        )
+        commits = extract_commits(repo, start_date=date(2021, 1, 15))
+        assert commits == [
+            RawCommit("bob", unix("2021-01-15T00:00:00+00:00"), "authored at UTC midnight\n")
+        ]
 
     def test_start_date_monotone(self, make_repo):
         repo = make_repo(THREE_COMMITS)
-        earlier = {c.hash for c in extract_commits(repo, start_date=date(2021, 1, 15))}
-        later = {c.hash for c in extract_commits(repo, start_date=date(2021, 2, 15))}
+        earlier = set(extract_commits(repo, start_date=date(2021, 1, 15)))
+        later = set(extract_commits(repo, start_date=date(2021, 2, 15)))
+        assert len(earlier) == 2 and len(later) == 1
         assert later <= earlier
+
+    @pytest.mark.parametrize(
+        "stdout",
+        [
+            "alice\x001609459200\x00msg\n\x00",  # a record cut short
+            "alice\x001609459200\x00msg\n\x00stray\x00",  # non-empty terminator
+            "alice\x002021-01-01T00:00:00+00:00\x00msg\n\x00\x00",  # ISO, not Unix
+            "alice\x00\x00msg\n\x00\x00",  # empty time field
+        ],
+        ids=["token-count", "terminator", "iso-time", "empty-time"],
+    )
+    def test_malformed_log_output_fails(self, stdout):
+        with pytest.raises(ExtractionFailed):
+            _parse_log(stdout)
 
     def test_extraction_idempotent(self, make_repo):
         repo = make_repo(THREE_COMMITS)
@@ -73,8 +112,12 @@ class TestExtractCommits:
         )
         by_author = extract_commits(repo, role=Role.AUTHOR)
         by_committer = extract_commits(repo, role=Role.COMMITTER)
-        assert by_author[0].timestamp.month == 1
-        assert by_committer[0].timestamp.month == 6
+        assert [(c.name, c.timestamp) for c in by_author] == [
+            ("alice", unix("2021-01-01T00:00:00+00:00"))
+        ]
+        assert [(c.name, c.timestamp) for c in by_committer] == [
+            ("ci-runner", unix("2021-06-01T00:00:00+00:00"))
+        ]
 
     def test_empty_repository_yields_no_commits(self, tmp_path):
         repo = init_repo(tmp_path / "empty")
@@ -111,8 +154,7 @@ class TestGroupMessages:
 
     def test_group_by_committer(self, make_repo):
         repo = make_repo(THREE_COMMITS)
-        extracted = extract_commits(repo, role=Role.COMMITTER)
-        groups = group_messages(extracted, role=Role.COMMITTER)
+        groups = group_messages(extract_commits(repo, role=Role.COMMITTER))
         assert set(groups) == {"ci-runner"}  # conftest commits as ci-runner
         assert len(groups["ci-runner"]) == 3
 

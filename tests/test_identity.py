@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta, timezone
+import calendar
 
 import pytest
 
@@ -6,7 +6,7 @@ from gitbot.errors import DuplicateName, MalformedMapping
 from gitbot.features import MessageCorpus
 from gitbot.identity import IGNORE_IDENTITY, IdentityMapping, apply_mapping, load_mapping
 
-_BASE = datetime(2021, 5, 1, tzinfo=timezone.utc)
+_BASE = calendar.timegm((2021, 5, 1, 0, 0, 0))  # Unix seconds of 2021-05-01T00:00Z
 
 
 def write_mapping(tmp_path, text):
@@ -17,7 +17,7 @@ def write_mapping(tmp_path, text):
 
 def corpus(name, messages, start_hour=0):
     stamps = [
-        _BASE + timedelta(hours=start_hour, minutes=len(messages) - i)
+        _BASE + 3600 * start_hour + 60 * (len(messages) - i)
         for i in range(len(messages))
     ]
     return MessageCorpus(contributor=name, messages=list(messages), timestamps=stamps)
