@@ -5,10 +5,21 @@ labelled by `forest.predict` and `training.predict_labels`. k-nearest
 neighbours, logistic regression and the linear SVM work on z-score
 standardized features (statistics from the training set); the two linear
 families share `LinearModel`, whose bot fraction is the sigmoid of the
-score. Logistic regression is fitted by Newton's method. The single
-decision tree is a one-tree `ForestModel` grown without bootstrap and
-with every feature eligible at each node, by the tree grower of
-`training`.
+score. The single decision tree is a one-tree `ForestModel` grown
+without bootstrap and with every feature eligible at each node, by the
+tree grower of `training`.
+
+Both linear families minimize a convex objective with an unpenalized
+bias, and both solve it to a stated tolerance:
+- logistic regression: mean cross-entropy + (l2/2) |w|^2, by Newton's
+  method, until every gradient component is below tol;
+- linear SVM: mean hinge loss + (l2/2) |w|^2, which is the soft-margin
+  SVM 1/2 |w|^2 + C * sum(xi) with C = 1/(n * l2), by Mehrotra's
+  predictor-corrector interior-point method, until its residuals and
+  its duality gap are below tol relative to their scale (see
+  `train_linear_svm`).
+A fit that stops short of its tolerance warns and reports
+`converged=False`.
 """
 
 import warnings
@@ -119,44 +130,116 @@ def train_logistic(
     )
 
 
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps v + step * dv nonnegative."""
+    shrinking = dv < 0.0
+    if not shrinking.any():
+        return 1.0
+    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking])))
+
+
+def _mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap):
+    """Predictor-corrector direction (dx, du, dv) and its longest feasible step.
+
+    u = (s, xi) and v = (lambda, mu) are the complementary pairs. Every
+    Newton system eliminates them and solves (H + A^T G^-1 A) dx = r
+    with the diagonal G = s/lambda + xi/mu.
+    """
+    n = len(A)
+    s, xi = u[:n], u[n:]
+    lam, mu = v[:n], v[n:]
+    G = s / lam + xi / mu
+    AG = A / G[:, None]
+    lhs = H + A.T @ AG
+
+    def newton(r_c):
+        """Direction with v * du + u * dv = -r_c and the linear residuals zeroed."""
+        r_sl, r_xm = r_c[:n], r_c[n:]
+        q = -r_p - r_sl / lam + (xi / mu) * r_xi + r_xm / mu
+        dx = np.linalg.solve(lhs, AG.T @ q - r_x)
+        dlam = (q - A @ dx) / G
+        for _ in range(2):
+            # iterative refinement against the unreduced (w, b) equation:
+            # the reduced system grows ill-conditioned near the optimum
+            fix = np.linalg.solve(lhs, A.T @ dlam - H @ dx - r_x)
+            dx += fix
+            dlam -= (A @ fix) / G
+        dxi = (xi / mu) * (dlam - r_xi) - r_xm / mu
+        du = np.concatenate([-(r_sl + s * dlam) / lam, dxi])
+        dv = np.concatenate([dlam, -(r_xm + mu * dxi) / xi])
+        return dx, du, dv, min(_max_step(u, du), _max_step(v, dv))
+
+    # predictor: the affine-scaling direction sets the centring
+    _, du, dv, step = newton(u * v)
+    sigma = ((u + step * du) @ (v + step * dv) / (2 * n) / gap) ** 3
+    # corrector: centred, with the predictor's second-order term
+    return newton(u * v + du * dv - sigma * gap)
+
+
 def train_linear_svm(
     data: list[LabeledExample],
     l2: float = 1e-2,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
+    tol: float = 1e-9,
+    max_iter: int = 100,
 ) -> LinearModel:
-    """Minimize hinge loss plus L2 penalty by subgradient descent.
+    """Minimize (1/n) * sum of hinge losses + (l2/2) * |w|^2; the bias is not penalized.
 
-    Full-batch updates with the 1/(l2 * t) step schedule; convergence
-    is declared when the objective stops improving.
+    Scaled by 1/l2 this is the soft-margin SVM: minimize
+    1/2 |w|^2 + C * sum(xi) with C = 1/(n * l2), subject to
+    y_i (z_i . w + b) = 1 - xi_i + s_i and xi, s >= 0. It is solved by
+    Mehrotra's predictor-corrector primal-dual interior-point method;
+    each step solves one (d+1)x(d+1) system in (w, b). Convergence is
+    declared when every residual is below tol relative to its scale:
+    the margin residual relative to 1 + max|(w, b)|, the (w, b)
+    stationarity residual relative to n * C (it sums n multipliers of
+    size up to C), and the xi stationarity residual and the mean
+    complementarity relative to C; so the duality gap in the objective
+    above is at most 2 * tol. A singular Newton system or a
+    floating-point error (overflow, division by zero, invalid value)
+    ends the iteration early: like the iteration cap, it warns and
+    leaves `converged` false.
     """
     X, y = _to_arrays(data)
     _check_two_classes(y)
     scaler = Standardizer.fit(X)
-    Z = scaler.transform(X)
     n = len(y)
     sy = 2.0 * y - 1.0
-    w = np.zeros(Z.shape[1])
-    b = 0.0
+    A = sy[:, None] * np.hstack([scaler.transform(X), np.ones((n, 1))])  # rows y_i [z_i, 1]
+    H = np.diag([1.0] * (A.shape[1] - 1) + [0.0])
+    C = 1.0 / (n * l2)
+    x = np.zeros(A.shape[1])  # weights, then bias
+    u = np.ones(2 * n)  # margin slacks s, then hinge losses xi
+    v = np.full(2 * n, C / 2)  # their multipliers lambda, then mu
     converged = False
+    stop = "hit the iteration cap"
     iteration = 0
-    prev_obj = np.inf
-    for iteration in range(1, max_iter + 1):
-        margins = sy * (Z @ w + b)
-        violating = margins < 1.0
-        obj = np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * (w @ w)
-        if abs(prev_obj - obj) < tol * max(1.0, abs(prev_obj)):
-            converged = True
-            break
-        prev_obj = obj
-        step = 1.0 / (l2 * iteration)
-        grad_w = l2 * w - Z[violating].T @ sy[violating] / n
-        grad_b = -sy[violating].sum() / n
-        w -= step * grad_w
-        b -= step * grad_b
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for iteration in range(1, max_iter + 1):
+            r_x = H @ x - A.T @ v[:n]
+            r_xi = C - v[:n] - v[n:]
+            r_p = A @ x + u[n:] - 1.0 - u[:n]
+            gap = (u @ v) / (2 * n)
+            if (
+                np.abs(r_p).max() <= tol * (1.0 + np.abs(x).max())
+                and np.abs(r_x).max() <= tol * n * C
+                and max(np.abs(r_xi).max(), gap) <= tol * C
+            ):
+                converged = True
+                break
+            try:
+                dx, du, dv, step = _mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap)
+            except (np.linalg.LinAlgError, FloatingPointError):
+                stop = "broke down in floating point"
+                break
+            step *= 0.99  # stay strictly inside the positive orthant
+            x += step * dx
+            u += step * du
+            v += step * dv
     if not converged:
-        warnings.warn("linear SVM hit the iteration cap without converging")
-    return LinearModel(weights=w, bias=float(b), scaler=scaler, converged=converged, n_iter=iteration)
+        warnings.warn(f"linear SVM {stop} without converging")
+    return LinearModel(
+        weights=x[:-1], bias=float(x[-1]), scaler=scaler, converged=converged, n_iter=iteration
+    )
 
 
 def train_single_tree(

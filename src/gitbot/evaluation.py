@@ -5,7 +5,8 @@ weight each class row by its true-class support, matching the
 classification-report convention.
 """
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,6 +245,26 @@ def train_config(config: GridConfig, data: list[LabeledExample], seed: int = 0):
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
+def _forest_groups(grid: list[GridConfig]) -> list[list[tuple[int, int]]]:
+    """(position, n_estimators) of the forest configurations, grouped by their other parameters.
+
+    A parameter a configuration omits takes `train_forest`'s default, so
+    configurations that spell the same forest differently share a group.
+    """
+    defaults = {
+        name: parameter.default
+        for name, parameter in inspect.signature(train_forest).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    }
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for position, config in enumerate(grid):
+        if config.family == FAMILY_FOREST:
+            params = {**defaults, **config.params}
+            n_estimators = params.pop("n_estimators")
+            groups.setdefault(tuple(sorted(params.items())), []).append((position, n_estimators))
+    return list(groups.values())
+
+
 def cross_validate(
     train: list[LabeledExample],
     grid: list[GridConfig] | None = None,
@@ -256,6 +277,12 @@ def cross_validate(
     higher precision, then the lexicographically smaller name. A kNN
     configuration whose k exceeds the smallest training fold cannot be
     fitted on every fold and is left out.
+
+    Forest configurations that differ only in n_estimators are scored
+    from one forest per fold, grown with the largest n_estimators: each
+    member is its first n trees. This is exact because `train_forest`
+    draws tree i from a stream that depends only on (seed, i), so an
+    n-tree forest is the first n trees of any larger one.
     """
     if grid is None:
         grid = default_grid()
@@ -270,29 +297,34 @@ def cross_validate(
     if not grid:
         raise ValueError("grid must not be empty")
 
-    best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
-    for config in grid:
-        reports = []
-        for train_idx, test_idx in folds:
-            fold_data = [train[i] for i in train_idx]
-            model = train_config(config, fold_data, seed=seed)
+    # per configuration, per fold: the metrics of a FamilyResult row, in its
+    # field order (tuples, not reports: all configurations' folds are held)
+    scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
+    forest_groups = _forest_groups(grid)
+    for train_idx, test_idx in folds:
+        fold_data = [train[i] for i in train_idx]
+
+        def score(position, model):
             predicted = predict_labels(model, X[test_idx])
-            reports.append(report_from_counts(confusion_counts(predicted, y[test_idx])))
+            r = report_from_counts(confusion_counts(predicted, y[test_idx]))
+            scores[position].append((
+                r.bot.precision, r.bot.recall, r.human.precision, r.human.recall,
+                r.weighted_precision, r.weighted_recall, r.weighted_f1,
+            ))
 
-        def mean(metric):
-            return float(np.mean([metric(r) for r in reports]))
+        for position, config in enumerate(grid):
+            if config.family != FAMILY_FOREST:
+                score(position, train_config(config, fold_data, seed=seed))
+        # one grown forest alive at a time; its prefixes are the group's members
+        for group in forest_groups:
+            largest, _ = max(group, key=lambda member: member[1])
+            grown = train_config(grid[largest], fold_data, seed=seed)
+            for position, n in group:
+                score(position, replace(grown, trees=grown.trees[:n], n_estimators=n))
 
-        row = FamilyResult(
-            family=config.family,
-            config=config,
-            p_bot=mean(lambda r: r.bot.precision),
-            r_bot=mean(lambda r: r.bot.recall),
-            p_human=mean(lambda r: r.human.precision),
-            r_human=mean(lambda r: r.human.recall),
-            precision=mean(lambda r: r.weighted_precision),
-            recall=mean(lambda r: r.weighted_recall),
-            f1=mean(lambda r: r.weighted_f1),
-        )
+    best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
+    for config, config_scores in zip(grid, scores):
+        row = FamilyResult(config.family, config, *(float(np.mean(m)) for m in zip(*config_scores)))
         # sort key: maximize f1, then precision; minimize name
         key = (-row.f1, -row.precision, config.name)
         known = best_per_family.get(config.family)

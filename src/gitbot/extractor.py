@@ -70,7 +70,10 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     """
     cmd = ["git", "-C", str(repo_path), "log", _pretty_format(role)]
     if start_date is not None:
-        cmd.append(f"--since={start_date.isoformat()}")
+        cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
+        # git's raw date format: a bare YYYY-MM-DD would mean that day at
+        # the current time of day, and a bare number below 10^8 is no timestamp
+        cmd.append(f"--since=@{cutoff} +0000")
     try:
         proc = subprocess.run(cmd, capture_output=True)
     except FileNotFoundError as exc:
@@ -92,7 +95,6 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     if start_date is None:
         return commits
     # --since filters on commit date; enforce the role date here
-    cutoff = calendar.timegm(start_date.timetuple())
     return [commit for commit in commits if commit.timestamp >= cutoff]
 
 

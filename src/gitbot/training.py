@@ -118,6 +118,8 @@ def train_forest(
     _check_two_classes(y)
     n = len(y)
     trees = []
+    # tree i's stream depends only on (seed, i), so an n-tree forest is the
+    # first n trees of any larger one: cross_validate scores such prefixes
     for child_seed in np.random.SeedSequence(seed).spawn(n_estimators):
         rng = np.random.default_rng(child_seed)
         idx = rng.integers(0, n, size=n)

@@ -13,7 +13,7 @@ from gitbot.baselines import (
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
 from gitbot.forest import BOT, HUMAN, UNKNOWN, LabeledExample, predict
-from gitbot.training import predict_labels
+from gitbot.training import _to_arrays, predict_labels
 
 from .test_forest import example, random_examples, tree_depth
 
@@ -105,15 +105,67 @@ class TestLogistic:
             train_logistic([example(10, 0, 1, 0.0, BOT)] * 5)
 
 
+def svm_objective(model, data, l2, theta=None):
+    """(1/n) * sum of hinge losses + (l2/2) * |w|^2 at theta = (w, b), default the model's."""
+    if theta is None:
+        theta = np.append(model.weights, model.bias)
+    X, y = _to_arrays(data)
+    margins = (2.0 * y - 1.0) * (model.scaler.transform(X) @ theta[:-1] + theta[-1])
+    return np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * (theta[:-1] @ theta[:-1])
+
+
+NOISY = random_examples(np.random.default_rng(7), 40, separable=False)
+
+# objectives reached by the full-batch subgradient solver this one replaced
+# (1/(l2 t) steps, at most 5000 of them)
+SUBGRADIENT_OBJECTIVES = [
+    (SEPARABLE, 1e-4, 0.0001916580045867761),
+    (SEPARABLE, 1e-2, 0.008919950549948598),
+    (SEPARABLE, 1e4, 0.9999520854988533),
+    (NOISY, 1e-4, 0.6747677239708907),
+    (NOISY, 1e-2, 0.6694385211410566),
+    (NOISY, 1e4, 0.999966482735376),
+]
+
+# rounding slack: along a direction where the objective is flat, the
+# perturbed and the optimal objective may differ in the last bits
+ROUNDING = 1e-14
+
+
 class TestLinearSvm:
     def test_separates_training_data(self):
         model = train_linear_svm(SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
 
+    @pytest.mark.parametrize("data,l2,subgradient_objective", SUBGRADIENT_OBJECTIVES)
+    def test_converges_to_the_minimum(self, data, l2, subgradient_objective):
+        model = train_linear_svm(data, l2=l2)
+        assert model.converged
+        optimum = svm_objective(model, data, l2)
+        assert optimum <= subgradient_objective + ROUNDING
+        theta = np.append(model.weights, model.bias)
+        rng = np.random.default_rng(0)
+        random_directions = rng.normal(size=(20, len(theta)))
+        random_directions /= np.linalg.norm(random_directions, axis=1, keepdims=True)
+        directions = [*np.eye(len(theta)), *random_directions]
+        for direction in directions:
+            for sign in (1.0, -1.0):
+                moved = svm_objective(model, data, l2, theta + sign * 1e-4 * direction)
+                assert optimum <= moved + ROUNDING
+
     def test_iteration_cap_flags_nonconvergence(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="iteration cap"):
             model = train_linear_svm(SEPARABLE, max_iter=2, tol=0.0)
         assert not model.converged
+        assert model.n_iter == 2
+
+    def test_floating_point_breakdown_flags_nonconvergence(self):
+        # with tol 0 the iterates approach the optimum until floating point fails
+        with pytest.warns(UserWarning, match="broke down"):
+            model = train_linear_svm(SEPARABLE, l2=1.0, tol=0.0, max_iter=1000)
+        assert not model.converged
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert accuracy(model, SEPARABLE) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):

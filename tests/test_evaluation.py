@@ -8,15 +8,18 @@ from gitbot.dataset import DatasetEntry, LabeledDataset
 from gitbot.errors import SingleClassData
 from gitbot.evaluation import (
     ConfusionCounts,
+    FamilyResult,
     GridConfig,
     _stratified_folds,
+    confusion_counts,
     cross_validate,
     report_from_counts,
     stratified_split,
+    train_config,
 )
 from gitbot.features import FeatureVector, MessageCorpus
 from gitbot.forest import BOT, HUMAN, predict
-from gitbot.training import predict_labels, train_forest
+from gitbot.training import _to_arrays, predict_labels, train_forest
 
 from .test_forest import random_examples
 
@@ -139,6 +142,58 @@ class TestCrossValidate:
                 if c.family == row.family
             ]
             assert row == min(alone, key=sort_key)
+
+
+PREFIX_GRID = [
+    GridConfig("random forest", "forest(gini,3,small)", {"criterion": "gini", "max_depth": 3, "n_estimators": 4}),
+    GridConfig("random forest", "forest(gini,3,large)", {"criterion": "gini", "max_depth": 3, "n_estimators": 9}),
+    GridConfig("random forest", "forest(entropy,3)", {"criterion": "entropy", "max_depth": 3, "n_estimators": 5}),
+    GridConfig("random forest", "forest(defaults)", {}),
+    GridConfig("random forest", "forest(defaults,small)", {"n_estimators": 6}),
+    GridConfig("decision tree", "tree(a)", {"max_depth": 2}),
+    GridConfig("support vector machine", "svm(a)", {"l2": 1e-2}),
+]
+
+
+def table_fitting_every_config(data, grid, k_folds, seed):
+    """The best row per family, from one `train_config` fit per (configuration, fold)."""
+    X, y = _to_arrays(data)
+    folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
+    best = {}
+    for config in grid:
+        reports = []
+        for train_idx, test_idx in folds:
+            model = train_config(config, [data[i] for i in train_idx], seed=seed)
+            predicted = predict_labels(model, X[test_idx])
+            reports.append(report_from_counts(confusion_counts(predicted, y[test_idx])))
+
+        def mean(metric):
+            return float(np.mean([metric(r) for r in reports]))
+
+        row = FamilyResult(
+            family=config.family,
+            config=config,
+            p_bot=mean(lambda r: r.bot.precision),
+            r_bot=mean(lambda r: r.bot.recall),
+            p_human=mean(lambda r: r.human.precision),
+            r_human=mean(lambda r: r.human.recall),
+            precision=mean(lambda r: r.weighted_precision),
+            recall=mean(lambda r: r.weighted_recall),
+            f1=mean(lambda r: r.weighted_f1),
+        )
+        if config.family not in best or sort_key(row) < sort_key(best[config.family]):
+            best[config.family] = row
+    return sorted(best.values(), key=sort_key)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_prefixes_score_like_separate_fits(seed):
+    # two forests share (criterion, depth) at different sizes, a third differs
+    # from them only in criterion, and two take train_forest's defaults for
+    # what they omit: each pair is one grown forest
+    data = random_examples(np.random.default_rng(30 + seed), 45, separable=False)
+    result = cross_validate(data, PREFIX_GRID, k_folds=3, seed=seed)
+    assert result.rows == table_fitting_every_config(data, PREFIX_GRID, 3, seed)
 
 
 TRAINERS = [

@@ -62,6 +62,24 @@ class TestExtractCommits:
             RawCommit("bob", unix("2021-01-15T00:00:00+00:00"), "authored at UTC midnight\n")
         ]
 
+    def test_start_date_keeps_commits_early_on_that_day(self, make_repo):
+        # the cutoff is UTC midnight, not the start date at the time of day
+        # the command runs
+        repo = make_repo([
+            ("alice", "the day before", "2021-01-14T23:59:59+00:00"),
+            ("bob", "just after midnight", "2021-01-15T00:00:01+00:00"),
+        ])
+        commits = extract_commits(repo, start_date=date(2021, 1, 15))
+        assert commits == [
+            RawCommit("bob", unix("2021-01-15T00:00:01+00:00"), "just after midnight\n")
+        ]
+
+    def test_start_date_before_1973(self, make_repo):
+        # Unix seconds below 10^8 must still read as a time, not a date
+        repo = make_repo([("alice", "early", "1970-01-02T00:00:01+00:00")])
+        assert [c.name for c in extract_commits(repo, start_date=date(1970, 1, 2))] == ["alice"]
+        assert extract_commits(repo, start_date=date(1970, 1, 3)) == []
+
     def test_start_date_monotone(self, make_repo):
         repo = make_repo(THREE_COMMITS)
         earlier = set(extract_commits(repo, start_date=date(2021, 1, 15)))

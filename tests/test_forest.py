@@ -193,6 +193,25 @@ class TestTrainForest:
         assert len(model.trees) == 20
         assert all(tree_depth(t) <= 8 for t in model.trees)
 
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        criterion=st.sampled_from(CRITERIA),
+        max_depth=st.integers(1, 12),
+        sizes=st.tuples(st.integers(1, 12), st.integers(1, 12)).map(sorted),
+    )
+    def test_smaller_forest_is_a_prefix_of_a_larger_one(self, seed, criterion, max_depth, sizes):
+        # cross_validate scores every n_estimators of a grid from one grown forest
+        data = random_examples(np.random.default_rng(10), 50, separable=False)
+        n, m = sizes
+
+        def grow(n_estimators):
+            return train_forest(
+                data, n_estimators=n_estimators, max_depth=max_depth, seed=seed, criterion=criterion
+            ).trees
+
+        assert grow(n) == grow(m)[:n]
+
 
 class TestPredict:
     def test_insufficient_features_unknown(self):
