@@ -173,12 +173,10 @@ def _format_number(value: object) -> str:
 
 
 def run_train(args) -> int:
-    from .dataset import load_archive
     from .evaluation import FAMILY_FOREST, format_grid_table, format_report, stratified_split
 
     cli = sys.modules[__name__]
-    loader = load_archive if args.from_archive else cli.load_dataset
-    dataset = loader(args.dataset, min_messages=args.min_messages)
+    dataset = cli.load_dataset(args.dataset, min_messages=args.min_messages)
     config = FeatureConfig(min_messages=args.min_messages)
 
     train_part, test_part = stratified_split(dataset, args.train_fraction, seed=args.seed)
@@ -202,13 +200,11 @@ def run_train(args) -> int:
 
 
 def run_evaluate(args) -> int:
-    from .dataset import load_archive
     from .evaluation import format_report
 
     cli = sys.modules[__name__]
-    loader = load_archive if args.from_archive else cli.load_dataset
     model = load_model(args.model) if args.model else load_default_model()
-    dataset = loader(args.dataset, min_messages=model.feature_config.min_messages)
+    dataset = cli.load_dataset(args.dataset, min_messages=model.feature_config.min_messages)
     report = cli.evaluate_pretrained(model, dataset)
     print(format_report(report))
     return 0
@@ -229,7 +225,8 @@ def build_parser() -> _Parser:
     analyze.add_argument("--include", metavar="NAME", nargs="*", default=None,
                          help="only analyze these contributor names")
     analyze.add_argument("--start-date", type=date.fromisoformat, default=None,
-                         help="ignore commits before this date (YYYY-MM-DD)")
+                         help="ignore commits before this date (YYYY-MM-DD), "
+                              "UTC, by the selected role's date")
     analyze.add_argument("--mapping", default=None,
                          help="CSV mapping names to identities (IGNORE drops a name)")
     analyze.add_argument("--committer", action="store_true",
@@ -251,21 +248,17 @@ def build_parser() -> _Parser:
     analyze.set_defaults(output_format=TEXT)
 
     train = sub.add_parser("train", help="train a model on a labeled dataset")
-    train.add_argument("dataset", help="labeled dataset file")
+    train.add_argument("dataset", help="labeled dataset file (CSV or JSON lines)")
     train.add_argument("--output", "-o", required=True, help="where to write the model")
     train.add_argument("--seed", type=int, default=42)
     train.add_argument("--folds", type=int, default=5)
     train.add_argument("--train-fraction", type=float, default=0.6)
     train.add_argument("--min-messages", type=int, default=10)
-    train.add_argument("--from-archive", action="store_true",
-                       help="dataset is in the public archive's JSON-lines layout")
 
     evaluate = sub.add_parser("evaluate", help="score a model on a labeled dataset")
-    evaluate.add_argument("dataset", help="labeled dataset file")
+    evaluate.add_argument("dataset", help="labeled dataset file (CSV or JSON lines)")
     evaluate.add_argument("--model", default=None,
                           help="model file (defaults to the shipped one)")
-    evaluate.add_argument("--from-archive", action="store_true",
-                          help="dataset is in the public archive's JSON-lines layout")
     return parser
 
 

@@ -1,14 +1,19 @@
 """Labeled dataset files for training and evaluating classifiers.
 
-Canonical format: CSV with one message per row and four columns
-(contributor_id, repository_id, label, message), label in {bot, human},
-messages quoted so they may contain commas and newlines. Rows for one
-(contributor, repository) pair are consecutive-or-not and accumulate
-into one corpus, ordered as they appear (most recent first).
+One reader, `load_dataset`, takes either layout and tells them apart
+by the file's first non-blank line: if that line parses as a JSON
+object, the file is read as JSON lines, and otherwise as CSV.
 
-`load_archive` reads the JSON-lines layout of the public ground-truth
-commit dump directly: one object per line with "name", "repository",
-"message" and a boolean "bot".
+- CSV, the canonical layout: one message per row and four columns
+  (contributor_id, repository_id, label, message), label in
+  {bot, human}, messages quoted so they may contain commas and
+  newlines. The header row is optional.
+- JSON lines, the public ground-truth commit dump: one object per line
+  with "name", "repository", "message" and a boolean "bot".
+
+Rows for one (contributor, repository) pair need not be consecutive;
+they accumulate into one corpus, ordered as they appear (most recent
+first).
 """
 
 import csv
@@ -92,50 +97,55 @@ def _check_label(token: str, where: str) -> str:
     return token
 
 
+def _csv_rows(handle):
+    for row_number, row in enumerate(csv.reader(handle), start=1):
+        if not row:
+            continue
+        if row_number == 1 and row == _HEADER:
+            continue
+        if len(row) != 4:
+            raise MalformedDataset(f"row {row_number}: expected 4 fields, got {len(row)}")
+        contributor, repository, label, message = row
+        yield contributor, repository, _check_label(label, f"row {row_number}"), message
+
+
+def _json_lines_rows(handle):
+    for line_number, line in enumerate(handle, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            contributor = record["name"]
+            repository = record["repository"]
+            message = record["message"]
+            is_bot = record["bot"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise MalformedDataset(f"line {line_number}: {exc}") from exc
+        if not isinstance(is_bot, bool):
+            raise MalformedDataset(f"line {line_number}: 'bot' must be a boolean")
+        if not all(isinstance(text, str) for text in (contributor, repository, message)):
+            raise MalformedDataset(
+                f"line {line_number}: 'name', 'repository' and 'message' must be strings"
+            )
+        yield contributor, repository, BOT if is_bot else HUMAN, message
+
+
+def _is_json_lines(handle) -> bool:
+    """Whether the first non-blank line is a JSON object; rewinds the handle."""
+    first = next((line for line in handle if line.strip()), "")
+    handle.seek(0)
+    try:
+        return isinstance(json.loads(first), dict)
+    except json.JSONDecodeError:
+        return False
+
+
 def load_dataset(path, min_messages: int = 10) -> LabeledDataset:
-    """Read the canonical four-column CSV dataset."""
-
-    def rows():
-        with open(path, newline="", encoding="utf-8") as handle:
-            for row_number, row in enumerate(csv.reader(handle), start=1):
-                if not row:
-                    continue
-                if row_number == 1 and row == _HEADER:
-                    continue
-                if len(row) != 4:
-                    raise MalformedDataset(
-                        f"row {row_number}: expected 4 fields, got {len(row)}"
-                    )
-                contributor, repository, label, message = row
-                yield contributor, repository, _check_label(label, f"row {row_number}"), message
-
-    return _build_dataset(rows(), min_messages=min_messages)
-
-
-def load_archive(path, min_messages: int = 10) -> LabeledDataset:
-    """Read the public archive's JSON-lines layout directly."""
-
-    def rows():
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    contributor = record["name"]
-                    repository = record["repository"]
-                    message = record["message"]
-                    is_bot = record["bot"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise MalformedDataset(f"line {line_number}: {exc}") from exc
-                if not isinstance(is_bot, bool):
-                    raise MalformedDataset(
-                        f"line {line_number}: 'bot' must be a boolean"
-                    )
-                yield contributor, repository, BOT if is_bot else HUMAN, message
-
-    return _build_dataset(rows(), min_messages=min_messages)
+    """Read a labeled dataset in the CSV or the JSON-lines layout."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = _json_lines_rows(handle) if _is_json_lines(handle) else _csv_rows(handle)
+        return _build_dataset(rows, min_messages=min_messages)
 
 
 def featurize(

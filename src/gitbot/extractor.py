@@ -66,14 +66,13 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
 
     When start_date (a datetime.date) is given, only commits whose
     timestamp for the selected role falls on or after UTC midnight of
-    that date are returned.
+    that date are returned. The filter runs here, over the whole
+    history; git gets no date filter, because git's loses commits:
+    - `--since` stops its walk at an older-dated commit (clock skew);
+    - it compares commit dates, so it (and `--since-as-filter`) drops a
+      rebased commit authored on or after the cutoff, committed before it.
     """
     cmd = ["git", "-C", str(repo_path), "log", _pretty_format(role)]
-    if start_date is not None:
-        cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
-        # git's raw date format: a bare YYYY-MM-DD would mean that day at
-        # the current time of day, and a bare number below 10^8 is no timestamp
-        cmd.append(f"--since=@{cutoff} +0000")
     try:
         proc = subprocess.run(cmd, capture_output=True)
     except FileNotFoundError as exc:
@@ -94,7 +93,7 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     commits = _parse_log(proc.stdout.decode("utf-8", "surrogateescape"))
     if start_date is None:
         return commits
-    # --since filters on commit date; enforce the role date here
+    cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
     return [commit for commit in commits if commit.timestamp >= cutoff]
 
 

@@ -17,9 +17,10 @@ FEATURE_NAMES = ("n_messages", "n_empty", "n_patterns", "gini")
 class MessageCorpus:
     """Commit messages of one contributor identity, most recent first.
 
-    timestamps, when given, holds each message's date in Unix seconds,
-    which orders exactly as the UTC instants do; identity merges sort
-    by it.
+    timestamps holds each message's date in Unix seconds, which orders
+    exactly as the UTC instants do; identity merges sort by it. Corpora
+    read from git always carry timestamps. Corpora read from a labeled
+    dataset carry none, and they are never merged.
     """
 
     contributor: str

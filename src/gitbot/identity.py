@@ -47,10 +47,6 @@ def load_mapping(path) -> IdentityMapping:
 
 
 def _merge_corpora(identity: str, sources: list[tuple[str, MessageCorpus]]) -> MessageCorpus:
-    if any(corpus.timestamps is None for _, corpus in sources):
-        # no timestamps to order by; concatenate in sorted-name order
-        messages = [m for _, corpus in sources for m in corpus.messages]
-        return MessageCorpus(contributor=identity, messages=messages)
     rows = [
         (corpus.timestamps[i], name, i, corpus.messages[i])
         for name, corpus in sources

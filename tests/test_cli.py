@@ -202,6 +202,24 @@ def test_evaluate_scores_the_shipped_or_a_given_model(capsys, dataset_csv):
     assert capsys.readouterr().out == expected + "\n"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_json_lines_dataset_reports_as_its_csv_does(capsys, dataset_csv, tmp_path, command):
+    json_lines = tmp_path / "dataset.jsonl"
+    with open(dataset_csv, newline="", encoding="utf-8") as source, \
+            open(json_lines, "w", encoding="utf-8") as target:
+        for contributor, repository, label, message in list(csv.reader(source))[1:]:
+            record = {"name": contributor, "repository": repository,
+                      "bot": label == "bot", "message": message}
+            target.write(json.dumps(record) + "\n")
+    model = tmp_path / "model.json"
+    options = ["-o", str(model), "--folds", "3"] if command == "train" else []
+    runs = []
+    for path in (dataset_csv, json_lines):
+        assert main([command, str(path), *options]) == 0
+        runs.append((capsys.readouterr().out, model.read_bytes() if options else None))
+    assert runs[0] == runs[1]
+
+
 def test_analyze_never_imports_numpy(cli_fixture_repo):
     # runs `python -m gitbot analyze --json REPO`, then inspects the interpreter
     script = (

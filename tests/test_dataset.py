@@ -3,13 +3,13 @@ import json
 
 import pytest
 
-from gitbot.dataset import featurize, load_archive, load_dataset
+from gitbot.dataset import LabeledDataset, featurize, load_dataset
 from gitbot.errors import MalformedDataset
 from gitbot.features import FeatureConfig
 
 
-def write_csv(tmp_path, rows, header=True):
-    path = tmp_path / "dataset.csv"
+def write_csv(tmp_path, rows, header=True, name="dataset.csv"):
+    path = tmp_path / name
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         if header:
@@ -67,6 +67,17 @@ class TestLoadDataset:
         dataset = load_dataset(write_csv(tmp_path, rows))
         assert len(dataset) == 2
 
+    def test_headerless_csv_starting_with_a_brace_is_csv(self, tmp_path):
+        rows = contributor_rows("{curly}", "r1", "bot", 12)
+        dataset = load_dataset(write_csv(tmp_path, rows, header=False))
+        assert [entry.contributor for entry in dataset.entries] == ["{curly}"]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_blank_file_is_an_empty_dataset(self, tmp_path, text):
+        path = tmp_path / "blank"
+        path.write_text(text, encoding="utf-8")
+        assert load_dataset(path) == LabeledDataset(entries=[], n_excluded=0)
+
 
 class TestArchive:
     def write_archive(self, tmp_path, records):
@@ -84,7 +95,7 @@ class TestArchive:
 
     def test_load_archive(self, tmp_path):
         records = self.archive_records("x", "r", True, 12) + self.archive_records("y", "r", False, 15)
-        dataset = load_archive(self.write_archive(tmp_path, records))
+        dataset = load_dataset(self.write_archive(tmp_path, records))
         assert dataset.labels() == ["bot", "human"]
         assert dataset.entries[0].corpus.messages == [f"m {i}" for i in range(12)]
 
@@ -92,12 +103,39 @@ class TestArchive:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"name": "x"}\n', encoding="utf-8")
         with pytest.raises(MalformedDataset):
-            load_archive(path)
+            load_dataset(path)
+
+    def test_csv_and_json_lines_load_equal_datasets(self, tmp_path):
+        rows = (
+            contributor_rows("a", "r1", "bot", 12)
+            + [["b", "r1", "human", f"line one {i}\nline two, with \"quotes\""] for i in range(11)]
+            + contributor_rows("tiny", "r2", "human", 3)
+            + contributor_rows("a", "r2", "human", 10)
+        )
+        records = [
+            {"name": name, "repository": repo, "bot": label == "bot", "message": message}
+            for name, repo, label, message in rows
+        ]
+        json_lines = self.write_archive(tmp_path, records)
+        # the layout is read from the first non-blank line
+        json_lines.write_text("\n" + json_lines.read_text(encoding="utf-8"), encoding="utf-8")
+        with_header = load_dataset(write_csv(tmp_path, rows))
+        headerless = load_dataset(write_csv(tmp_path, rows, header=False, name="plain.csv"))
+        assert with_header == headerless == load_dataset(json_lines)
+        assert len(with_header) == 3 and with_header.n_excluded == 1
 
     def test_non_boolean_bot_field(self, tmp_path):
         records = [{"name": "x", "repository": "r", "bot": "yes", "message": "m"}]
         with pytest.raises(MalformedDataset):
-            load_archive(self.write_archive(tmp_path, records))
+            load_dataset(self.write_archive(tmp_path, records))
+
+
+    @pytest.mark.parametrize("field", ["name", "repository", "message"])
+    def test_non_string_text_field(self, tmp_path, field):
+        records = self.archive_records("x", "r", True, 12)
+        records[3][field] = None
+        with pytest.raises(MalformedDataset, match="line 4"):
+            load_dataset(self.write_archive(tmp_path, records))
 
 
 class TestFeaturize:

@@ -40,8 +40,6 @@ class TestExtractCommits:
     def test_start_date_compares_utc_instants(self, tmp_path):
         # 01:00 at +05:00 is 20:00Z the day before: before UTC midnight of
         # the start date, although its local calendar day is the start date.
-        # Both are committed later, so git's --since keeps them and the
-        # author-date check alone decides.
         repo = init_repo(tmp_path / "zones")
         add_commit(
             repo,
@@ -75,10 +73,41 @@ class TestExtractCommits:
         ]
 
     def test_start_date_before_1973(self, make_repo):
-        # Unix seconds below 10^8 must still read as a time, not a date
+        # a cutoff below 10^8 Unix seconds is still compared as a time
         repo = make_repo([("alice", "early", "1970-01-02T00:00:01+00:00")])
         assert [c.name for c in extract_commits(repo, start_date=date(1970, 1, 2))] == ["alice"]
         assert extract_commits(repo, start_date=date(1970, 1, 3)) == []
+
+    @pytest.mark.parametrize("role", list(Role))
+    def test_start_date_keeps_newer_commits_behind_an_older_dated_one(self, make_repo, role):
+        # clock skew: a 1990 commit sits between commits of 2021
+        repo = make_repo([
+            ("alice", "on the start date", "2021-01-15T10:00:00+00:00"),
+            ("bob", "the day after", "2021-01-16T00:00:00+00:00"),
+            ("carol", "from a skewed clock", "1990-01-01T00:00:00+00:00"),
+            ("dave", "days later", "2021-01-20T00:00:00+00:00"),
+        ])
+        everything = extract_commits(repo, role=role)
+        kept = extract_commits(repo, role=role, start_date=date(2021, 1, 15))
+        cutoff = unix("2021-01-15T00:00:00+00:00")
+        assert kept == [c for c in everything if c.timestamp >= cutoff]
+        assert len(kept) == 3
+
+    def test_start_date_reads_the_selected_roles_date(self, tmp_path):
+        # a rebased commit: authored after the start date, committed before it
+        repo = init_repo(tmp_path / "rebased")
+        add_commit(
+            repo,
+            "alice",
+            "rebased onto an older base",
+            date="2021-01-25T00:00:00+00:00",
+            committer_date="2021-01-10T00:00:00+00:00",
+        )
+        start = date(2021, 1, 15)
+        assert extract_commits(repo, role=Role.AUTHOR, start_date=start) == [
+            RawCommit("alice", unix("2021-01-25T00:00:00+00:00"), "rebased onto an older base\n")
+        ]
+        assert extract_commits(repo, role=Role.COMMITTER, start_date=start) == []
 
     def test_start_date_monotone(self, make_repo):
         repo = make_repo(THREE_COMMITS)

@@ -138,11 +138,3 @@ class TestApplyMapping:
         ]
         results = [apply_mapping(g, mapping)["merged"] for g in orders]
         assert results[0] == results[1] == results[2]
-
-    def test_merge_without_timestamps_concatenates_by_name(self):
-        groups = {
-            "z": MessageCorpus("z", ["z1"]),
-            "a": MessageCorpus("a", ["a1"]),
-        }
-        merged = apply_mapping(groups, IdentityMapping({"z": "m", "a": "m"}))
-        assert merged["m"].messages == ["a1", "z1"]
