@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import forest
 from .errors import GitbotError
@@ -145,8 +146,17 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
     """Render rows as aligned text, CSV (header + rows), or a JSON array."""
     columns = _columns(verbose)
     if output_format == JSON:
-        payload = [{c: _cell(row, c) for c in columns} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        # The text of `json.dumps(payload, indent=2)`, laid out here: with
+        # `indent` set, json falls back to its pure-Python encoder, which
+        # took 0.142 s for 19,845 rows against 0.048 s without `indent`.
+        if not rows:
+            return "[]\n"
+        keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
+        objects = [
+            ",\n".join([key + _json_scalar(_cell(row, c)) for key, c in zip(keys, columns)])
+            for row in rows
+        ]
+        return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
     if output_format == CSV:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -164,6 +174,17 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
     widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() for line in table]
     return "\n".join(lines) + "\n"
+
+
+def _json_scalar(value: object) -> str:
+    """A result cell as `json.dumps` spells it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)  # the few floats: NaN and infinities have JSON names
 
 
 def _format_number(value: object) -> str:

@@ -8,9 +8,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitbot import cli
-from gitbot.cli import main
+from gitbot.cli import JSON, ResultRow, format_output, main
 from gitbot.dataset import load_dataset
 from gitbot.evaluation import (
     FAMILY_FOREST,
@@ -68,6 +70,39 @@ def test_text_has_a_header_and_one_aligned_row_per_identity(capsys, cli_fixture_
     ]
     # the prediction column starts at one offset on every line
     assert len({line.rindex(line.split()[-1]) for line in lines}) == 1
+
+
+# names with lone surrogates (undecodable bytes of a git name), quotes,
+# backslashes, control characters and non-ASCII text
+_names = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.lists(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+                              "\U0001f600", "\udc80", "\ud800", "a"])).map("".join),
+)
+_counts = st.one_of(st.none(), st.integers(min_value=0, max_value=10**6))
+_rows = st.builds(
+    ResultRow,
+    name=_names,
+    commits=st.integers(min_value=0, max_value=10**6),
+    patterns=_counts,
+    dispersion=st.one_of(st.none(), st.floats()),
+    prediction=st.sampled_from(["bot", "human", "unknown"]),
+    empties=_counts,
+)
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(_rows, max_size=5), verbose=st.booleans())
+def test_json_output_is_the_text_of_json_dumps_with_indent(rows, verbose):
+    columns = ["name", "commits", "empties", "patterns", "dispersion", "prediction"]
+    if not verbose:
+        columns.remove("empties")
+    payload = [
+        {c: round(v, 3) if c == "dispersion" and v is not None else v
+         for c, v in ((c, getattr(row, c)) for c in columns)}
+        for row in rows
+    ]
+    assert format_output(rows, JSON, verbose) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_only_predicted_drops_unknown_identities(capsys, cli_fixture_repo):

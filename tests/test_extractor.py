@@ -1,9 +1,15 @@
+import os
+import signal
+import sys
+import time
 from datetime import date, datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitbot.errors import ExtractionFailed, GitUnavailable, NotAGitRepository
-from gitbot.extractor import RawCommit, Role, _parse_log, extract_commits, group_messages
+from gitbot.extractor import RawCommit, Role, _LogParser, extract_commits, group_messages
 
 from .conftest import add_commit, init_repo
 
@@ -17,6 +23,64 @@ THREE_COMMITS = [
 def unix(iso):
     """Unix seconds of an ISO 8601 instant with a UTC offset."""
     return int(datetime.fromisoformat(iso).timestamp())
+
+
+def parse_blocks(blocks, cutoff=None):
+    parser = _LogParser(cutoff)
+    for block in blocks:
+        parser.feed(block)
+    return parser.close()
+
+
+def git_log_bytes(records):
+    """`git log` output for (name, time, message) byte records, newest first."""
+    return b"\n".join(
+        name + b"\x00" + str(stamp).encode() + b"\x00" + message + b"\x00\x00"
+        for name, stamp, message in records
+    )
+
+
+def fake_git(tmp_path, monkeypatch, body):
+    """Put a `git` on PATH that runs the Python statements `body`."""
+    bindir = tmp_path / "fakebin"
+    bindir.mkdir()
+    script = bindir / "git"
+    script.write_text(f"#!{sys.executable}\nimport os, sys, time\n{body}\n")
+    script.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that is still running after 20 seconds instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError("extract_commits hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# name bytes: no NUL, no newline (git strips both); messages: no NUL, with
+# multibyte UTF-8, invalid and truncated sequences and leading newlines
+_PIECES = [b"a", b"Z", b" ", b"\n", b"\t", b"%x00", "\u00e9".encode(), "\u20ac".encode(),
+           "\U0001f600".encode(), b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]
+_name_bytes = st.lists(st.sampled_from([p for p in _PIECES if b"\n" not in p]), max_size=6)
+_message_bytes = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=12),
+    st.binary(max_size=40).map(lambda b: [b.replace(b"\x00", b"")]),
+)
+_records = st.lists(
+    st.tuples(
+        _name_bytes.map(b"".join),
+        st.integers(min_value=0, max_value=2**33),
+        _message_bytes.map(b"".join),
+    ),
+    max_size=8,
+)
 
 
 class TestExtractCommits:
@@ -119,16 +183,41 @@ class TestExtractCommits:
     @pytest.mark.parametrize(
         "stdout",
         [
-            "alice\x001609459200\x00msg\n\x00",  # a record cut short
-            "alice\x001609459200\x00msg\n\x00stray\x00",  # non-empty terminator
-            "alice\x002021-01-01T00:00:00+00:00\x00msg\n\x00\x00",  # ISO, not Unix
-            "alice\x00\x00msg\n\x00\x00",  # empty time field
+            b"alice\x001609459200\x00msg\n\x00",  # a record cut short
+            b"alice\x001609459200\x00msg\n\x00stray\x00",  # non-empty terminator
+            b"alice\x002021-01-01T00:00:00+00:00\x00msg\n\x00\x00",  # ISO, not Unix
+            b"alice\x00\x00msg\n\x00\x00",  # empty time field
+            b"alice\x001609459200\x00msg\n\x00\x00\nbob\x0016094",  # ends in the next record
+            b"alice\x001609459200\x00msg\x00stray\x00",  # text where the terminator belongs
         ],
-        ids=["token-count", "terminator", "iso-time", "empty-time"],
+        ids=["token-count", "terminator", "iso-time", "empty-time", "ends-mid-record",
+             "misplaced-terminator"],
     )
     def test_malformed_log_output_fails(self, stdout):
         with pytest.raises(ExtractionFailed):
-            _parse_log(stdout)
+            parse_blocks([stdout])
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=_records, data=st.data())
+    def test_blocks_cut_anywhere_parse_to_the_records(self, records, data):
+        stream = git_log_bytes(records)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+        pieces = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+        expected = [
+            RawCommit(
+                name.decode("utf-8", "surrogateescape"),
+                stamp,
+                message.decode("utf-8", "surrogateescape"),
+            )
+            for name, stamp, message in records
+        ]
+        assert parse_blocks(pieces) == parse_blocks([stream]) == expected
+        # decoding keeps every byte: messages encode back to what git wrote
+        assert [c.message.encode("utf-8", "surrogateescape") for c in expected] == [
+            message for _, _, message in records
+        ]
+        cutoff = 2**32
+        assert parse_blocks(pieces, cutoff) == [c for c in expected if c.timestamp >= cutoff]
 
     def test_extraction_idempotent(self, make_repo):
         repo = make_repo(THREE_COMMITS)
@@ -187,6 +276,39 @@ class TestExtractCommits:
         monkeypatch.setenv("PATH", str(empty))
         with pytest.raises(GitUnavailable):
             extract_commits(repo)
+
+    def test_chatty_failing_git_reports_its_stderr(self, tmp_path, monkeypatch, alarm):
+        # far more than a pipe holds: git must never wait on its stderr
+        chatter = "fatal: chatty\n" + "e" * (200 * 1024)
+        fake_git(tmp_path, monkeypatch, f"sys.stderr.write({chatter!r})\nsys.exit(128)")
+        with pytest.raises(ExtractionFailed, match="exit code 128: fatal: chatty") as info:
+            extract_commits(tmp_path)
+        assert info.value.stderr == chatter
+
+    def test_malformed_output_kills_and_reaps_git(self, tmp_path, monkeypatch, alarm):
+        pid_file = tmp_path / "git.pid"
+        fake_git(tmp_path, monkeypatch, (
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "sys.stdout.buffer.write(b'alice\\x00not a time\\x00msg\\x00\\x00')\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(60)"
+        ))
+        start = time.monotonic()
+        with pytest.raises(ExtractionFailed, match="time field"):
+            extract_commits(tmp_path)
+        assert time.monotonic() - start < 10
+        with pytest.raises(ProcessLookupError):  # neither running nor a zombie
+            os.kill(int(pid_file.read_text()), 0)
+
+    def test_git_gets_unflushed_output_and_the_callers_environment(self, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("GIT_FLUSH", "1")
+        fake_git(tmp_path, monkeypatch, (
+            "message = (os.environ['GIT_FLUSH'] + ' ' + os.environ['HOME']).encode()\n"
+            "sys.stdout.buffer.write(b'env\\x001609459200\\x00' + message + b'\\x00\\x00')"
+        ))
+        assert extract_commits(tmp_path) == [RawCommit("env", 1609459200, f"0 {home}")]
 
 
 class TestGroupMessages:
