@@ -18,8 +18,7 @@ bias, and both solve it to a stated tolerance:
   predictor-corrector interior-point method, until its residuals and
   its duality gap are below tol relative to their scale (see
   `train_linear_svm`).
-A fit that stops short of its tolerance warns and reports
-`converged=False`.
+A fit that stops short of its tolerance warns.
 """
 
 import warnings
@@ -86,8 +85,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     scaler: Standardizer
-    converged: bool
-    n_iter: int
 
     def bot_fraction(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.scaler.transform(X) @ self.weights + self.bias)
@@ -113,21 +110,16 @@ def train_logistic(
     n = len(y)
     penalty = np.diag([l2] * (A.shape[1] - 1) + [0.0])
     theta = np.zeros(A.shape[1])  # weights, then bias
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         p = _sigmoid(A @ theta)
         grad = A.T @ (p - y) / n + penalty @ theta
         if np.abs(grad).max() < tol:
-            converged = True
             break
         hessian = (A.T * (p * (1.0 - p))) @ A / n + penalty
         theta -= np.linalg.solve(hessian, grad)
-    if not converged:
+    else:
         warnings.warn("logistic regression hit the iteration cap without converging")
-    return LinearModel(
-        weights=theta[:-1], bias=float(theta[-1]), scaler=scaler, converged=converged, n_iter=iteration
-    )
+    return LinearModel(weights=theta[:-1], bias=float(theta[-1]), scaler=scaler)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -196,8 +188,8 @@ def train_linear_svm(
     complementarity relative to C; so the duality gap in the objective
     above is at most 2 * tol. A singular Newton system or a
     floating-point error (overflow, division by zero, invalid value)
-    ends the iteration early: like the iteration cap, it warns and
-    leaves `converged` false.
+    ends the iteration early: like the iteration cap, it warns that the
+    fit did not converge.
     """
     X, y = _to_arrays(data)
     _check_two_classes(y)
@@ -210,11 +202,9 @@ def train_linear_svm(
     x = np.zeros(A.shape[1])  # weights, then bias
     u = np.ones(2 * n)  # margin slacks s, then hinge losses xi
     v = np.full(2 * n, C / 2)  # their multipliers lambda, then mu
-    converged = False
-    stop = "hit the iteration cap"
-    iteration = 0
+    stop = None  # why the iteration ended short of the tolerance
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        for iteration in range(1, max_iter + 1):
+        for _ in range(max_iter):
             r_x = H @ x - A.T @ v[:n]
             r_xi = C - v[:n] - v[n:]
             r_p = A @ x + u[n:] - 1.0 - u[:n]
@@ -224,7 +214,6 @@ def train_linear_svm(
                 and np.abs(r_x).max() <= tol * n * C
                 and max(np.abs(r_xi).max(), gap) <= tol * C
             ):
-                converged = True
                 break
             try:
                 dx, du, dv, step = _mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap)
@@ -235,19 +224,17 @@ def train_linear_svm(
             x += step * dx
             u += step * du
             v += step * dv
-    if not converged:
+        else:
+            stop = "hit the iteration cap"
+    if stop is not None:
         warnings.warn(f"linear SVM {stop} without converging")
-    return LinearModel(
-        weights=x[:-1], bias=float(x[-1]), scaler=scaler, converged=converged, n_iter=iteration
-    )
+    return LinearModel(weights=x[:-1], bias=float(x[-1]), scaler=scaler)
 
 
-def train_single_tree(
-    data: list[LabeledExample], max_depth: int = 8, criterion: str = "entropy"
-) -> ForestModel:
-    """One tree on the full data, all four features eligible per node."""
+def train_single_tree(data: list[LabeledExample], max_depth: int = 8) -> ForestModel:
+    """One entropy tree on the full data, all four features eligible per node."""
     X, y = _to_arrays(data)
     _check_two_classes(y)
     rng = np.random.default_rng(0)  # unused: all features are always candidates
-    tree = _grow(X, y, 0, max_depth, X.shape[1], rng, criterion)
-    return ForestModel(trees=[tree], n_estimators=1, max_depth=max_depth, criterion=criterion, seed=0)
+    tree = _grow(X, y, 0, max_depth, X.shape[1], rng, "entropy")
+    return ForestModel(trees=[tree], n_estimators=1, max_depth=max_depth, criterion="entropy", seed=0)

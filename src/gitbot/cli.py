@@ -18,7 +18,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import forest
-from .errors import GitbotError
+from .errors import GitbotError, UsageError
 from .extractor import Role, extract_commits, group_messages
 from .features import FeatureConfig, compute_features
 from .forest import UNKNOWN, ForestModel
@@ -68,11 +68,18 @@ def load_default_model() -> ForestModel:
 
 
 def _analysis_config(args, model: ForestModel) -> FeatureConfig:
+    """The model's feature configuration with --min-commits and --max-commits applied."""
     base = model.feature_config
+    low, high = base.min_messages, base.max_messages
+    low_name, high_name = "the model's minimum", "the model's maximum"
+    if args.min_commits is not None:
+        low, low_name = args.min_commits, "--min-commits"
+    if args.max_commits is not None:
+        high, high_name = args.max_commits, "--max-commits"
+    if low > high:
+        raise UsageError(f"{low_name} ({low}) must not exceed {high_name} ({high})")
     return FeatureConfig(
-        min_messages=args.min_commits if args.min_commits is not None else base.min_messages,
-        max_messages=args.max_commits if args.max_commits is not None else base.max_messages,
-        distance_threshold=base.distance_threshold,
+        min_messages=low, max_messages=high, distance_threshold=base.distance_threshold
     )
 
 
@@ -202,15 +209,15 @@ def run_train(args) -> int:
 
     train_part, test_part = stratified_split(dataset, args.train_fraction, seed=args.seed)
     train_examples = cli.featurize(train_part, config)
-    result = cli.cross_validate(train_examples, k_folds=args.folds, seed=args.seed)
-    print(format_grid_table(result))
+    rows = cli.cross_validate(train_examples, k_folds=args.folds, seed=args.seed)
+    print(format_grid_table(rows))
 
-    best_forest = result.best_for(FAMILY_FOREST)
+    best = next(row for row in rows if row.config.family == FAMILY_FOREST)
     model = cli.train_forest(
         train_examples,
         seed=args.seed,
         feature_config=config,
-        **best_forest.config.params,
+        **best.config.params,
     )
     save_model(model, args.output)
     print(f"model written to {args.output}")
@@ -229,6 +236,30 @@ def run_evaluate(args) -> int:
     report = cli.evaluate_pretrained(model, dataset)
     print(format_report(report))
     return 0
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an int no smaller than lowest."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be between 0 and 1 exclusive, got {value}")
+    return value
+
+
+_fraction.__name__ = "float"  # argparse names it in "invalid float value"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,9 +283,9 @@ def build_parser() -> _Parser:
                          help="CSV mapping names to identities (IGNORE drops a name)")
     analyze.add_argument("--committer", action="store_true",
                          help="use committer names instead of author names")
-    analyze.add_argument("--min-commits", type=int, default=None,
+    analyze.add_argument("--min-commits", type=_int_at_least(1), default=None,
                          help="minimum commits needed to make a prediction")
-    analyze.add_argument("--max-commits", type=int, default=None,
+    analyze.add_argument("--max-commits", type=_int_at_least(1), default=None,
                          help="most recent commits considered per contributor")
     analyze.add_argument("--verbose", action="store_true",
                          help="include the full feature columns")
@@ -271,10 +302,10 @@ def build_parser() -> _Parser:
     train = sub.add_parser("train", help="train a model on a labeled dataset")
     train.add_argument("dataset", help="labeled dataset file (CSV or JSON lines)")
     train.add_argument("--output", "-o", required=True, help="where to write the model")
-    train.add_argument("--seed", type=int, default=42)
-    train.add_argument("--folds", type=int, default=5)
-    train.add_argument("--train-fraction", type=float, default=0.6)
-    train.add_argument("--min-messages", type=int, default=10)
+    train.add_argument("--seed", type=_int_at_least(0), default=42)
+    train.add_argument("--folds", type=_int_at_least(2), default=5)
+    train.add_argument("--train-fraction", type=_fraction, default=0.6)
+    train.add_argument("--min-messages", type=_int_at_least(1), default=10)
 
     evaluate = sub.add_parser("evaluate", help="score a model on a labeled dataset")
     evaluate.add_argument("dataset", help="labeled dataset file (CSV or JSON lines)")
@@ -295,18 +326,14 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "analyze":
-            if (
-                args.min_commits is not None
-                and args.max_commits is not None
-                and args.min_commits > args.max_commits
-            ):
-                parser.error("--min-commits must not exceed --max-commits")
             rows = run_analysis(args)
             sys.stdout.write(format_output(rows, args.output_format, args.verbose))
             return 0
         if args.command == "train":
             return run_train(args)
         return run_evaluate(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (GitbotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

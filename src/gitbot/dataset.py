@@ -78,7 +78,7 @@ def _build_dataset(rows, min_messages: int) -> LabeledDataset:
             DatasetEntry(
                 contributor=contributor,
                 repository=repository,
-                corpus=MessageCorpus(contributor=contributor, messages=messages[key]),
+                corpus=MessageCorpus(messages=messages[key]),
                 label=labels[key],
             )
         )

@@ -5,6 +5,10 @@ class GitbotError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(GitbotError):
+    """A command-line option's value does not fit the model in use."""
+
+
 class NotAGitRepository(GitbotError):
     """The path exists but git does not recognise it as a repository."""
 

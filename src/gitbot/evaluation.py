@@ -6,16 +6,16 @@ classification-report convention.
 """
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import forest
 from .baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
 from .dataset import LabeledDataset
-from .errors import EmptyInput, SingleClassData
+from .errors import EmptyInput, MalformedDataset, SingleClassData
 from .features import compute_features
-from .forest import BOT, HUMAN, LABEL_IDS, UNKNOWN, ForestModel, LabeledExample
+from .forest import BOT, HUMAN, LABEL_IDS, ForestModel, LabeledExample
 from .training import _to_arrays, predict_labels, train_forest
 
 FAMILY_FOREST = "random forest"
@@ -54,7 +54,6 @@ class EvaluationReport:
     weighted_f1: float
     confusion: ConfusionCounts
     model_descriptor: str = ""
-    n_unknown: int = 0
 
 
 def _safe_div(a: float, b: float) -> float:
@@ -65,9 +64,7 @@ def _f1(p: float, r: float) -> float:
     return _safe_div(2.0 * p * r, p + r)
 
 
-def report_from_counts(
-    counts: ConfusionCounts, model_descriptor: str = "", n_unknown: int = 0
-) -> EvaluationReport:
+def report_from_counts(counts: ConfusionCounts, model_descriptor: str = "") -> EvaluationReport:
     support_bot = counts.tp + counts.fn
     support_human = counts.fp + counts.tn
     p_bot = _safe_div(counts.tp, counts.tp + counts.fp)
@@ -89,7 +86,6 @@ def report_from_counts(
         weighted_f1=weighted(bot.f1, human.f1),
         confusion=counts,
         model_descriptor=model_descriptor,
-        n_unknown=n_unknown,
     )
 
 
@@ -113,7 +109,10 @@ def _class_indices(labels) -> dict[str, np.ndarray]:
 def stratified_split(
     dataset: LabeledDataset, train_fraction: float = 0.6, seed: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Disjoint, exhaustive split preserving the class ratio per part."""
+    """Disjoint, exhaustive split preserving the class ratio per part.
+
+    Raises EmptyInput when train_fraction leaves either part empty.
+    """
     rng = np.random.default_rng(seed)
     classes = _class_indices(dataset.labels())
     train_idx: list[int] = []
@@ -124,6 +123,9 @@ def stratified_split(
         n_train = int(train_fraction * len(idx) + 0.5)
         train_idx.extend(shuffled[:n_train].tolist())
         test_idx.extend(shuffled[n_train:].tolist())
+    if not train_idx or not test_idx:
+        empty = "train" if not train_idx else "test"
+        raise EmptyInput(f"train fraction {train_fraction} leaves the {empty} part empty")
     train_idx.sort()
     test_idx.sort()
     return (
@@ -160,7 +162,6 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class FamilyResult:
-    family: str
     config: GridConfig
     p_bot: float
     r_bot: float
@@ -169,17 +170,6 @@ class FamilyResult:
     precision: float  # support-weighted over both classes
     recall: float
     f1: float
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    rows: list[FamilyResult] = field(default_factory=list)  # F1 descending
-
-    def best_for(self, family: str) -> FamilyResult:
-        for row in self.rows:
-            if row.family == family:
-                return row
-        raise KeyError(family)
 
 
 def default_grid() -> list[GridConfig]:
@@ -270,13 +260,13 @@ def cross_validate(
     grid: list[GridConfig] | None = None,
     k_folds: int = 5,
     seed: int = 0,
-) -> GridSearchResult:
+) -> list[FamilyResult]:
     """Score every configuration by mean weighted F1 over stratified folds.
 
-    The best configuration per family is retained; ties break toward
-    higher precision, then the lexicographically smaller name. A kNN
-    configuration whose k exceeds the smallest training fold cannot be
-    fitted on every fold and is left out.
+    The best configuration per family is returned, by F1 descending;
+    ties break toward higher precision, then the lexicographically
+    smaller name. A kNN configuration whose k exceeds the smallest
+    training fold cannot be fitted on every fold and is left out.
 
     Forest configurations that differ only in n_estimators are scored
     from one forest per fold, grown with the largest n_estimators: each
@@ -324,42 +314,40 @@ def cross_validate(
 
     best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
     for config, config_scores in zip(grid, scores):
-        row = FamilyResult(config.family, config, *(float(np.mean(m)) for m in zip(*config_scores)))
+        row = FamilyResult(config, *(float(np.mean(m)) for m in zip(*config_scores)))
         # sort key: maximize f1, then precision; minimize name
         key = (-row.f1, -row.precision, config.name)
         known = best_per_family.get(config.family)
         if known is None or key < known[0]:
             best_per_family[config.family] = (key, row)
 
-    rows = sorted(
+    return sorted(
         (row for _, row in best_per_family.values()),
         key=lambda r: (-r.f1, -r.precision, r.config.name),
     )
-    return GridSearchResult(rows=rows)
 
 
 def evaluate_pretrained(model: ForestModel, test: LabeledDataset) -> EvaluationReport:
-    """Score a trained model on a labeled dataset.
+    """Score a trained model on every entry of a labeled dataset.
 
-    Entries whose corpora are too small for the model's feature
-    configuration yield unknown predictions; they are excluded from the
-    metrics and reported via n_unknown.
+    Every corpus must be large enough for the model's features, as
+    `load_dataset` with the model's min_messages guarantees: a smaller
+    one raises MalformedDataset, and a dataset without entries raises
+    EmptyInput.
     """
+    if not test.entries:
+        raise EmptyInput("the dataset has no corpus to evaluate")
     predicted = []
-    actual = []
-    n_unknown = 0
     for entry in test.entries:
         vector = compute_features(entry.corpus, model.feature_config)
-        prediction = forest.predict(model, vector)
-        if prediction.label == UNKNOWN:
-            n_unknown += 1
-            continue
-        predicted.append(LABEL_IDS[prediction.label])
-        actual.append(LABEL_IDS[entry.label])
-    if not predicted:
-        raise EmptyInput("every test entry was unknown")
+        if vector is None:
+            raise MalformedDataset(
+                f"{entry.contributor!r} has fewer than {model.feature_config.min_messages} messages"
+            )
+        predicted.append(LABEL_IDS[forest.predict(model, vector).label])
+    actual = [LABEL_IDS[entry.label] for entry in test.entries]
     counts = confusion_counts(np.array(predicted), np.array(actual))
-    return report_from_counts(counts, describe_model(model), n_unknown)
+    return report_from_counts(counts, describe_model(model))
 
 
 def describe_model(model: ForestModel) -> str:
@@ -369,15 +357,15 @@ def describe_model(model: ForestModel) -> str:
     )
 
 
-def format_grid_table(result: GridSearchResult) -> str:
+def format_grid_table(rows: list[FamilyResult]) -> str:
     header = (
         f"{'classifier family':<24} {'P(B)':>6} {'R(B)':>6} {'P(H)':>6} {'R(H)':>6} "
         f"{'P':>6} {'R':>6} {'F1':>6}"
     )
     lines = [header]
-    for row in result.rows:
+    for row in rows:
         lines.append(
-            f"{row.family:<24} {row.p_bot:>6.3f} {row.r_bot:>6.3f} "
+            f"{row.config.family:<24} {row.p_bot:>6.3f} {row.r_bot:>6.3f} "
             f"{row.p_human:>6.3f} {row.r_human:>6.3f} "
             f"{row.precision:>6.3f} {row.recall:>6.3f} {row.f1:>6.3f}"
         )
@@ -403,6 +391,4 @@ def format_report(report: EvaluationReport) -> str:
     )
     c = report.confusion
     lines.append(f"confusion: tp={c.tp} fn={c.fn} fp={c.fp} tn={c.tn}")
-    if report.n_unknown:
-        lines.append(f"unknown (excluded): {report.n_unknown}")
     return "\n".join(lines)

@@ -3,9 +3,10 @@
 A record holds only what analysis reads: the selected role's name, its
 Unix time and the message. Fields are separated by a NUL byte and
 records end with NUL-NUL, so any printable message content survives
-parsing (git forbids NUL inside commit messages). Output is decoded
-with surrogateescape, which keeps messages byte-exact even when they
-are not valid UTF-8.
+parsing (git forbids NUL inside commit messages). git is asked for
+UTF-8 (`--encoding=UTF-8`), whatever the user's i18n.logOutputEncoding
+says, and its output is decoded with surrogateescape, which keeps
+messages byte-exact even when they are not valid UTF-8.
 
 Times are integer Unix seconds (`%at` / `%ct`). git stores dates with
 one-second resolution, so ordering or comparing these integers is
@@ -118,7 +119,7 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     while this reads stdout. On any error git is killed and reaped
     before the error propagates.
     """
-    cmd = ["git", "-C", str(repo_path), "log", _pretty_format(role)]
+    cmd = ["git", "-C", str(repo_path), "log", "--encoding=UTF-8", _pretty_format(role)]
     cutoff = None
     if start_date is not None:
         cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
@@ -169,8 +170,6 @@ def group_messages(commits: list[RawCommit]) -> dict[str, MessageCorpus]:
         messages.setdefault(name, []).append(message)
         timestamps.setdefault(name, []).append(timestamp)
     return {
-        name: MessageCorpus(
-            contributor=name, messages=messages[name], timestamps=timestamps[name]
-        )
+        name: MessageCorpus(messages=messages[name], timestamps=timestamps[name])
         for name in messages
     }

@@ -23,7 +23,6 @@ class MessageCorpus:
     dataset carry none, and they are never merged.
     """
 
-    contributor: str
     messages: list[str]
     timestamps: list[int] | None = None
 

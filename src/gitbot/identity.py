@@ -6,7 +6,7 @@ a name to the reserved identity "IGNORE" drops that name entirely.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DuplicateName, MalformedMapping
 from .features import MessageCorpus
@@ -46,7 +46,7 @@ def load_mapping(path) -> IdentityMapping:
     return IdentityMapping(entries=entries)
 
 
-def _merge_corpora(identity: str, sources: list[tuple[str, MessageCorpus]]) -> MessageCorpus:
+def _merge_corpora(sources: list[tuple[str, MessageCorpus]]) -> MessageCorpus:
     rows = [
         (corpus.timestamps[i], name, i, corpus.messages[i])
         for name, corpus in sources
@@ -55,11 +55,7 @@ def _merge_corpora(identity: str, sources: list[tuple[str, MessageCorpus]]) -> M
     # stable sort: ties keep (name, original position) order, so the
     # result does not depend on the input map's iteration order
     rows.sort(key=lambda r: r[0], reverse=True)
-    return MessageCorpus(
-        contributor=identity,
-        messages=[r[3] for r in rows],
-        timestamps=[r[0] for r in rows],
-    )
+    return MessageCorpus(messages=[r[3] for r in rows], timestamps=[r[0] for r in rows])
 
 
 def apply_mapping(
@@ -76,14 +72,7 @@ def apply_mapping(
         if identity == IGNORE_IDENTITY:
             continue
         buckets.setdefault(identity, []).append((name, groups[name]))
-
-    merged: dict[str, MessageCorpus] = {}
-    for identity, sources in buckets.items():
-        if len(sources) == 1:
-            corpus = sources[0][1]
-            if corpus.contributor != identity:
-                corpus = replace(corpus, contributor=identity)
-            merged[identity] = corpus
-        else:
-            merged[identity] = _merge_corpora(identity, sources)
-    return merged
+    return {
+        identity: sources[0][1] if len(sources) == 1 else _merge_corpora(sources)
+        for identity, sources in buckets.items()
+    }

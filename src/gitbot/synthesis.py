@@ -124,7 +124,7 @@ def synthetic_dataset(
             DatasetEntry(
                 contributor=name,
                 repository=f"repo-{i % 37:03d}",
-                corpus=MessageCorpus(contributor=name, messages=bot_messages(n, rng)),
+                corpus=MessageCorpus(messages=bot_messages(n, rng)),
                 label=BOT,
             )
         )
@@ -135,7 +135,7 @@ def synthetic_dataset(
             DatasetEntry(
                 contributor=name,
                 repository=f"repo-{i % 37:03d}",
-                corpus=MessageCorpus(contributor=name, messages=human_messages(n, rng)),
+                corpus=MessageCorpus(messages=human_messages(n, rng)),
                 label=HUMAN,
             )
         )

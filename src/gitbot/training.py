@@ -18,6 +18,8 @@ from .errors import SingleClassData
 from .features import FeatureConfig
 from .forest import LABEL_IDS, ForestModel, LabeledExample, Leaf, Split, TreeNode, is_bot
 
+FEATURE_SUBSET_SIZE = 2  # features drawn as split candidates at each forest node
+
 
 def _impurity(h: np.ndarray, b: np.ndarray, criterion: str) -> np.ndarray:
     n = h + b
@@ -110,7 +112,6 @@ def train_forest(
     max_depth: int = 8,
     seed: int = 0,
     criterion: str = "entropy",
-    feature_subset_size: int = 2,
     feature_config: FeatureConfig | None = None,
 ) -> ForestModel:
     """Train the forest: bootstrap per tree, random features per node."""
@@ -124,7 +125,7 @@ def train_forest(
         rng = np.random.default_rng(child_seed)
         idx = rng.integers(0, n, size=n)
         trees.append(
-            _grow(X[idx], y[idx], 0, max_depth, feature_subset_size, rng, criterion)
+            _grow(X[idx], y[idx], 0, max_depth, FEATURE_SUBSET_SIZE, rng, criterion)
         )
     return ForestModel(
         trees=trees,

@@ -122,6 +122,21 @@ def test_min_commits_above_max_commits_is_a_usage_error(capsys, cli_fixture_repo
     assert "--min-commits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options,flag", [
+    (["--min-commits", "0"], "--min-commits"),
+    (["--max-commits", "0"], "--max-commits"),
+    (["--min-commits", "150"], "--min-commits"),  # the shipped model reads at most 100
+    (["--max-commits", "5"], "--max-commits"),  # and needs at least 10
+])
+def test_message_bounds_out_of_range_are_usage_errors(capsys, cli_fixture_repo, options, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", *options, str(cli_fixture_repo)])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_model_with_fractional_message_cap_exits_2(capsys, cli_fixture_repo, tmp_path):
     shipped = resources.files("gitbot").joinpath("data/default_model.json")
     doc = json.loads(shipped.read_text("utf-8"))
@@ -163,10 +178,8 @@ def test_mapping_merges_aliases_newest_utc_instant_first(capsys, monkeypatch, tm
 
     monkeypatch.setattr(cli, "compute_features", compute_features)
     assert main(["analyze", "--json", "--mapping", str(mapping), str(repo)]) == 0
-    capsys.readouterr()
-    assert [(c.contributor, c.messages) for c in corpora] == [
-        ("merged", ["sent at six utc\n", "sent at ten east\n"])
-    ]
+    assert [row["name"] for row in json.loads(capsys.readouterr().out)] == ["merged"]
+    assert [c.messages for c in corpora] == [["sent at six utc\n", "sent at ten east\n"]]
 
 
 def test_committer_groups_by_committer_name(capsys, cli_fixture_repo):
@@ -226,6 +239,42 @@ def test_train_on_folds_smaller_than_the_largest_knn_k(capsys, tmp_path):
     table = capsys.readouterr().out.split("\nmodel written to ", 1)[0].splitlines()
     families = {FAMILY_FOREST, FAMILY_TREE, FAMILY_KNN, FAMILY_LOGISTIC, FAMILY_SVM}
     assert sorted(line[:24].rstrip() for line in table[1:]) == sorted(families)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--folds", "0"), ("--folds", "-2"), ("--folds", "1"),
+    ("--train-fraction", "1.0"), ("--train-fraction", "0"), ("--train-fraction", "nan"),
+    ("--seed", "-1"), ("--min-messages", "0"),
+])
+def test_train_options_out_of_range_are_usage_errors(capsys, dataset_csv, tmp_path, option, value):
+    output = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", str(dataset_csv), "-o", str(output), option, value])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}" in captured.err
+    assert not output.exists()
+
+
+def test_train_fraction_leaving_no_test_corpus_fails_before_the_grid(capsys, tmp_path):
+    path = write_dataset_csv(tmp_path / "dataset.csv", synthetic_dataset(n_bots=36, n_humans=36))
+    output = tmp_path / "model.json"
+    assert main(["train", str(path), "-o", str(output), "--train-fraction", "0.99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaves the test part empty" in captured.err
+    assert not output.exists()
+
+
+def test_evaluate_without_a_large_enough_corpus_says_so(capsys, tmp_path):
+    # every corpus holds 5 to 9 messages, under the shipped model's 10
+    dataset = synthetic_dataset(n_bots=2, n_humans=2, min_messages=5, max_messages=9)
+    path = write_dataset_csv(tmp_path / "dataset.csv", dataset)
+    assert main(["evaluate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no corpus to evaluate" in captured.err
 
 
 def test_evaluate_scores_the_shipped_or_a_given_model(capsys, dataset_csv):

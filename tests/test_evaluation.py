@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from gitbot.baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
 from gitbot.dataset import DatasetEntry, LabeledDataset
-from gitbot.errors import SingleClassData
+from gitbot.errors import EmptyInput, MalformedDataset, SingleClassData
 from gitbot.evaluation import (
     ConfusionCounts,
     FamilyResult,
@@ -13,6 +15,7 @@ from gitbot.evaluation import (
     _stratified_folds,
     confusion_counts,
     cross_validate,
+    evaluate_pretrained,
     report_from_counts,
     stratified_split,
     train_config,
@@ -30,7 +33,7 @@ def labeled_dataset(n_bots, n_humans):
     entries = []
     for i in order:
         name = f"c{i}"
-        entries.append(DatasetEntry(name, "r", MessageCorpus(name, ["m"] * 10), labels[i]))
+        entries.append(DatasetEntry(name, "r", MessageCorpus(["m"] * 10), labels[i]))
     return LabeledDataset(entries=entries)
 
 
@@ -39,6 +42,12 @@ class TestStratifiedSplit:
     @pytest.mark.parametrize("fraction", [0.3, 0.6, 0.8])
     def test_disjoint_exhaustive_and_stratified(self, n_bots, n_humans, fraction):
         dataset = labeled_dataset(n_bots, n_humans)
+        n_train = int(fraction * n_bots + 0.5) + int(fraction * n_humans + 0.5)
+        if n_train in (0, n_bots + n_humans):
+            empty = "train" if n_train == 0 else "test"
+            with pytest.raises(EmptyInput, match=f"leaves the {empty} part empty"):
+                stratified_split(dataset, fraction, seed=3)
+            return
         train, test = stratified_split(dataset, fraction, seed=3)
         train_names = [e.contributor for e in train.entries]
         test_names = [e.contributor for e in test.entries]
@@ -131,17 +140,33 @@ def sort_key(row):
 class TestCrossValidate:
     def test_best_row_per_family_ordered_by_f1_precision_name(self):
         data = random_examples(np.random.default_rng(21), 60, separable=False)
-        result = cross_validate(data, GRID, k_folds=3, seed=1)
-        families = [row.family for row in result.rows]
+        rows = cross_validate(data, GRID, k_folds=3, seed=1)
+        families = [row.config.family for row in rows]
         assert sorted(families) == sorted({c.family for c in GRID})
-        assert [sort_key(r) for r in result.rows] == sorted(sort_key(r) for r in result.rows)
-        for row in result.rows:
+        assert [sort_key(r) for r in rows] == sorted(sort_key(r) for r in rows)
+        for row in rows:
             alone = [
-                cross_validate(data, [c], k_folds=3, seed=1).rows[0]
+                cross_validate(data, [c], k_folds=3, seed=1)[0]
                 for c in GRID
-                if c.family == row.family
+                if c.family == row.config.family
             ]
             assert row == min(alone, key=sort_key)
+
+
+class TestEvaluatePretrained:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return train_forest(random_examples(np.random.default_rng(8), 30), n_estimators=3)
+
+    def test_too_small_corpus_rejected(self, model):
+        entries = labeled_dataset(3, 4).entries
+        small = replace(entries[2], corpus=MessageCorpus(["m"] * 9))
+        with pytest.raises(MalformedDataset, match="fewer than 10 messages"):
+            evaluate_pretrained(model, LabeledDataset(entries=[*entries[:2], small]))
+
+    def test_empty_dataset_rejected(self, model):
+        with pytest.raises(EmptyInput, match="no corpus to evaluate"):
+            evaluate_pretrained(model, LabeledDataset(entries=[]))
 
 
 PREFIX_GRID = [
@@ -171,7 +196,6 @@ def table_fitting_every_config(data, grid, k_folds, seed):
             return float(np.mean([metric(r) for r in reports]))
 
         row = FamilyResult(
-            family=config.family,
             config=config,
             p_bot=mean(lambda r: r.bot.precision),
             r_bot=mean(lambda r: r.bot.recall),
@@ -192,8 +216,8 @@ def test_forest_prefixes_score_like_separate_fits(seed):
     # from them only in criterion, and two take train_forest's defaults for
     # what they omit: each pair is one grown forest
     data = random_examples(np.random.default_rng(30 + seed), 45, separable=False)
-    result = cross_validate(data, PREFIX_GRID, k_folds=3, seed=seed)
-    assert result.rows == table_fitting_every_config(data, PREFIX_GRID, 3, seed)
+    rows = cross_validate(data, PREFIX_GRID, k_folds=3, seed=seed)
+    assert rows == table_fitting_every_config(data, PREFIX_GRID, 3, seed)
 
 
 TRAINERS = [

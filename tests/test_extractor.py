@@ -237,6 +237,17 @@ class TestExtractCommits:
         commits = extract_commits(repo)
         assert commits[0].message == message
 
+    def test_output_is_utf8_whatever_the_log_output_encoding(self, tmp_path, monkeypatch):
+        repo = init_repo(tmp_path / "latin")
+        add_commit(repo, "Zoë", "café au lait")
+        # a user's config asking git to re-encode its log output as Latin-1
+        monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+        monkeypatch.setenv("GIT_CONFIG_KEY_0", "i18n.logOutputEncoding")
+        monkeypatch.setenv("GIT_CONFIG_VALUE_0", "latin1")
+        [commit] = extract_commits(repo)
+        assert commit.name.encode("utf-8", "surrogateescape") == "Zoë".encode("utf-8")
+        assert commit.message.encode("utf-8", "surrogateescape") == "café au lait\n".encode("utf-8")
+
     def test_role_selects_timestamp_source(self, tmp_path):
         repo = init_repo(tmp_path / "roles")
         add_commit(

@@ -194,29 +194,29 @@ class TestGini:
 
 class TestComputeFeatures:
     def test_too_small_corpus_is_insufficient(self):
-        corpus = MessageCorpus("x", [f"message {i}" for i in range(9)])
+        corpus = MessageCorpus([f"message {i}" for i in range(9)])
         assert compute_features(corpus) is None
 
     def test_cap_limits_to_most_recent(self):
-        corpus = MessageCorpus("x", [f"unique message {i} {i*7}" for i in range(250)])
+        corpus = MessageCorpus([f"unique message {i} {i*7}" for i in range(250)])
         fv = compute_features(corpus)
         assert fv.n_messages == 100
 
     def test_identical_messages(self):
-        corpus = MessageCorpus("x", ["same thing"] * 12)
+        corpus = MessageCorpus(["same thing"] * 12)
         assert compute_features(corpus) == FeatureVector(12, 0, 1, 0.0)
 
     def test_all_empty_messages(self):
-        corpus = MessageCorpus("x", ["", "  ", "\n\t"] * 4)
+        corpus = MessageCorpus(["", "  ", "\n\t"] * 4)
         assert compute_features(corpus) == FeatureVector(12, 12, 0, 0.0)
 
     def test_empty_messages_counted_not_clustered(self):
-        corpus = MessageCorpus("x", ["real message here"] * 10 + ["", "   "])
+        corpus = MessageCorpus(["real message here"] * 10 + ["", "   "])
         fv = compute_features(corpus)
         assert fv == FeatureVector(12, 2, 1, 0.0)
 
     def test_custom_config_thresholds(self):
-        corpus = MessageCorpus("x", [f"message number {i}" for i in range(8)])
+        corpus = MessageCorpus([f"message number {i}" for i in range(8)])
         assert compute_features(corpus, FeatureConfig(min_messages=8)) is not None
         fv = compute_features(corpus, FeatureConfig(min_messages=5, max_messages=6))
         assert fv.n_messages == 6
@@ -225,7 +225,7 @@ class TestComputeFeatures:
         # most recent first: cap must keep the head, not the tail
         messages = ["recent unique alpha"] * 5 + ["old repeated beta"] * 10
         fv = compute_features(
-            MessageCorpus("x", messages), FeatureConfig(min_messages=5, max_messages=5)
+            MessageCorpus(messages), FeatureConfig(min_messages=5, max_messages=5)
         )
         assert fv.n_patterns == 1
         assert fv.n_messages == 5
@@ -233,26 +233,26 @@ class TestComputeFeatures:
     def test_permutation_invariance_under_cap(self):
         rng = np.random.default_rng(31)
         corpus = random_corpus(rng, 20)
-        fv = compute_features(MessageCorpus("x", corpus))
+        fv = compute_features(MessageCorpus(corpus))
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(20)
             shuffled = [corpus[i] for i in perm]
-            other = compute_features(MessageCorpus("x", shuffled))
+            other = compute_features(MessageCorpus(shuffled))
             assert (other.n_patterns, other.gini) == (fv.n_patterns, fv.gini)
 
     @settings(deadline=None)
     @given(data=st.data(), corpus=mixed_corpora.map(lambda c: c + ["", "  "]))
     def test_permuting_a_corpus_keeps_its_features(self, data, corpus):
         shuffled = data.draw(st.permutations(corpus))
-        assert compute_features(MessageCorpus("x", shuffled), UNCAPPED) == compute_features(
-            MessageCorpus("x", corpus), UNCAPPED
+        assert compute_features(MessageCorpus(shuffled), UNCAPPED) == compute_features(
+            MessageCorpus(corpus), UNCAPPED
         )
 
     @settings(deadline=None)
     @given(corpus=mixed_corpora, message=st.one_of(st.just(""), mixed_messages))
     def test_appending_a_message_adds_at_most_one_pattern(self, corpus, message):
-        before = compute_features(MessageCorpus("x", corpus), UNCAPPED)
-        after = compute_features(MessageCorpus("x", corpus + [message]), UNCAPPED)
+        before = compute_features(MessageCorpus(corpus), UNCAPPED)
+        after = compute_features(MessageCorpus(corpus + [message]), UNCAPPED)
         assert after.n_patterns <= before.n_patterns + 1
 
     def test_config_validation(self):

@@ -15,12 +15,12 @@ def write_mapping(tmp_path, text):
     return path
 
 
-def corpus(name, messages, start_hour=0):
+def corpus(messages, start_hour=0):
     stamps = [
         _BASE + 3600 * start_hour + 60 * (len(messages) - i)
         for i in range(len(messages))
     ]
-    return MessageCorpus(contributor=name, messages=list(messages), timestamps=stamps)
+    return MessageCorpus(messages=list(messages), timestamps=stamps)
 
 
 class TestLoadMapping:
@@ -68,19 +68,21 @@ class TestLoadMapping:
 class TestApplyMapping:
     def test_additive_merge(self):
         groups = {
-            "bot-a": corpus("bot-a", [f"a{i}" for i in range(5)], start_hour=0),
-            "bot-b": corpus("bot-b", [f"b{i}" for i in range(7)], start_hour=8),
+            "bot-a": corpus([f"a{i}" for i in range(5)], start_hour=0),
+            "bot-b": corpus([f"b{i}" for i in range(7)], start_hour=8),
         }
         mapping = IdentityMapping({"bot-a": "dependabot", "bot-b": "dependabot"})
         merged = apply_mapping(groups, mapping)
         assert set(merged) == {"dependabot"}
         assert len(merged["dependabot"]) == 12
-        assert merged["dependabot"].contributor == "dependabot"
+        assert sorted(merged["dependabot"].messages) == sorted(
+            groups["bot-a"].messages + groups["bot-b"].messages
+        )
 
     def test_merge_orders_by_recency(self):
         groups = {
-            "old": corpus("old", ["o1", "o2"], start_hour=0),
-            "new": corpus("new", ["n1", "n2"], start_hour=12),
+            "old": corpus(["o1", "o2"], start_hour=0),
+            "new": corpus(["n1", "n2"], start_hour=12),
         }
         mapping = IdentityMapping({"old": "both", "new": "both"})
         merged = apply_mapping(groups, mapping)["both"]
@@ -88,32 +90,38 @@ class TestApplyMapping:
         assert merged.timestamps == sorted(merged.timestamps, reverse=True)
 
     def test_ignore_drops_names(self):
-        groups = {"ci-runner": corpus("ci-runner", ["m"] * 30)}
+        groups = {"ci-runner": corpus(["m"] * 30)}
         merged = apply_mapping(groups, IdentityMapping({"ci-runner": IGNORE_IDENTITY}))
         assert merged == {}
 
     def test_empty_mapping_is_identity(self):
         groups = {
-            "alice": corpus("alice", ["a"]),
-            "bob": corpus("bob", ["b", "c"]),
+            "alice": corpus(["a"]),
+            "bob": corpus(["b", "c"]),
         }
         merged = apply_mapping(groups, IdentityMapping())
         assert merged == groups
 
     def test_unmapped_names_pass_through(self):
         groups = {
-            "alice": corpus("alice", ["a"]),
-            "bot-a": corpus("bot-a", ["x"]),
+            "alice": corpus(["a"]),
+            "bot-a": corpus(["x"]),
         }
         merged = apply_mapping(groups, IdentityMapping({"bot-a": "dependabot"}))
         assert set(merged) == {"alice", "dependabot"}
         assert merged["alice"] is groups["alice"]
 
+    def test_renamed_single_name_passes_through(self):
+        groups = {"bot-a": corpus(["x", "y"]), "bob": corpus(["b"])}
+        merged = apply_mapping(groups, IdentityMapping({"bot-a": "dependabot"}))
+        assert merged["dependabot"] is groups["bot-a"]
+        assert merged["bob"] is groups["bob"]
+
     def test_message_count_conserved_minus_ignored(self):
         groups = {
-            "a": corpus("a", ["1", "2"]),
-            "b": corpus("b", ["3"]),
-            "c": corpus("c", ["4", "5", "6"]),
+            "a": corpus(["1", "2"]),
+            "b": corpus(["3"]),
+            "c": corpus(["4", "5", "6"]),
         }
         mapping = IdentityMapping({"a": "ab", "b": "ab", "c": IGNORE_IDENTITY})
         merged = apply_mapping(groups, mapping)
@@ -123,9 +131,9 @@ class TestApplyMapping:
 
     def test_iteration_order_insensitive(self):
         base = {
-            "a": corpus("a", ["a1", "a2"], start_hour=2),
-            "b": corpus("b", ["b1"], start_hour=2),  # colliding timestamps
-            "c": corpus("c", ["c1", "c2"], start_hour=5),
+            "a": corpus(["a1", "a2"], start_hour=2),
+            "b": corpus(["b1"], start_hour=2),  # colliding timestamps
+            "c": corpus(["c1", "c2"], start_hour=5),
         }
         mapping = IdentityMapping({"a": "merged", "b": "merged", "c": "merged"})
         orders = [
