@@ -21,12 +21,12 @@ OUTPUT = Path(__file__).resolve().parent.parent / "src" / "gitbot" / "data" / "d
 
 
 def main(output=OUTPUT):
-    dataset = synthetic_dataset(n_bots=300, n_humans=300, seed=SEED)
-    train_part, test_part = stratified_split(dataset, 0.6, seed=SEED)
-    model = train_forest(featurize(train_part), n_estimators=20, max_depth=8, seed=SEED)
+    X, y = featurize(synthetic_dataset(n_bots=300, n_humans=300, seed=SEED))
+    train_idx, test_idx = stratified_split(y, 0.6, seed=SEED)
+    model = train_forest(X[train_idx], y[train_idx], n_estimators=20, max_depth=8, seed=SEED)
     save_model(model, output)
     print(f"model written to {output}")
-    print(format_report(evaluate_pretrained(model, test_part)))
+    print(format_report(evaluate_pretrained(model, X[test_idx], y[test_idx])))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Comparison classifier families used alongside the random forest.
 
-Every model here answers `bot_fraction(X)`, like `ForestModel`, and is
-labelled by `forest.predict` and `training.predict_labels`. k-nearest
+Every trainer here takes (X, y) as `dataset.featurize` returns them,
+float64 feature rows and int64 labels with bot 1, like
+`training.train_forest`. Every model answers `bot_fraction(X)`, like
+`ForestModel`, and is labelled by `forest.predict` and
+`training.predict_labels`. k-nearest
 neighbours, logistic regression and the linear SVM work on z-score
 standardized features (statistics from the training set); the two linear
 families share `LinearModel`, whose bot fraction is the sigmoid of the
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forest import ForestModel, LabeledExample
-from .training import _check_two_classes, _grow, _to_arrays
+from .forest import ForestModel
+from .training import _check_two_classes, _grow
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,7 @@ class KnnModel:
         return self.y[nearest].mean(axis=1)
 
 
-def train_knn(data: list[LabeledExample], k: int = 5) -> KnnModel:
-    X, y = _to_arrays(data)
+def train_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:
     _check_two_classes(y)
     if k < 1 or k > len(y):
         raise ValueError("k must be in [1, n_examples]")
@@ -91,7 +93,8 @@ class LinearModel:
 
 
 def train_logistic(
-    data: list[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
     l2: float = 1e-3,
     tol: float = 1e-6,
     max_iter: int = 100,
@@ -103,7 +106,6 @@ def train_logistic(
     is not penalized. Convergence is declared when every gradient
     component is below tol.
     """
-    X, y = _to_arrays(data)
     _check_two_classes(y)
     scaler = Standardizer.fit(X)
     A = np.hstack([scaler.transform(X), np.ones((len(y), 1))])
@@ -169,7 +171,8 @@ def _mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap):
 
 
 def train_linear_svm(
-    data: list[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
     l2: float = 1e-2,
     tol: float = 1e-9,
     max_iter: int = 100,
@@ -191,7 +194,6 @@ def train_linear_svm(
     ends the iteration early: like the iteration cap, it warns that the
     fit did not converge.
     """
-    X, y = _to_arrays(data)
     _check_two_classes(y)
     scaler = Standardizer.fit(X)
     n = len(y)
@@ -231,10 +233,11 @@ def train_linear_svm(
     return LinearModel(weights=x[:-1], bias=float(x[-1]), scaler=scaler)
 
 
-def train_single_tree(data: list[LabeledExample], max_depth: int = 8) -> ForestModel:
+def train_single_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 8) -> ForestModel:
     """One entropy tree on the full data, all four features eligible per node."""
-    X, y = _to_arrays(data)
     _check_two_classes(y)
-    rng = np.random.default_rng(0)  # unused: all features are always candidates
+    # _grow draws every node's candidates from rng; with all features drawn,
+    # best_split sorts them, so the tree does not depend on the draw
+    rng = np.random.default_rng(0)
     tree = _grow(X, y, 0, max_depth, X.shape[1], rng, "entropy")
-    return ForestModel(trees=[tree], n_estimators=1, max_depth=max_depth, criterion="entropy", seed=0)
+    return ForestModel(trees=[tree], max_depth=max_depth, criterion="entropy", seed=0)

@@ -204,17 +204,23 @@ def run_train(args) -> int:
     from .evaluation import FAMILY_FOREST, format_grid_table, format_report, stratified_split
 
     cli = sys.modules[__name__]
-    dataset = cli.load_dataset(args.dataset, min_messages=args.min_messages)
+    cap = FeatureConfig().max_messages
+    if args.min_messages > cap:
+        raise UsageError(f"--min-messages ({args.min_messages}) must not exceed {cap}, "
+                         "the most messages read per contributor")
     config = FeatureConfig(min_messages=args.min_messages)
+    dataset = cli.load_dataset(args.dataset, min_messages=config.min_messages)
+    X, y = cli.featurize(dataset, config)
+    train_idx, test_idx = stratified_split(y, args.train_fraction, seed=args.seed)
+    X_train, y_train = X[train_idx], y[train_idx]
 
-    train_part, test_part = stratified_split(dataset, args.train_fraction, seed=args.seed)
-    train_examples = cli.featurize(train_part, config)
-    rows = cli.cross_validate(train_examples, k_folds=args.folds, seed=args.seed)
+    rows = cli.cross_validate(X_train, y_train, k_folds=args.folds, seed=args.seed)
     print(format_grid_table(rows))
 
     best = next(row for row in rows if row.config.family == FAMILY_FOREST)
     model = cli.train_forest(
-        train_examples,
+        X_train,
+        y_train,
         seed=args.seed,
         feature_config=config,
         **best.config.params,
@@ -222,7 +228,7 @@ def run_train(args) -> int:
     save_model(model, args.output)
     print(f"model written to {args.output}")
 
-    report = cli.evaluate_pretrained(model, test_part)
+    report = cli.evaluate_pretrained(model, X[test_idx], y[test_idx])
     print(format_report(report))
     return 0
 
@@ -232,8 +238,9 @@ def run_evaluate(args) -> int:
 
     cli = sys.modules[__name__]
     model = load_model(args.model) if args.model else load_default_model()
-    dataset = cli.load_dataset(args.dataset, min_messages=model.feature_config.min_messages)
-    report = cli.evaluate_pretrained(model, dataset)
+    config = model.feature_config
+    dataset = cli.load_dataset(args.dataset, min_messages=config.min_messages)
+    report = cli.evaluate_pretrained(model, *cli.featurize(dataset, config))
     print(format_report(report))
     return 0
 
@@ -311,6 +318,9 @@ def build_parser() -> _Parser:
     evaluate.add_argument("dataset", help="labeled dataset file (CSV or JSON lines)")
     evaluate.add_argument("--model", default=None,
                           help="model file (defaults to the shipped one)")
+    for command in (analyze, train, evaluate):
+        # a check made after parsing reports with its command's usage line
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
@@ -333,7 +343,7 @@ def main(argv=None) -> int:
             return run_train(args)
         return run_evaluate(args)
     except UsageError as exc:
-        parser.error(str(exc))
+        args.usage_error(str(exc))
     except (GitbotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,10 @@ object, the file is read as JSON lines, and otherwise as CSV.
 Rows for one (contributor, repository) pair need not be consecutive;
 they accumulate into one corpus, ordered as they appear (most recent
 first).
+
+`featurize` turns a loaded dataset into the arrays (X, y) that the
+split, the cross-validation folds, every trainer and every score index:
+one float64 feature row per corpus and its int64 label, bot 1.
 """
 
 import csv
@@ -21,9 +25,11 @@ import json
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MalformedDataset
-from .features import FeatureConfig, MessageCorpus, compute_features
-from .forest import BOT, HUMAN, LabeledExample
+from .features import FEATURE_NAMES, FeatureConfig, MessageCorpus, compute_features
+from .forest import BOT, HUMAN, LABEL_IDS
 
 logger = logging.getLogger(__name__)
 
@@ -45,9 +51,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def labels(self) -> list[str]:
-        return [entry.label for entry in self.entries]
 
 
 def _build_dataset(rows, min_messages: int) -> LabeledDataset:
@@ -151,18 +154,22 @@ def load_dataset(path, min_messages: int = 10) -> LabeledDataset:
 def featurize(
     dataset: LabeledDataset,
     config: FeatureConfig = FeatureConfig(),
-) -> list[LabeledExample]:
-    """Feature vectors for every entry, preserving dataset order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows X and labels y of every entry, in dataset order.
 
-    Entries already satisfy the minimum-message rule, so none come
-    back insufficient.
+    X is float64 of shape (n, 4), columns in FEATURE_NAMES order; y is
+    int64 of shape (n,), bot 1 and human 0. A dataset loaded with
+    config.min_messages has no corpus too small for features; one that
+    has raises MalformedDataset.
     """
-    examples = []
+    rows = []
     for entry in dataset.entries:
         vector = compute_features(entry.corpus, config)
         if vector is None:
             raise MalformedDataset(
                 f"{entry.contributor!r} has fewer than {config.min_messages} messages"
             )
-        examples.append(LabeledExample(features=vector, label=entry.label))
-    return examples
+        rows.append(vector.as_row())
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
+    y = np.array([LABEL_IDS[entry.label] for entry in dataset.entries], dtype=np.int64)
+    return X, y

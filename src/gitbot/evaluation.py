@@ -1,5 +1,9 @@
 """Evaluation protocol: stratified split, grid-search CV, and metrics.
 
+Everything here indexes the arrays (X, y) of `dataset.featurize`:
+the split and the folds are index arrays into them, every fit takes
+rows of them, and every score compares `predict_labels` with y.
+
 Bot is the positive class for the confusion counts. Weighted averages
 weight each class row by its true-class support, matching the
 classification-report convention.
@@ -10,13 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import forest
 from .baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
-from .dataset import LabeledDataset
-from .errors import EmptyInput, MalformedDataset, SingleClassData
-from .features import compute_features
-from .forest import BOT, HUMAN, LABEL_IDS, ForestModel, LabeledExample
-from .training import _to_arrays, predict_labels, train_forest
+from .errors import EmptyInput, SingleClassData
+from .features import compute_features  # no caller: kept for bench/tracer.py, which wraps it here
+from .forest import BOT, HUMAN, ForestModel
+from .training import predict_labels, train_forest
 
 FAMILY_FOREST = "random forest"
 FAMILY_TREE = "decision tree"
@@ -98,40 +100,26 @@ def confusion_counts(predicted: np.ndarray, actual: np.ndarray) -> ConfusionCoun
     return ConfusionCounts(tp, fn, fp, tn)
 
 
-def _class_indices(labels) -> dict[str, np.ndarray]:
-    arr = np.asarray(labels)
-    classes = {label: np.nonzero(arr == label)[0] for label in (BOT, HUMAN)}
-    if any(len(idx) == 0 for idx in classes.values()):
-        raise SingleClassData("both classes must be present")
-    return classes
-
-
 def stratified_split(
-    dataset: LabeledDataset, train_fraction: float = 0.6, seed: int = 0
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Disjoint, exhaustive split preserving the class ratio per part.
+    y: np.ndarray, train_fraction: float = 0.6, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train and test indices into y: disjoint, exhaustive, class ratio kept per part.
 
-    Raises EmptyInput when train_fraction leaves either part empty.
+    Raises SingleClassData unless both classes are present, and
+    EmptyInput when train_fraction leaves either part empty.
     """
     rng = np.random.default_rng(seed)
-    classes = _class_indices(dataset.labels())
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in (BOT, HUMAN):  # fixed order keeps the split deterministic
-        idx = classes[label]
-        shuffled = rng.permutation(idx)
-        n_train = int(train_fraction * len(idx) + 0.5)
-        train_idx.extend(shuffled[:n_train].tolist())
-        test_idx.extend(shuffled[n_train:].tolist())
-    if not train_idx or not test_idx:
-        empty = "train" if not train_idx else "test"
+    in_train = np.zeros(len(y), dtype=bool)
+    for label_id in (1, 0):  # bot, then human: a fixed order keeps the split deterministic
+        idx = np.nonzero(y == label_id)[0]
+        if len(idx) == 0:
+            raise SingleClassData("both classes must be present")
+        in_train[rng.permutation(idx)[: int(train_fraction * len(idx) + 0.5)]] = True
+    train_idx, test_idx = np.nonzero(in_train)[0], np.nonzero(~in_train)[0]
+    if not len(train_idx) or not len(test_idx):
+        empty = "train" if not len(train_idx) else "test"
         raise EmptyInput(f"train fraction {train_fraction} leaves the {empty} part empty")
-    train_idx.sort()
-    test_idx.sort()
-    return (
-        LabeledDataset(entries=[dataset.entries[i] for i in train_idx]),
-        LabeledDataset(entries=[dataset.entries[i] for i in test_idx]),
-    )
+    return train_idx, test_idx
 
 
 def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator):
@@ -221,17 +209,17 @@ def default_grid() -> list[GridConfig]:
     return grid
 
 
-def train_config(config: GridConfig, data: list[LabeledExample], seed: int = 0):
+def train_config(config: GridConfig, X: np.ndarray, y: np.ndarray, seed: int = 0):
     if config.family == FAMILY_FOREST:
-        return train_forest(data, seed=seed, **config.params)
+        return train_forest(X, y, seed=seed, **config.params)
     if config.family == FAMILY_TREE:
-        return train_single_tree(data, **config.params)
+        return train_single_tree(X, y, **config.params)
     if config.family == FAMILY_KNN:
-        return train_knn(data, **config.params)
+        return train_knn(X, y, **config.params)
     if config.family == FAMILY_LOGISTIC:
-        return train_logistic(data, **config.params)
+        return train_logistic(X, y, **config.params)
     if config.family == FAMILY_SVM:
-        return train_linear_svm(data, **config.params)
+        return train_linear_svm(X, y, **config.params)
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
@@ -256,12 +244,13 @@ def _forest_groups(grid: list[GridConfig]) -> list[list[tuple[int, int]]]:
 
 
 def cross_validate(
-    train: list[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
     grid: list[GridConfig] | None = None,
     k_folds: int = 5,
     seed: int = 0,
 ) -> list[FamilyResult]:
-    """Score every configuration by mean weighted F1 over stratified folds.
+    """Score every configuration by mean weighted F1 over stratified folds of (X, y).
 
     The best configuration per family is returned, by F1 descending;
     ties break toward higher precision, then the lexicographically
@@ -276,7 +265,6 @@ def cross_validate(
     """
     if grid is None:
         grid = default_grid()
-    X, y = _to_arrays(train)
     folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
     smallest_fold = min(len(train_idx) for train_idx, _ in folds)
     grid = [
@@ -292,7 +280,7 @@ def cross_validate(
     scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
     forest_groups = _forest_groups(grid)
     for train_idx, test_idx in folds:
-        fold_data = [train[i] for i in train_idx]
+        X_train, y_train = X[train_idx], y[train_idx]
 
         def score(position, model):
             predicted = predict_labels(model, X[test_idx])
@@ -304,13 +292,13 @@ def cross_validate(
 
         for position, config in enumerate(grid):
             if config.family != FAMILY_FOREST:
-                score(position, train_config(config, fold_data, seed=seed))
+                score(position, train_config(config, X_train, y_train, seed=seed))
         # one grown forest alive at a time; its prefixes are the group's members
         for group in forest_groups:
             largest, _ = max(group, key=lambda member: member[1])
-            grown = train_config(grid[largest], fold_data, seed=seed)
+            grown = train_config(grid[largest], X_train, y_train, seed=seed)
             for position, n in group:
-                score(position, replace(grown, trees=grown.trees[:n], n_estimators=n))
+                score(position, replace(grown, trees=grown.trees[:n]))
 
     best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
     for config, config_scores in zip(grid, scores):
@@ -327,32 +315,21 @@ def cross_validate(
     )
 
 
-def evaluate_pretrained(model: ForestModel, test: LabeledDataset) -> EvaluationReport:
-    """Score a trained model on every entry of a labeled dataset.
+def evaluate_pretrained(model: ForestModel, X: np.ndarray, y: np.ndarray) -> EvaluationReport:
+    """Score a trained model on feature rows X with labels y, as a CV fold is scored.
 
-    Every corpus must be large enough for the model's features, as
-    `load_dataset` with the model's min_messages guarantees: a smaller
-    one raises MalformedDataset, and a dataset without entries raises
-    EmptyInput.
+    X and y come from `dataset.featurize` with the model's feature
+    configuration. No rows raises EmptyInput.
     """
-    if not test.entries:
+    if not len(y):
         raise EmptyInput("the dataset has no corpus to evaluate")
-    predicted = []
-    for entry in test.entries:
-        vector = compute_features(entry.corpus, model.feature_config)
-        if vector is None:
-            raise MalformedDataset(
-                f"{entry.contributor!r} has fewer than {model.feature_config.min_messages} messages"
-            )
-        predicted.append(LABEL_IDS[forest.predict(model, vector).label])
-    actual = [LABEL_IDS[entry.label] for entry in test.entries]
-    counts = confusion_counts(np.array(predicted), np.array(actual))
+    counts = confusion_counts(predict_labels(model, X), y)
     return report_from_counts(counts, describe_model(model))
 
 
 def describe_model(model: ForestModel) -> str:
     return (
-        f"ForestModel(criterion={model.criterion}, estimators={model.n_estimators}, "
+        f"ForestModel(criterion={model.criterion}, estimators={len(model.trees)}, "
         f"depth={model.max_depth}, seed={model.seed})"
     )
 

@@ -9,6 +9,8 @@ array library. Growing trees is numpy code and lives in `training`.
 Every classifier in the package answers `bot_fraction(X)`, the bot
 share of each row in [0, 1]. `predict` below and
 `training.predict_labels` derive the label from it for all of them.
+Labeled data reaches the trainers as arrays (X, y), feature rows and
+`LABEL_IDS` labels, built once by `dataset.featurize`.
 """
 
 from dataclasses import dataclass, field
@@ -24,12 +26,6 @@ UNKNOWN = "unknown"
 LABEL_IDS = {HUMAN: 0, BOT: 1}
 
 CRITERIA = ("entropy", "gini")
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    features: FeatureVector
-    label: str  # BOT or HUMAN
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,6 @@ class Prediction:
 @dataclass(frozen=True)
 class ForestModel:
     trees: list[TreeNode]
-    n_estimators: int
     max_depth: int
     criterion: str
     seed: int

@@ -71,7 +71,7 @@ def model_to_json(model: ForestModel) -> str:
         "format": MODEL_FORMAT,
         "similarity": SIMILARITY_ID,
         "criterion": model.criterion,
-        "n_estimators": model.n_estimators,
+        "n_estimators": len(model.trees),
         "max_depth": model.max_depth,
         "seed": model.seed,
         "feature_names": list(FEATURE_NAMES),
@@ -109,9 +109,9 @@ def model_from_json(text: str) -> ForestModel:
             )
         trees = [_node_from_obj(obj) for obj in doc["trees"]]
         config = FeatureConfig(**doc["feature_config"])
+        n_estimators = doc["n_estimators"]
         model = ForestModel(
             trees=trees,
-            n_estimators=doc["n_estimators"],
             max_depth=doc["max_depth"],
             criterion=doc["criterion"],
             seed=doc["seed"],
@@ -121,19 +121,19 @@ def model_from_json(text: str) -> ForestModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise UnreadableModel(f"malformed model document: {exc}") from exc
-    _check_hyperparameters(model)
-    if len(model.trees) != model.n_estimators:
+    _check_hyperparameters(model, n_estimators)
+    if len(model.trees) != n_estimators:
         raise UnreadableModel(
-            f"document declares {model.n_estimators} trees but holds {len(model.trees)}"
+            f"document declares {n_estimators} trees but holds {len(model.trees)}"
         )
     return model
 
 
-def _check_hyperparameters(model: ForestModel) -> None:
+def _check_hyperparameters(model: ForestModel, n_estimators) -> None:
     # FeatureConfig's range checks accept true as 1 and 100.5 as a cap
     config = model.feature_config
     for name, value in (
-        ("n_estimators", model.n_estimators),
+        ("n_estimators", n_estimators),
         ("max_depth", model.max_depth),
         ("seed", model.seed),
         ("min_messages", config.min_messages),

@@ -1,9 +1,11 @@
-"""Growing random forests from labeled feature vectors, with numpy.
+"""Growing random forests from labeled feature arrays, with numpy.
 
-Trees split greedily on information gain (entropy criterion by
-default, gini available for grid search) with candidate thresholds at
-midpoints between consecutive distinct feature values. Each tree of a
-forest trains on a bootstrap sample and considers a random subset of
+A trainer takes (X, y) as `dataset.featurize` returns them: float64
+feature rows in `FEATURE_NAMES` order and int64 labels, bot 1 and
+human 0. Trees split greedily on information gain (entropy criterion
+by default, gini available for grid search) with candidate thresholds
+at midpoints between consecutive distinct feature values. Each tree of
+a forest trains on a bootstrap sample and considers a random subset of
 features per node. Training is fully deterministic given a seed.
 
 This is the numpy half of the forest. `forest` holds the model and
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import SingleClassData
 from .features import FeatureConfig
-from .forest import LABEL_IDS, ForestModel, LabeledExample, Leaf, Split, TreeNode, is_bot
+from .forest import ForestModel, Leaf, Split, TreeNode, is_bot
 
 FEATURE_SUBSET_SIZE = 2  # features drawn as split candidates at each forest node
 
@@ -95,19 +97,14 @@ def _grow(X, y, depth, max_depth, feature_subset_size, rng, criterion) -> TreeNo
     return Split(feature=f, threshold=threshold, left=left, right=right)
 
 
-def _to_arrays(data: list[LabeledExample]):
-    X = np.array([ex.features.as_row() for ex in data], dtype=np.float64)
-    y = np.array([LABEL_IDS[ex.label] for ex in data], dtype=np.int64)
-    return X, y
-
-
 def _check_two_classes(y: np.ndarray):
     if len(np.unique(y)) < 2:
         raise SingleClassData("training data must contain both classes")
 
 
 def train_forest(
-    data: list[LabeledExample],
+    X: np.ndarray,
+    y: np.ndarray,
     n_estimators: int = 20,
     max_depth: int = 8,
     seed: int = 0,
@@ -115,7 +112,6 @@ def train_forest(
     feature_config: FeatureConfig | None = None,
 ) -> ForestModel:
     """Train the forest: bootstrap per tree, random features per node."""
-    X, y = _to_arrays(data)
     _check_two_classes(y)
     n = len(y)
     trees = []
@@ -129,7 +125,6 @@ def train_forest(
         )
     return ForestModel(
         trees=trees,
-        n_estimators=n_estimators,
         max_depth=max_depth,
         criterion=criterion,
         seed=seed,

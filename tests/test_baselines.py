@@ -12,15 +12,14 @@ from gitbot.baselines import (
 )
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
-from gitbot.forest import BOT, HUMAN, UNKNOWN, LabeledExample, predict
-from gitbot.training import _to_arrays, predict_labels
+from gitbot.forest import BOT, HUMAN, UNKNOWN, predict
+from gitbot.training import predict_labels
 
-from .test_forest import example, random_examples, tree_depth
+from .test_forest import example, random_examples, stack, tree_depth
 
 
 def accuracy(model, data):
-    X = np.array([ex.features.as_row() for ex in data])
-    y = np.array([1 if ex.label == BOT else 0 for ex in data])
+    X, y = data
     return (predict_labels(model, X) == y).mean()
 
 
@@ -31,89 +30,79 @@ def converged(fit, *args, **kwargs):
         return fit(*args, **kwargs)
 
 
-SEPARABLE = [example(10, 0, p, 0.0, BOT) for p in (1, 2, 3, 2, 1)] + [
-    example(10, 0, p, 0.0, HUMAN) for p in (40, 50, 60, 55, 45)
-]
+SEPARABLE = stack(
+    *[example(10, 0, p, 0.0, BOT) for p in (1, 2, 3, 2, 1)],
+    *[example(10, 0, p, 0.0, HUMAN) for p in (40, 50, 60, 55, 45)],
+)
 
 
 class TestKnn:
     def test_k1_returns_own_label_on_training_points(self):
         rng = np.random.default_rng(0)
         data = random_examples(rng, 30)
-        model = train_knn(data, k=1)
+        model = train_knn(*data, k=1)
         assert accuracy(model, data) == 1.0
 
     def test_majority_of_neighbours(self):
-        model = train_knn(SEPARABLE, k=3)
+        model = train_knn(*SEPARABLE, k=3)
         assert predict(model, FeatureVector(10, 0, 2, 0.0)).label == BOT
         assert predict(model, FeatureVector(10, 0, 52, 0.0)).label == HUMAN
 
     def test_standardization_scale_invariance(self):
         rng = np.random.default_rng(1)
-        data = random_examples(rng, 50)
-        scaled = [
-            LabeledExample(
-                FeatureVector(
-                    ex.features.n_messages * 1000,
-                    ex.features.n_empty,
-                    ex.features.n_patterns,
-                    ex.features.gini,
-                ),
-                ex.label,
-            )
-            for ex in data
-        ]
-        model = train_knn(data, k=5)
-        model_scaled = train_knn(scaled, k=5)
-        queries = random_examples(rng, 30)
-        for q in queries:
-            fv = q.features
-            fv_scaled = FeatureVector(fv.n_messages * 1000, fv.n_empty, fv.n_patterns, fv.gini)
+        X, y = random_examples(rng, 50)
+        scale = np.array([1000.0, 1.0, 1.0, 1.0])  # n_messages in thousandths
+        model = train_knn(X, y, k=5)
+        model_scaled = train_knn(X * scale, y, k=5)
+        queries, _ = random_examples(rng, 30)
+        for row in queries:
+            fv = FeatureVector(*row)
+            fv_scaled = FeatureVector(*(row * scale))
             assert predict(model, fv).label == predict(model_scaled, fv_scaled).label
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            train_knn(SEPARABLE, k=0)
+            train_knn(*SEPARABLE, k=0)
         with pytest.raises(ValueError):
-            train_knn(SEPARABLE, k=len(SEPARABLE) + 1)
+            train_knn(*SEPARABLE, k=len(SEPARABLE[1]) + 1)
 
     def test_unknown_for_insufficient(self):
-        model = train_knn(SEPARABLE, k=1)
+        model = train_knn(*SEPARABLE, k=1)
         assert predict(model, None).label == UNKNOWN
 
 
 class TestLogistic:
     def test_separable_training_accuracy(self):
-        model = converged(train_logistic, SEPARABLE)
+        model = converged(train_logistic, *SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
 
     def test_iteration_cap_flags_nonconvergence(self):
         with pytest.warns(UserWarning, match="hit the iteration cap"):
-            model = train_logistic(SEPARABLE, max_iter=3)
-        assert not np.array_equal(model.weights, converged(train_logistic, SEPARABLE).weights)
+            model = train_logistic(*SEPARABLE, max_iter=3)
+        assert not np.array_equal(model.weights, converged(train_logistic, *SEPARABLE).weights)
 
     def test_strong_penalty_converges_to_finite_weights(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            model = converged(train_logistic, SEPARABLE, l2=1e4)
+            model = converged(train_logistic, *SEPARABLE, l2=1e4)
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
 
     def test_confidence_is_probability_of_winner(self):
-        model = train_logistic(SEPARABLE)
+        model = train_logistic(*SEPARABLE)
         prediction = predict(model, FeatureVector(10, 0, 1, 0.0))
         assert prediction.label == BOT
         assert 0.5 < prediction.confidence <= 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
-            train_logistic([example(10, 0, 1, 0.0, BOT)] * 5)
+            train_logistic(*example(10, 0, 1, 0.0, BOT, copies=5))
 
 
 def svm_objective(model, data, l2, theta=None):
     """(1/n) * sum of hinge losses + (l2/2) * |w|^2 at theta = (w, b), default the model's."""
     if theta is None:
         theta = np.append(model.weights, model.bias)
-    X, y = _to_arrays(data)
+    X, y = data
     margins = (2.0 * y - 1.0) * (model.scaler.transform(X) @ theta[:-1] + theta[-1])
     return np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * (theta[:-1] @ theta[:-1])
 
@@ -138,12 +127,12 @@ ROUNDING = 1e-14
 
 class TestLinearSvm:
     def test_separates_training_data(self):
-        model = train_linear_svm(SEPARABLE)
+        model = train_linear_svm(*SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
 
     @pytest.mark.parametrize("data,l2,subgradient_objective", SUBGRADIENT_OBJECTIVES)
     def test_converges_to_the_minimum(self, data, l2, subgradient_objective):
-        model = converged(train_linear_svm, data, l2=l2)
+        model = converged(train_linear_svm, *data, l2=l2)
         optimum = svm_objective(model, data, l2)
         assert optimum <= subgradient_objective + ROUNDING
         theta = np.append(model.weights, model.bias)
@@ -158,34 +147,34 @@ class TestLinearSvm:
 
     def test_iteration_cap_flags_nonconvergence(self):
         with pytest.warns(UserWarning, match="hit the iteration cap"):
-            model = train_linear_svm(SEPARABLE, max_iter=2, tol=0.0)
-        assert not np.array_equal(model.weights, converged(train_linear_svm, SEPARABLE).weights)
+            model = train_linear_svm(*SEPARABLE, max_iter=2, tol=0.0)
+        assert not np.array_equal(model.weights, converged(train_linear_svm, *SEPARABLE).weights)
 
     def test_floating_point_breakdown_flags_nonconvergence(self):
         # with tol 0 the iterates approach the optimum until floating point fails
         with pytest.warns(UserWarning, match="broke down"):
-            model = train_linear_svm(SEPARABLE, l2=1.0, tol=0.0, max_iter=1000)
+            model = train_linear_svm(*SEPARABLE, l2=1.0, tol=0.0, max_iter=1000)
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
         assert accuracy(model, SEPARABLE) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
-            train_linear_svm([example(10, 0, 1, 0.0, HUMAN)] * 5)
+            train_linear_svm(*example(10, 0, 1, 0.0, HUMAN, copies=5))
 
 
 class TestSingleTree:
     def test_uses_all_features_and_depth_bound(self):
         rng = np.random.default_rng(2)
-        data = random_examples(rng, 120, separable=False)
-        model = train_single_tree(data, max_depth=4)
+        X, y = random_examples(rng, 120, separable=False)
+        model = train_single_tree(X, y, max_depth=4)
         assert tree_depth(model.trees[0]) <= 4
 
     def test_separable_data(self):
-        model = train_single_tree(SEPARABLE)
+        model = train_single_tree(*SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
 
     def test_confidence_from_leaf_purity(self):
-        model = train_single_tree(SEPARABLE)
+        model = train_single_tree(*SEPARABLE)
         prediction = predict(model, FeatureVector(10, 0, 1, 0.0))
         assert prediction.confidence == 1.0
 

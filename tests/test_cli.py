@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gitbot import cli
+from gitbot import cli, dataset
 from gitbot.cli import JSON, ResultRow, format_output, main
-from gitbot.dataset import load_dataset
+from gitbot.dataset import featurize, load_dataset
 from gitbot.evaluation import (
     FAMILY_FOREST,
     FAMILY_KNN,
@@ -135,6 +135,8 @@ def test_message_bounds_out_of_range_are_usage_errors(capsys, cli_fixture_repo, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+    # also for the bounds checked against the model after parsing
+    assert captured.err.startswith("usage: gitbot analyze ")
 
 
 def test_model_with_fractional_message_cap_exits_2(capsys, cli_fixture_repo, tmp_path):
@@ -257,6 +259,34 @@ def test_train_options_out_of_range_are_usage_errors(capsys, dataset_csv, tmp_pa
     assert not output.exists()
 
 
+def test_train_min_messages_above_the_cap_fails_before_reading(capsys, caplog, dataset_csv, tmp_path):
+    output = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", str(dataset_csv), "-o", str(output), "--min-messages", "101"])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gitbot train ")
+    assert "gitbot train: error: --min-messages (101) must not exceed 100" in captured.err
+    assert not caplog.records  # nothing logged: the dataset was not read
+    assert not output.exists()
+
+
+def test_train_featurizes_every_loaded_corpus_once(capsys, monkeypatch, dataset_csv, tmp_path):
+    original = dataset.compute_features
+    featurized = []
+
+    def compute_features(corpus, config):
+        featurized.append(tuple(corpus.messages))
+        return original(corpus, config)
+
+    monkeypatch.setattr(dataset, "compute_features", compute_features)
+    argv = ["train", str(dataset_csv), "-o", str(tmp_path / "model.json"), "--folds", "3"]
+    assert main(argv) == 0
+    loaded = [tuple(entry.corpus.messages) for entry in load_dataset(dataset_csv).entries]
+    assert featurized == loaded
+
+
 def test_train_fraction_leaving_no_test_corpus_fails_before_the_grid(capsys, tmp_path):
     path = write_dataset_csv(tmp_path / "dataset.csv", synthetic_dataset(n_bots=36, n_humans=36))
     output = tmp_path / "model.json"
@@ -279,7 +309,9 @@ def test_evaluate_without_a_large_enough_corpus_says_so(capsys, tmp_path):
 
 def test_evaluate_scores_the_shipped_or_a_given_model(capsys, dataset_csv):
     shipped = resources.files("gitbot").joinpath("data/default_model.json")
-    expected = format_report(evaluate_pretrained(load_model(shipped), load_dataset(dataset_csv)))
+    model = load_model(shipped)
+    X, y = featurize(load_dataset(dataset_csv), model.feature_config)
+    expected = format_report(evaluate_pretrained(model, X, y))
     assert main(["evaluate", str(dataset_csv)]) == 0
     assert capsys.readouterr().out == expected + "\n"
     assert main(["evaluate", str(dataset_csv), "--model", str(shipped)]) == 0

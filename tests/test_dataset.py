@@ -1,11 +1,13 @@
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gitbot.dataset import LabeledDataset, featurize, load_dataset
 from gitbot.errors import MalformedDataset
-from gitbot.features import FeatureConfig
+from gitbot.features import FEATURE_NAMES, FeatureConfig, MessageCorpus, compute_features
 
 
 def write_csv(tmp_path, rows, header=True, name="dataset.csv"):
@@ -27,7 +29,7 @@ class TestLoadDataset:
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("b", "r1", "human", 12)
         dataset = load_dataset(write_csv(tmp_path, rows))
         assert len(dataset) == 2
-        assert dataset.labels() == ["bot", "human"]
+        assert [entry.label for entry in dataset.entries] == ["bot", "human"]
         assert len(dataset.entries[0].corpus) == 12
 
     def test_small_corpus_excluded_and_counted(self, tmp_path):
@@ -96,7 +98,7 @@ class TestArchive:
     def test_load_archive(self, tmp_path):
         records = self.archive_records("x", "r", True, 12) + self.archive_records("y", "r", False, 15)
         dataset = load_dataset(self.write_archive(tmp_path, records))
-        assert dataset.labels() == ["bot", "human"]
+        assert [entry.label for entry in dataset.entries] == ["bot", "human"]
         assert dataset.entries[0].corpus.messages == [f"m {i}" for i in range(12)]
 
     def test_malformed_record(self, tmp_path):
@@ -142,6 +144,29 @@ class TestFeaturize:
     def test_order_and_labels_preserved(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("b", "r1", "human", 12)
         dataset = load_dataset(write_csv(tmp_path, rows))
-        examples = featurize(dataset, FeatureConfig())
-        assert [ex.label for ex in examples] == ["bot", "human"]
-        assert examples[0].features.n_messages == 12
+        X, y = featurize(dataset, FeatureConfig())
+        assert y.tolist() == [1, 0]  # bot, human
+        assert X[0, FEATURE_NAMES.index("n_messages")] == 12
+
+    def test_float64_rows_in_feature_order_and_int64_labels(self, tmp_path):
+        rows = (
+            contributor_rows("a", "r1", "bot", 12)
+            + contributor_rows("b", "r1", "human", 15)
+            + contributor_rows("c", "r2", "human", 11)
+        )
+        dataset = load_dataset(write_csv(tmp_path, rows))
+        X, y = featurize(dataset, FeatureConfig())
+        assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (3, 4), np.int64, (3,))
+        for row, entry in zip(X.tolist(), dataset.entries):
+            assert tuple(row) == compute_features(entry.corpus, FeatureConfig()).as_row()
+
+    def test_empty_dataset_gives_empty_arrays(self):
+        X, y = featurize(LabeledDataset(entries=[]))
+        assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (0, 4), np.int64, (0,))
+
+    def test_too_small_corpus_rejected(self, tmp_path):
+        rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("tiny", "r1", "human", 12)
+        entries = load_dataset(write_csv(tmp_path, rows)).entries
+        small = replace(entries[1], corpus=MessageCorpus(["m"] * 9))
+        with pytest.raises(MalformedDataset, match="'tiny' has fewer than 10 messages"):
+            featurize(LabeledDataset(entries=[entries[0], small]), FeatureConfig())

@@ -1,13 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot.baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
-from gitbot.dataset import DatasetEntry, LabeledDataset
-from gitbot.errors import EmptyInput, MalformedDataset, SingleClassData
+from gitbot.errors import EmptyInput, SingleClassData
 from gitbot.evaluation import (
     ConfusionCounts,
     FamilyResult,
@@ -20,53 +17,45 @@ from gitbot.evaluation import (
     stratified_split,
     train_config,
 )
-from gitbot.features import FeatureVector, MessageCorpus
+from gitbot.features import FeatureVector
 from gitbot.forest import BOT, HUMAN, predict
-from gitbot.training import _to_arrays, predict_labels, train_forest
+from gitbot.training import predict_labels, train_forest
 
 from .test_forest import random_examples
 
 
-def labeled_dataset(n_bots, n_humans):
-    labels = [BOT] * n_bots + [HUMAN] * n_humans
-    order = np.random.default_rng(n_bots * 100 + n_humans).permutation(len(labels))
-    entries = []
-    for i in order:
-        name = f"c{i}"
-        entries.append(DatasetEntry(name, "r", MessageCorpus(["m"] * 10), labels[i]))
-    return LabeledDataset(entries=entries)
+def class_labels(n_bots, n_humans):
+    """Labels as `featurize` returns them (bot 1, human 0), in a shuffled order."""
+    labels = np.array([1] * n_bots + [0] * n_humans, dtype=np.int64)
+    return labels[np.random.default_rng(n_bots * 100 + n_humans).permutation(len(labels))]
 
 
 class TestStratifiedSplit:
     @pytest.mark.parametrize("n_bots,n_humans", [(1, 1), (5, 5), (7, 20), (33, 4)])
     @pytest.mark.parametrize("fraction", [0.3, 0.6, 0.8])
     def test_disjoint_exhaustive_and_stratified(self, n_bots, n_humans, fraction):
-        dataset = labeled_dataset(n_bots, n_humans)
+        y = class_labels(n_bots, n_humans)
         n_train = int(fraction * n_bots + 0.5) + int(fraction * n_humans + 0.5)
         if n_train in (0, n_bots + n_humans):
             empty = "train" if n_train == 0 else "test"
             with pytest.raises(EmptyInput, match=f"leaves the {empty} part empty"):
-                stratified_split(dataset, fraction, seed=3)
+                stratified_split(y, fraction, seed=3)
             return
-        train, test = stratified_split(dataset, fraction, seed=3)
-        train_names = [e.contributor for e in train.entries]
-        test_names = [e.contributor for e in test.entries]
-        assert not set(train_names) & set(test_names)
-        assert sorted(train_names + test_names) == sorted(e.contributor for e in dataset.entries)
-        for label, n in ((BOT, n_bots), (HUMAN, n_humans)):
-            assert train.labels().count(label) == int(fraction * n + 0.5)
-            assert test.labels().count(label) == n - int(fraction * n + 0.5)
+        train, test = stratified_split(y, fraction, seed=3)
+        assert not set(train.tolist()) & set(test.tolist())
+        assert sorted(train.tolist() + test.tolist()) == list(range(len(y)))
+        for label_id, n in ((1, n_bots), (0, n_humans)):
+            assert np.count_nonzero(y[train] == label_id) == int(fraction * n + 0.5)
+            assert np.count_nonzero(y[test] == label_id) == n - int(fraction * n + 0.5)
 
     def test_keeps_dataset_order(self):
-        dataset = labeled_dataset(6, 9)
-        position = {e.contributor: i for i, e in enumerate(dataset.entries)}
-        for part in stratified_split(dataset, 0.6, seed=0):
-            indices = [position[e.contributor] for e in part.entries]
-            assert indices == sorted(indices)
+        for part in stratified_split(class_labels(6, 9), 0.6, seed=0):
+            assert part.dtype.kind == "i"
+            assert part.tolist() == sorted(part.tolist())
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
-            stratified_split(labeled_dataset(4, 0))
+            stratified_split(class_labels(4, 0))
 
 
 class TestStratifiedFolds:
@@ -140,13 +129,13 @@ def sort_key(row):
 class TestCrossValidate:
     def test_best_row_per_family_ordered_by_f1_precision_name(self):
         data = random_examples(np.random.default_rng(21), 60, separable=False)
-        rows = cross_validate(data, GRID, k_folds=3, seed=1)
+        rows = cross_validate(*data, GRID, k_folds=3, seed=1)
         families = [row.config.family for row in rows]
         assert sorted(families) == sorted({c.family for c in GRID})
         assert [sort_key(r) for r in rows] == sorted(sort_key(r) for r in rows)
         for row in rows:
             alone = [
-                cross_validate(data, [c], k_folds=3, seed=1)[0]
+                cross_validate(*data, [c], k_folds=3, seed=1)[0]
                 for c in GRID
                 if c.family == row.config.family
             ]
@@ -156,17 +145,25 @@ class TestCrossValidate:
 class TestEvaluatePretrained:
     @pytest.fixture(scope="class")
     def model(self):
-        return train_forest(random_examples(np.random.default_rng(8), 30), n_estimators=3)
-
-    def test_too_small_corpus_rejected(self, model):
-        entries = labeled_dataset(3, 4).entries
-        small = replace(entries[2], corpus=MessageCorpus(["m"] * 9))
-        with pytest.raises(MalformedDataset, match="fewer than 10 messages"):
-            evaluate_pretrained(model, LabeledDataset(entries=[*entries[:2], small]))
+        return train_forest(*random_examples(np.random.default_rng(8), 30), n_estimators=3)
 
     def test_empty_dataset_rejected(self, model):
         with pytest.raises(EmptyInput, match="no corpus to evaluate"):
-            evaluate_pretrained(model, LabeledDataset(entries=[]))
+            evaluate_pretrained(model, np.empty((0, 4)), np.empty(0, dtype=np.int64))
+
+    def test_counts_are_the_per_row_predictions(self, model):
+        X, y = random_examples(np.random.default_rng(9), 40, separable=False)
+        report = evaluate_pretrained(model, X, y)
+        predicted = [predict(model, FeatureVector(*row)).label for row in X.tolist()]
+        actual = [BOT if label == 1 else HUMAN for label in y.tolist()]
+        pairs = list(zip(predicted, actual))
+        assert report.confusion == ConfusionCounts(
+            tp=pairs.count((BOT, BOT)),
+            fn=pairs.count((HUMAN, BOT)),
+            fp=pairs.count((BOT, HUMAN)),
+            tn=pairs.count((HUMAN, HUMAN)),
+        )
+        assert report.model_descriptor == "ForestModel(criterion=entropy, estimators=3, depth=8, seed=0)"
 
 
 PREFIX_GRID = [
@@ -182,13 +179,13 @@ PREFIX_GRID = [
 
 def table_fitting_every_config(data, grid, k_folds, seed):
     """The best row per family, from one `train_config` fit per (configuration, fold)."""
-    X, y = _to_arrays(data)
+    X, y = data
     folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
     best = {}
     for config in grid:
         reports = []
         for train_idx, test_idx in folds:
-            model = train_config(config, [data[i] for i in train_idx], seed=seed)
+            model = train_config(config, X[train_idx], y[train_idx], seed=seed)
             predicted = predict_labels(model, X[test_idx])
             reports.append(report_from_counts(confusion_counts(predicted, y[test_idx])))
 
@@ -216,23 +213,23 @@ def test_forest_prefixes_score_like_separate_fits(seed):
     # from them only in criterion, and two take train_forest's defaults for
     # what they omit: each pair is one grown forest
     data = random_examples(np.random.default_rng(30 + seed), 45, separable=False)
-    rows = cross_validate(data, PREFIX_GRID, k_folds=3, seed=seed)
+    rows = cross_validate(*data, PREFIX_GRID, k_folds=3, seed=seed)
     assert rows == table_fitting_every_config(data, PREFIX_GRID, 3, seed)
 
 
 TRAINERS = [
-    lambda data: train_forest(data, n_estimators=7, max_depth=4, seed=5),
-    lambda data: train_single_tree(data, max_depth=3),
-    lambda data: train_knn(data, k=4),
+    lambda X, y: train_forest(X, y, n_estimators=7, max_depth=4, seed=5),
+    lambda X, y: train_single_tree(X, y, max_depth=3),
+    lambda X, y: train_knn(X, y, k=4),
     train_logistic,
-    lambda data: train_linear_svm(data, l2=0.1),
+    lambda X, y: train_linear_svm(X, y, l2=0.1),
 ]
 
 
 @pytest.fixture(scope="module")
 def models():
     data = random_examples(np.random.default_rng(4), 50, separable=False)
-    return [train(data) for train in TRAINERS]
+    return [train(*data) for train in TRAINERS]
 
 
 vectors = st.builds(

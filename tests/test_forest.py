@@ -10,15 +10,15 @@ from gitbot.forest import (
     BOT,
     CRITERIA,
     HUMAN,
+    LABEL_IDS,
     UNKNOWN,
     ForestModel,
-    LabeledExample,
     Leaf,
     Split,
     predict,
 )
 from gitbot.model_io import model_to_json
-from gitbot.training import _grow, _impurity, _to_arrays, best_split, predict_labels, train_forest
+from gitbot.training import _grow, _impurity, best_split, predict_labels, train_forest
 
 
 def entropy(class_counts) -> float:
@@ -30,8 +30,8 @@ def entropy(class_counts) -> float:
 
 
 def train_tree(data, max_depth, feature_subset_size, rng, criterion="entropy"):
-    """Grow one decision tree on all of `data`, without bootstrap."""
-    X, y = _to_arrays(data)
+    """Grow one decision tree on all of `data`, an (X, y) pair, without bootstrap."""
+    X, y = data
     return _grow(X, y, 0, max_depth, feature_subset_size, rng, criterion)
 
 
@@ -42,11 +42,19 @@ def tree_depth(node) -> int:
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
-def example(n_messages, n_empty, n_patterns, gini, label):
-    return LabeledExample(FeatureVector(n_messages, n_empty, n_patterns, gini), label)
+def example(n_messages, n_empty, n_patterns, gini, label, copies=1):
+    """`copies` rows of one labeled feature vector, as `featurize` returns them."""
+    X = np.tile(np.array([n_messages, n_empty, n_patterns, gini], dtype=np.float64), (copies, 1))
+    return X, np.full(copies, LABEL_IDS[label], dtype=np.int64)
+
+
+def stack(*parts):
+    """The rows of several (X, y) pairs, in order, as one pair."""
+    return np.vstack([X for X, _ in parts]), np.concatenate([y for _, y in parts])
 
 
 def random_examples(rng, n, separable=True):
+    """n labeled feature rows as (X, y): bots with few patterns, humans with many."""
     out = []
     for _ in range(n):
         if rng.random() < 0.5:
@@ -67,7 +75,7 @@ def random_examples(rng, n, separable=True):
                 label,
             )
         )
-    return out
+    return stack(*out)
 
 
 class TestEntropy:
@@ -117,14 +125,14 @@ class TestBestSplit:
 
 class TestTrainTree:
     def test_separable_data_single_split(self):
-        data = [example(10, 0, 1, 0.0, BOT)] * 5 + [example(10, 0, 50, 0.0, HUMAN)] * 5
+        data = stack(example(10, 0, 1, 0.0, BOT, copies=5), example(10, 0, 50, 0.0, HUMAN, copies=5))
         tree = train_tree(data, max_depth=8, feature_subset_size=4,
                           rng=np.random.default_rng(0))
         assert tree_depth(tree) == 1
         assert isinstance(tree, Split)
 
     def test_identical_features_mixed_labels_single_leaf(self):
-        data = [example(10, 0, 5, 0.1, BOT)] * 3 + [example(10, 0, 5, 0.1, HUMAN)] * 7
+        data = stack(example(10, 0, 5, 0.1, BOT, copies=3), example(10, 0, 5, 0.1, HUMAN, copies=7))
         tree = train_tree(data, max_depth=8, feature_subset_size=4,
                           rng=np.random.default_rng(0))
         assert isinstance(tree, Leaf)
@@ -135,10 +143,8 @@ class TestTrainTree:
         data = random_examples(rng, 40, separable=False)
         tree = train_tree(data, max_depth=8, feature_subset_size=4,
                           rng=np.random.default_rng(0))
-        X = np.array([ex.features.as_row() for ex in data])
-        y = np.array([1 if ex.label == BOT else 0 for ex in data])
-        model = ForestModel(trees=[tree], n_estimators=1, max_depth=8,
-                            criterion="entropy", seed=0)
+        X, y = data
+        model = ForestModel(trees=[tree], max_depth=8, criterion="entropy", seed=0)
         accuracy = (predict_labels(model, X) == y).mean()
         majority = max(y.mean(), 1 - y.mean())
         assert accuracy >= majority
@@ -155,30 +161,28 @@ class TestTrainTree:
 class TestTrainForest:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
-        data = random_examples(rng, 60)
-        first = train_forest(data, seed=123)
-        second = train_forest(data, seed=123)
+        X, y = random_examples(rng, 60)
+        first = train_forest(X, y, seed=123)
+        second = train_forest(X, y, seed=123)
         assert model_to_json(first) == model_to_json(second)
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(7)
-        data = random_examples(rng, 60)
-        assert model_to_json(train_forest(data, seed=1)) != model_to_json(
-            train_forest(data, seed=2)
+        X, y = random_examples(rng, 60)
+        assert model_to_json(train_forest(X, y, seed=1)) != model_to_json(
+            train_forest(X, y, seed=2)
         )
 
     def test_single_class_rejected(self):
-        data = [example(10, 0, 1, 0.0, BOT)] * 10
+        X, y = example(10, 0, 1, 0.0, BOT, copies=10)
         with pytest.raises(SingleClassData):
-            train_forest(data)
+            train_forest(X, y)
 
     def test_holdout_f1_on_separable_data(self):
         rng = np.random.default_rng(8)
-        data = random_examples(rng, 200)
-        train, holdout = data[:120], data[120:]
-        model = train_forest(train, seed=0)
-        X = np.array([ex.features.as_row() for ex in holdout])
-        y = np.array([1 if ex.label == BOT else 0 for ex in holdout])
+        X_all, y_all = random_examples(rng, 200)
+        model = train_forest(X_all[:120], y_all[:120], seed=0)
+        X, y = X_all[120:], y_all[120:]
         pred = predict_labels(model, X)
         tp = int(((pred == 1) & (y == 1)).sum())
         fp = int(((pred == 1) & (y == 0)).sum())
@@ -188,8 +192,8 @@ class TestTrainForest:
 
     def test_tree_count_and_depths(self):
         rng = np.random.default_rng(9)
-        data = random_examples(rng, 80)
-        model = train_forest(data, n_estimators=20, max_depth=8, seed=3)
+        X, y = random_examples(rng, 80)
+        model = train_forest(X, y, n_estimators=20, max_depth=8, seed=3)
         assert len(model.trees) == 20
         assert all(tree_depth(t) <= 8 for t in model.trees)
 
@@ -202,12 +206,12 @@ class TestTrainForest:
     )
     def test_smaller_forest_is_a_prefix_of_a_larger_one(self, seed, criterion, max_depth, sizes):
         # cross_validate scores every n_estimators of a grid from one grown forest
-        data = random_examples(np.random.default_rng(10), 50, separable=False)
+        X, y = random_examples(np.random.default_rng(10), 50, separable=False)
         n, m = sizes
 
         def grow(n_estimators):
             return train_forest(
-                data, n_estimators=n_estimators, max_depth=max_depth, seed=seed, criterion=criterion
+                X, y, n_estimators=n_estimators, max_depth=max_depth, seed=seed, criterion=criterion
             ).trees
 
         assert grow(n) == grow(m)[:n]
@@ -216,7 +220,7 @@ class TestTrainForest:
 class TestPredict:
     def test_insufficient_features_unknown(self):
         rng = np.random.default_rng(10)
-        model = train_forest(random_examples(rng, 40), seed=0)
+        model = train_forest(*random_examples(rng, 40), seed=0)
         prediction = predict(model, None)
         assert prediction.label == UNKNOWN
         assert prediction.confidence == 0.0
@@ -224,8 +228,7 @@ class TestPredict:
     def test_unanimous_vote(self):
         # every tree routes the vector to a bot leaf
         bot_tree = Split(feature=2, threshold=10.0, left=Leaf((0, 5)), right=Leaf((5, 0)))
-        model = ForestModel(trees=[bot_tree] * 20, n_estimators=20, max_depth=8,
-                            criterion="entropy", seed=0)
+        model = ForestModel(trees=[bot_tree] * 20, max_depth=8, criterion="entropy", seed=0)
         prediction = predict(model, FeatureVector(100, 0, 1, 0.0))
         assert prediction.label == BOT
         assert prediction.confidence == 1.0
@@ -234,17 +237,16 @@ class TestPredict:
         bot_leaf = Leaf((0, 1))
         human_leaf = Leaf((1, 0))
         model = ForestModel(trees=[bot_leaf] * 10 + [human_leaf] * 10,
-                            n_estimators=20, max_depth=8, criterion="entropy", seed=0)
+                            max_depth=8, criterion="entropy", seed=0)
         prediction = predict(model, FeatureVector(50, 0, 10, 0.3))
         assert prediction.label == HUMAN
         assert prediction.confidence == 0.5
 
     def test_prediction_invariant_under_tree_permutation(self):
         rng = np.random.default_rng(12)
-        model = train_forest(random_examples(rng, 60), seed=4)
+        model = train_forest(*random_examples(rng, 60), seed=4)
         shuffled = ForestModel(
             trees=list(reversed(model.trees)),
-            n_estimators=model.n_estimators,
             max_depth=model.max_depth,
             criterion=model.criterion,
             seed=model.seed,
@@ -301,7 +303,6 @@ forests = st.lists(trees, min_size=1, max_size=12).flatmap(
     lambda drawn: st.builds(
         ForestModel,
         trees=st.just(drawn),
-        n_estimators=st.just(len(drawn)),
         max_depth=st.integers(1, 20),
         criterion=st.sampled_from(CRITERIA),
         seed=st.integers(0, 2**63),

@@ -27,7 +27,7 @@ def first_leaf(node):
 @pytest.fixture
 def model():
     rng = np.random.default_rng(0)
-    return train_forest(random_examples(rng, 80), seed=99,
+    return train_forest(*random_examples(rng, 80), seed=99,
                         feature_config=FeatureConfig(min_messages=12))
 
 
