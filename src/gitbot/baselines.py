@@ -237,7 +237,7 @@ def train_single_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 8) -> Fores
     """One entropy tree on the full data, all four features eligible per node."""
     _check_two_classes(y)
     # _grow draws every node's candidates from rng; with all features drawn,
-    # best_split sorts them, so the tree does not depend on the draw
+    # both split scans sort them, so the tree does not depend on the draw
     rng = np.random.default_rng(0)
     tree = _grow(X, y, 0, max_depth, X.shape[1], rng, "entropy")
     return ForestModel(trees=[tree], max_depth=max_depth, criterion="entropy", seed=0)

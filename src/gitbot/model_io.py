@@ -141,6 +141,8 @@ def _check_hyperparameters(model: ForestModel, n_estimators) -> None:
     ):
         if not _is_int(value):
             raise UnreadableModel(f"{name} must be an integer, got {value!r}")
+    if n_estimators < 1:
+        raise UnreadableModel(f"n_estimators must be at least 1, got {n_estimators!r}")
     if not _is_number(config.distance_threshold):
         raise UnreadableModel(
             f"distance_threshold must be a number, got {config.distance_threshold!r}"

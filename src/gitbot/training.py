@@ -1,4 +1,4 @@
-"""Growing random forests from labeled feature arrays, with numpy.
+"""Growing random forests from labeled feature arrays.
 
 A trainer takes (X, y) as `dataset.featurize` returns them: float64
 feature rows in `FEATURE_NAMES` order and int64 labels, bot 1 and
@@ -8,7 +8,24 @@ at midpoints between consecutive distinct feature values. Each tree of
 a forest trains on a bootstrap sample and considers a random subset of
 features per node. Training is fully deterministic given a seed.
 
-This is the numpy half of the forest. `forest` holds the model and
+A node's split search takes one of two paths, chosen by its row count:
+- A node of more than `SMALL_NODE` rows is searched by `best_split`,
+  a few numpy calls per candidate feature.
+- A node of at most `SMALL_NODE` rows is turned into Python lists once,
+  and its whole subtree grows in pure Python: `best_split_small` sorts
+  each candidate column and reads every child's impurity from
+  `IMPURITY`. On such nodes numpy's cost per call, not arithmetic,
+  would dominate. Past a few hundred rows the Python scan is the slower
+  one, and a table for every node size would grow with the square of
+  the training-set size.
+Both paths give the same tree. `IMPURITY` holds `_impurity` of every
+(rows, bots) pair up to `SMALL_NODE` rows, computed by `_impurity`
+itself: `math.log2` is not bit-identical to `np.log2` on every ratio,
+and a table of other values could break a tie the other way. The scan
+adds, multiplies and divides in `best_split`'s order, so every gain is
+the same float.
+
+This is the training half of the forest. `forest` holds the model and
 predicts in pure Python; this module is imported by `evaluation`,
 `baselines` and the model build script, and by the CLI only when
 `train` or `evaluate` runs.
@@ -18,9 +35,10 @@ import numpy as np
 
 from .errors import SingleClassData
 from .features import FeatureConfig
-from .forest import ForestModel, Leaf, Split, TreeNode, is_bot
+from .forest import CRITERIA, ForestModel, Leaf, Split, TreeNode, is_bot
 
 FEATURE_SUBSET_SIZE = 2  # features drawn as split candidates at each forest node
+SMALL_NODE = 64  # nodes of at most this many rows grow in pure Python
 
 
 def _impurity(h: np.ndarray, b: np.ndarray, criterion: str) -> np.ndarray:
@@ -35,6 +53,21 @@ def _impurity(h: np.ndarray, b: np.ndarray, criterion: str) -> np.ndarray:
     mask = pb > 0
     out[mask] -= pb[mask] * np.log2(pb[mask])
     return out
+
+
+def _impurity_table(criterion: str) -> list[list[float]]:
+    """Row m, indexed by bot count b, is the impurity of m rows with b bots.
+
+    Row 0, an empty node, is never read.
+    """
+    table = [[]]
+    for m in range(1, SMALL_NODE + 1):
+        b = np.arange(m + 1, dtype=np.float64)
+        table.append(_impurity(m - b, b, criterion).tolist())
+    return table
+
+
+IMPURITY = {criterion: _impurity_table(criterion) for criterion in CRITERIA}
 
 
 def best_split(X: np.ndarray, y: np.ndarray, feature_indices, criterion: str = "entropy"):
@@ -79,7 +112,72 @@ def best_split(X: np.ndarray, y: np.ndarray, feature_indices, criterion: str = "
     return best
 
 
+def best_split_small(cols, labels, rows, feature_indices, criterion: str = "entropy"):
+    """`best_split` of the given rows, at most `SMALL_NODE` of them, in pure Python.
+
+    cols[f] lists feature f of every row and labels their 0/1 labels;
+    rows are the node's row ids. Returns what `best_split` returns on
+    the same rows, to the last bit.
+    """
+    imp = IMPURITY[criterion]
+    n = len(rows)
+    total_b = sum([labels[i] for i in rows])
+    parent = imp[n][total_b]
+
+    best = None
+    best_gain = 0.0  # a split must gain something; a tie keeps the earlier one
+    for f in sorted(feature_indices):
+        col = cols[f]
+        order = sorted(rows, key=col.__getitem__)
+        prev = col[order[0]]
+        left_b = 0
+        for left_n, i in enumerate(order):
+            value = col[i]
+            if value != prev:
+                # the ints convert to float exactly: best_split's arithmetic, in its order
+                right_n = n - left_n
+                gain = parent - (
+                    left_n * imp[left_n][left_b] + right_n * imp[right_n][total_b - left_b]
+                ) / n
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (int(f), (prev + value) / 2.0, gain)
+                prev = value
+            left_b += labels[i]
+    return best
+
+
+def _grow_small(cols, labels, rows, depth, max_depth, feature_subset_size, rng, criterion):
+    """`_grow` on lists: the subtree of a node of at most `SMALL_NODE` rows."""
+    bots = sum([labels[i] for i in rows])
+    counts = (len(rows) - bots, bots)
+    if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
+        return Leaf(counts)
+    n_features = len(cols)
+    k = min(feature_subset_size, n_features)
+    candidates = rng.choice(n_features, size=k, replace=False)
+    found = best_split_small(cols, labels, rows, candidates, criterion)
+    if found is None:
+        return Leaf(counts)
+    f, threshold, _ = found
+    col = cols[f]
+    left = [i for i in rows if col[i] <= threshold]
+    right = [i for i in rows if not col[i] <= threshold]
+    grow = (depth + 1, max_depth, feature_subset_size, rng, criterion)
+    return Split(
+        feature=f,
+        threshold=threshold,
+        left=_grow_small(cols, labels, left, *grow),
+        right=_grow_small(cols, labels, right, *grow),
+    )
+
+
 def _grow(X, y, depth, max_depth, feature_subset_size, rng, criterion) -> TreeNode:
+    if len(y) <= SMALL_NODE:
+        return _grow_small(
+            X.T.tolist(), y.tolist(), range(len(y)), depth, max_depth, feature_subset_size, rng,
+            criterion,
+        )
     counts_arr = np.bincount(y, minlength=2)
     counts = (int(counts_arr[0]), int(counts_arr[1]))
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
@@ -112,6 +210,10 @@ def train_forest(
     feature_config: FeatureConfig | None = None,
 ) -> ForestModel:
     """Train the forest: bootstrap per tree, random features per node."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    if n_estimators < 1:
+        raise ValueError(f"n_estimators must be at least 1, got {n_estimators!r}")
     _check_two_classes(y)
     n = len(y)
     trees = []

@@ -151,6 +151,20 @@ def test_model_with_fractional_message_cap_exits_2(capsys, cli_fixture_repo, tmp
     assert "max_messages" in captured.err
 
 
+def test_model_without_trees_exits_2(capsys, cli_fixture_repo, tmp_path):
+    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    doc = json.loads(shipped.read_text("utf-8"))
+    doc.update(trees=[], n_estimators=0)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", "--model", str(model), str(cli_fixture_repo)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "n_estimators" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def analyze_rows(capsys, argv):
     assert main(argv) == 0
     return {row["name"]: row for row in json.loads(capsys.readouterr().out)}

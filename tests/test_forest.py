@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gitbot import training
 from gitbot.cli import load_default_model
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
@@ -18,7 +21,16 @@ from gitbot.forest import (
     predict,
 )
 from gitbot.model_io import model_to_json
-from gitbot.training import _grow, _impurity, best_split, predict_labels, train_forest
+from gitbot.training import (
+    IMPURITY,
+    SMALL_NODE,
+    _grow,
+    _impurity,
+    best_split,
+    best_split_small,
+    predict_labels,
+    train_forest,
+)
 
 
 def entropy(class_counts) -> float:
@@ -93,34 +105,171 @@ class TestEntropy:
             entropy((0, 0))
 
 
+def python_best_split(X, y, feature_indices, criterion="entropy"):
+    """`best_split_small` on the (X, y) that `best_split` takes."""
+    return best_split_small(X.T.tolist(), y.tolist(), range(len(y)), feature_indices, criterion)
+
+
+def numpy_grow(X, y, depth, max_depth, feature_subset_size, rng, criterion):
+    """The all-numpy grower, from before small nodes grew in Python, kept as the reference."""
+    counts_arr = np.bincount(y, minlength=2)
+    counts = (int(counts_arr[0]), int(counts_arr[1]))
+    if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
+        return Leaf(counts)
+    n_features = X.shape[1]
+    k = min(feature_subset_size, n_features)
+    candidates = rng.choice(n_features, size=k, replace=False)
+    found = best_split(X, y, candidates, criterion)
+    if found is None:
+        return Leaf(counts)
+    f, threshold, _ = found
+    mask = X[:, f] <= threshold
+    left = numpy_grow(X[mask], y[mask], depth + 1, max_depth, feature_subset_size, rng, criterion)
+    right = numpy_grow(X[~mask], y[~mask], depth + 1, max_depth, feature_subset_size, rng, criterion)
+    return Split(feature=f, threshold=threshold, left=left, right=right)
+
+
+both_scans = pytest.mark.parametrize(
+    "scan", [best_split, python_best_split], ids=["numpy", "python"]
+)
+
+
 class TestBestSplit:
-    def test_gain_positive_and_bounded_by_parent_entropy(self):
+    @both_scans
+    def test_gain_positive_and_bounded_by_parent_entropy(self, scan):
         rng = np.random.default_rng(1)
         for _ in range(50):
             X = rng.random((30, 4))
             y = rng.integers(0, 2, size=30)
             if len(np.unique(y)) < 2:
                 continue
-            found = best_split(X, y, range(4))
+            found = scan(X, y, range(4))
             if found is None:
                 continue
             _, _, gain = found
             parent = entropy((int((y == 0).sum()), int((y == 1).sum())))
             assert 0.0 < gain <= parent + 1e-12
 
-    def test_no_split_on_constant_features(self):
+    @both_scans
+    def test_no_split_on_constant_features(self, scan):
         X = np.ones((10, 4))
         y = np.array([0, 1] * 5)
-        assert best_split(X, y, range(4)) is None
+        assert scan(X, y, range(4)) is None
 
-    def test_picks_the_separating_feature(self):
+    @both_scans
+    def test_picks_the_separating_feature(self, scan):
         X = np.zeros((8, 4))
         X[:, 2] = [0, 0, 0, 0, 5, 5, 5, 5]
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        feature, threshold, gain = best_split(X, y, range(4))
+        feature, threshold, gain = scan(X, y, range(4))
         assert feature == 2
         assert threshold == 2.5
         assert gain == pytest.approx(1.0)
+
+
+# few distinct values, so that ties are common; -0.0 ties with 0.0
+tied_values = st.one_of(
+    st.integers(-2, 3).map(float),
+    st.sampled_from([-0.0, 0.25, 0.5]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def nodes(draw, max_rows):
+    """A node (X, y) of 1 to max_rows rows, drawn from a few distinct rows."""
+    n = draw(st.integers(1, max_rows))
+    distinct = draw(st.lists(st.tuples(*[tied_values] * 4), min_size=1, max_size=n))
+    X = np.array(draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n)))
+    classes = draw(st.sampled_from(["mixed", "human", "bot"]))
+    if classes == "mixed":
+        y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        y = [LABEL_IDS[HUMAN if classes == "human" else BOT]] * n
+    return X, np.array(y, dtype=np.int64)
+
+
+CANDIDATE_SUBSETS = [c for k in range(1, 5) for c in combinations(range(4), k)]
+
+
+class TestSmallNodeScan:
+    """`best_split_small` returns exactly what `best_split` returns."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(node=nodes(SMALL_NODE), criterion=st.sampled_from(CRITERIA))
+    def test_matches_best_split_on_every_candidate_subset(self, node, criterion):
+        X, y = node
+        for candidates in CANDIDATE_SUBSETS:
+            # the candidates arrive unsorted, as rng.choice draws them
+            drawn = np.array(candidates[::-1])
+            assert python_best_split(X, y, drawn, criterion) == best_split(X, y, drawn, criterion)
+
+    def test_table_holds_impurity_of_every_small_node(self):
+        for criterion in CRITERIA:
+            table = IMPURITY[criterion]
+            assert len(table) == SMALL_NODE + 1
+            for m in range(1, SMALL_NODE + 1):
+                h = np.arange(m, -1, -1)
+                assert table[m] == _impurity(h, m - h, criterion).tolist()
+                assert table[m][m // 3] == _impurity(
+                    np.array([m - m // 3]), np.array([m // 3]), criterion
+                )[0]
+
+
+def tied_data(seed, n):
+    """n feature rows with many ties, and labels that depend on them only in part."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(10, 40, n),
+        rng.integers(0, 4, n),
+        rng.integers(1, 30, n),
+        rng.integers(0, 5, n) / 4,
+    ]).astype(np.float64)
+    # adjacent floats: their midpoint rounds to one of them, so rows lie on a threshold
+    X[:, 3] = np.where(rng.random(n) < 0.3, np.nextafter(X[:, 3], 2.0), X[:, 3])
+    y = (rng.random(n) < 0.2 + 0.02 * X[:, 2]).astype(np.int64)
+    return X, y
+
+
+class TestGrowAcrossTheSwitch:
+    """`_grow` grows the tree, and draws the random stream, of the all-numpy grower."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 200),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        criterion=st.sampled_from(CRITERIA),
+        max_depth=st.integers(1, 12),
+        feature_subset_size=st.integers(1, 4),
+    )
+    def test_same_tree_as_numpy_grower(
+        self, n, data_seed, seed, criterion, max_depth, feature_subset_size
+    ):
+        X, y = tied_data(data_seed, n)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        tree = _grow(X, y, 0, max_depth, feature_subset_size, rng, criterion)
+        expected = numpy_grow(X, y, 0, max_depth, feature_subset_size, reference_rng, criterion)
+        assert tree == expected
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_large_nodes_split_in_numpy_and_small_ones_in_python(self, monkeypatch):
+        sizes = {"numpy": [], "python": []}
+
+        def counted(name, scan):
+            def wrapper(*args):
+                # y for best_split, the row ids for best_split_small
+                sizes[name].append(len(args[-3]))
+                return scan(*args)
+            return wrapper
+
+        monkeypatch.setattr(training, "best_split", counted("numpy", best_split))
+        monkeypatch.setattr(training, "best_split_small", counted("python", best_split_small))
+        X, y = tied_data(3, 200)
+        tree = _grow(X, y, 0, 12, 4, np.random.default_rng(0), "entropy")
+        assert tree == numpy_grow(X, y, 0, 12, 4, np.random.default_rng(0), "entropy")
+        assert sizes["numpy"] and min(sizes["numpy"]) > SMALL_NODE
+        assert sizes["python"] and max(sizes["python"]) <= SMALL_NODE
 
 
 class TestTrainTree:
@@ -177,6 +326,18 @@ class TestTrainForest:
         X, y = example(10, 0, 1, 0.0, BOT, copies=10)
         with pytest.raises(SingleClassData):
             train_forest(X, y)
+
+    @pytest.mark.parametrize("criterion", ["Gini", "log_loss", ""])
+    def test_unknown_criterion_rejected(self, criterion):
+        X, y = random_examples(np.random.default_rng(7), 20)
+        with pytest.raises(ValueError, match="criterion"):
+            train_forest(X, y, criterion=criterion)
+
+    @pytest.mark.parametrize("n_estimators", [0, -1])
+    def test_forest_without_trees_rejected(self, n_estimators):
+        X, y = random_examples(np.random.default_rng(7), 20)
+        with pytest.raises(ValueError, match="n_estimators"):
+            train_forest(X, y, n_estimators=n_estimators)
 
     def test_holdout_f1_on_separable_data(self):
         rng = np.random.default_rng(8)

@@ -156,6 +156,7 @@ class TestUnreadable:
             lambda doc: doc["feature_config"].update(distance_threshold="0.5"),
             lambda doc: doc["feature_config"].update(distance_threshold=True),
             lambda doc: doc.update(n_estimators=20.0),
+            lambda doc: doc.update(trees=[], n_estimators=0),
             lambda doc: doc.update(max_depth=True),
             lambda doc: doc.update(seed="2020"),
             lambda doc: doc.update(criterion="log_loss"),
@@ -166,7 +167,7 @@ class TestUnreadable:
         ids=[
             "nan-threshold", "inf-threshold", "bool-feature", "bool-leaf-count",
             "float-max-messages", "bool-min-messages", "string-distance-threshold",
-            "bool-distance-threshold", "float-n-estimators", "bool-max-depth",
+            "bool-distance-threshold", "float-n-estimators", "no-trees", "bool-max-depth",
             "string-seed", "unknown-criterion", "permuted-feature-names",
             "one-feature-name", "non-string-feature-name",
         ],
