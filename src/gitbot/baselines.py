@@ -9,8 +9,8 @@ neighbours, logistic regression and the linear SVM work on z-score
 standardized features (statistics from the training set); the two linear
 families share `LinearModel`, whose bot fraction is the sigmoid of the
 score. The single decision tree is a one-tree `ForestModel` grown
-without bootstrap and with every feature eligible at each node, by the
-tree grower of `training`.
+by the tree grower of `training` without bootstrap and without an rng:
+every feature is a candidate at each node, and nothing is drawn.
 
 Both linear families minimize a convex objective with an unpenalized
 bias, and both solve it to a stated tolerance:
@@ -236,8 +236,5 @@ def train_linear_svm(
 def train_single_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 8) -> ForestModel:
     """One entropy tree on the full data, all four features eligible per node."""
     _check_two_classes(y)
-    # _grow draws every node's candidates from rng; with all features drawn,
-    # both split scans sort them, so the tree does not depend on the draw
-    rng = np.random.default_rng(0)
-    tree = _grow(X, y, 0, max_depth, X.shape[1], rng, "entropy")
+    tree = _grow(X, y, 0, max_depth, None, "entropy")
     return ForestModel(trees=[tree], max_depth=max_depth, criterion="entropy", seed=0)

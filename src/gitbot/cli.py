@@ -21,11 +21,12 @@ from . import forest
 from .errors import GitbotError, UsageError
 from .extractor import Role, extract_commits, group_messages
 from .features import FeatureConfig, compute_features
-from .forest import UNKNOWN, ForestModel
+from .forest import ForestModel
 from .identity import IdentityMapping, apply_mapping, load_mapping
 from .model_io import load_model, model_from_json, save_model
 
 TEXT, CSV, JSON = "text", "csv", "json"
+UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 
 # The module docstring is the --help text, so the split is told here:
 # `analyze` runs without numpy, while evaluation and training load it and
@@ -116,8 +117,7 @@ def run_analysis(args) -> list[ResultRow]:
             raise type(exc)(f"{repo}: {exc}") from exc
         for name, corpus in groups.items():
             features = compute_features(corpus, config)
-            prediction = forest.predict(model, features)
-            if prediction.label == UNKNOWN:
+            if features is None:
                 rows.append(ResultRow(name, len(corpus), None, None, UNKNOWN, None))
             else:
                 rows.append(
@@ -126,7 +126,7 @@ def run_analysis(args) -> list[ResultRow]:
                         commits=len(corpus),
                         patterns=features.n_patterns,
                         dispersion=features.gini,
-                        prediction=prediction.label,
+                        prediction=forest.predict(model, features),
                         empties=features.n_empty,
                     )
                 )

@@ -123,22 +123,14 @@ def stratified_split(
 
 
 def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator):
-    """k disjoint test folds, each with both classes in train and test."""
-    fold_members: list[list[int]] = [[] for _ in range(k)]
-    for label_id in (1, 0):
+    """k disjoint test folds, each with both classes in train and test, as sorted index arrays."""
+    fold_of = np.zeros(len(y), dtype=np.int64)
+    for label_id in (1, 0):  # bot, then human: a fixed order keeps the folds deterministic
         idx = np.nonzero(y == label_id)[0]
         if len(idx) < k:
             raise SingleClassData(f"need at least {k} examples per class")
-        shuffled = rng.permutation(idx)
-        for fold in range(k):
-            fold_members[fold].extend(shuffled[fold::k].tolist())
-    folds = []
-    everything = set(range(len(y)))
-    for members in fold_members:
-        test = sorted(members)
-        train = sorted(everything - set(members))
-        folds.append((np.array(train), np.array(test)))
-    return folds
+        fold_of[rng.permutation(idx)] = np.arange(len(idx)) % k
+    return [(np.nonzero(fold_of != fold)[0], np.nonzero(fold_of == fold)[0]) for fold in range(k)]
 
 
 @dataclass(frozen=True)
@@ -300,19 +292,19 @@ def cross_validate(
             for position, n in group:
                 score(position, replace(grown, trees=grown.trees[:n]))
 
-    best_per_family: dict[str, tuple[tuple, FamilyResult]] = {}
-    for config, config_scores in zip(grid, scores):
-        row = FamilyResult(config, *(float(np.mean(m)) for m in zip(*config_scores)))
-        # sort key: maximize f1, then precision; minimize name
-        key = (-row.f1, -row.precision, config.name)
-        known = best_per_family.get(config.family)
-        if known is None or key < known[0]:
-            best_per_family[config.family] = (key, row)
-
-    return sorted(
-        (row for _, row in best_per_family.values()),
+    ranked = sorted(
+        (
+            FamilyResult(config, *(float(np.mean(m)) for m in zip(*config_scores)))
+            for config, config_scores in zip(grid, scores)
+        ),
         key=lambda r: (-r.f1, -r.precision, r.config.name),
     )
+    # a family's first row in the ranking is its best, and the families
+    # come out in the order of their best rows
+    best: dict[str, FamilyResult] = {}
+    for row in ranked:
+        best.setdefault(row.config.family, row)
+    return list(best.values())
 
 
 def evaluate_pretrained(model: ForestModel, X: np.ndarray, y: np.ndarray) -> EvaluationReport:

@@ -9,6 +9,9 @@ array library. Growing trees is numpy code and lives in `training`.
 Every classifier in the package answers `bot_fraction(X)`, the bot
 share of each row in [0, 1]. `predict` below and
 `training.predict_labels` derive the label from it for all of them.
+A model labels a contributor bot or human, and only one with features:
+a corpus too small for features gets no prediction, and `cli` makes
+its "unknown" row.
 Labeled data reaches the trainers as arrays (X, y), feature rows and
 `LABEL_IDS` labels, built once by `dataset.featurize`.
 """
@@ -20,7 +23,6 @@ from .features import FeatureConfig, FeatureVector
 
 BOT = "bot"
 HUMAN = "human"
-UNKNOWN = "unknown"
 
 # integer encoding used throughout: human 0, bot 1 (bot is the positive class)
 LABEL_IDS = {HUMAN: 0, BOT: 1}
@@ -46,12 +48,6 @@ class Split:
 
 
 TreeNode = Union[Leaf, Split]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: str  # BOT, HUMAN, or UNKNOWN
-    confidence: float  # the winner's share, max(f, 1 - f) of bot fraction f; 0 for UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,6 @@ def is_bot(fraction):
     return fraction > 0.5
 
 
-def predict(model, features: FeatureVector | None) -> Prediction:
-    """Label one contributor under any model with `bot_fraction`.
-
-    A contributor whose corpus was too small for features (None) is
-    classified as unknown with confidence 0.
-    """
-    if features is None:
-        return Prediction(UNKNOWN, 0.0)
-    f = float(model.bot_fraction([features.as_row()])[0])
-    return Prediction(BOT if is_bot(f) else HUMAN, max(f, 1.0 - f))
+def predict(model, features: FeatureVector) -> str:
+    """BOT or HUMAN: one contributor's label under any model with `bot_fraction`."""
+    return BOT if is_bot(model.bot_fraction([features.as_row()])[0]) else HUMAN

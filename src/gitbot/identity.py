@@ -2,7 +2,8 @@
 
 The mapping file has two columns, name and identity, with no header
 required (a literal "name,identity" header row is tolerated). Mapping
-a name to the reserved identity "IGNORE" drops that name entirely.
+a name to the reserved identity "IGNORE" drops that name entirely. A
+UTF-8 byte-order mark, which spreadsheet exports write, is skipped.
 """
 
 import csv
@@ -25,7 +26,7 @@ class IdentityMapping:
 def load_mapping(path) -> IdentityMapping:
     """Parse a two-column CSV of (name, identity) rows."""
     entries: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for row_number, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue

@@ -59,7 +59,7 @@ def _node_from_obj(obj) -> TreeNode:
         right = _node_from_obj(obj["right"])
     except KeyError as exc:
         raise UnreadableModel(f"tree node missing field {exc}") from exc
-    if not _is_int(feature) or not 0 <= feature < 4:
+    if not _is_int(feature) or not 0 <= feature < len(FEATURE_NAMES):
         raise UnreadableModel(f"invalid split feature index: {feature!r}")
     if not _is_number(threshold) or not math.isfinite(threshold):
         raise UnreadableModel(f"invalid split threshold: {threshold!r}")

@@ -5,8 +5,12 @@ feature rows in `FEATURE_NAMES` order and int64 labels, bot 1 and
 human 0. Trees split greedily on information gain (entropy criterion
 by default, gini available for grid search) with candidate thresholds
 at midpoints between consecutive distinct feature values. Each tree of
-a forest trains on a bootstrap sample and considers a random subset of
-features per node. Training is fully deterministic given a seed.
+a forest trains on a bootstrap sample. The grower decides each node's
+candidate features: given a tree's rng, it draws `FEATURE_SUBSET_SIZE`
+of them at every node that is neither pure nor at the depth limit,
+before the node's scan, in preorder; given no rng, as for the single
+tree of `baselines`, every feature is a candidate and nothing is
+drawn. Training is fully deterministic given a seed.
 
 A node's split search takes one of two paths, chosen by its row count:
 - A node of more than `SMALL_NODE` rows is searched by `best_split`,
@@ -147,23 +151,27 @@ def best_split_small(cols, labels, rows, feature_indices, criterion: str = "entr
     return best
 
 
-def _grow_small(cols, labels, rows, depth, max_depth, feature_subset_size, rng, criterion):
+def _candidates(n_features: int, rng):
+    """A node's candidate features: `FEATURE_SUBSET_SIZE` drawn from rng, or all without one."""
+    if rng is None:
+        return range(n_features)
+    return rng.choice(n_features, size=min(FEATURE_SUBSET_SIZE, n_features), replace=False)
+
+
+def _grow_small(cols, labels, rows, depth, max_depth, rng, criterion):
     """`_grow` on lists: the subtree of a node of at most `SMALL_NODE` rows."""
     bots = sum([labels[i] for i in rows])
     counts = (len(rows) - bots, bots)
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    n_features = len(cols)
-    k = min(feature_subset_size, n_features)
-    candidates = rng.choice(n_features, size=k, replace=False)
-    found = best_split_small(cols, labels, rows, candidates, criterion)
+    found = best_split_small(cols, labels, rows, _candidates(len(cols), rng), criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
     col = cols[f]
     left = [i for i in rows if col[i] <= threshold]
     right = [i for i in rows if not col[i] <= threshold]
-    grow = (depth + 1, max_depth, feature_subset_size, rng, criterion)
+    grow = (depth + 1, max_depth, rng, criterion)
     return Split(
         feature=f,
         threshold=threshold,
@@ -172,26 +180,23 @@ def _grow_small(cols, labels, rows, depth, max_depth, feature_subset_size, rng, 
     )
 
 
-def _grow(X, y, depth, max_depth, feature_subset_size, rng, criterion) -> TreeNode:
+def _grow(X, y, depth, max_depth, rng, criterion) -> TreeNode:
+    """The subtree of a node; rng draws each node's candidates, or None takes every feature."""
     if len(y) <= SMALL_NODE:
         return _grow_small(
-            X.T.tolist(), y.tolist(), range(len(y)), depth, max_depth, feature_subset_size, rng,
-            criterion,
+            X.T.tolist(), y.tolist(), range(len(y)), depth, max_depth, rng, criterion
         )
     counts_arr = np.bincount(y, minlength=2)
     counts = (int(counts_arr[0]), int(counts_arr[1]))
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    n_features = X.shape[1]
-    k = min(feature_subset_size, n_features)
-    candidates = rng.choice(n_features, size=k, replace=False)
-    found = best_split(X, y, candidates, criterion)
+    found = best_split(X, y, _candidates(X.shape[1], rng), criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
     mask = X[:, f] <= threshold
-    left = _grow(X[mask], y[mask], depth + 1, max_depth, feature_subset_size, rng, criterion)
-    right = _grow(X[~mask], y[~mask], depth + 1, max_depth, feature_subset_size, rng, criterion)
+    left = _grow(X[mask], y[mask], depth + 1, max_depth, rng, criterion)
+    right = _grow(X[~mask], y[~mask], depth + 1, max_depth, rng, criterion)
     return Split(feature=f, threshold=threshold, left=left, right=right)
 
 
@@ -222,9 +227,7 @@ def train_forest(
     for child_seed in np.random.SeedSequence(seed).spawn(n_estimators):
         rng = np.random.default_rng(child_seed)
         idx = rng.integers(0, n, size=n)
-        trees.append(
-            _grow(X[idx], y[idx], 0, max_depth, FEATURE_SUBSET_SIZE, rng, criterion)
-        )
+        trees.append(_grow(X[idx], y[idx], 0, max_depth, rng, criterion))
     return ForestModel(
         trees=trees,
         max_depth=max_depth,

@@ -12,7 +12,7 @@ from gitbot.baselines import (
 )
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureVector
-from gitbot.forest import BOT, HUMAN, UNKNOWN, predict
+from gitbot.forest import BOT, HUMAN, predict
 from gitbot.training import predict_labels
 
 from .test_forest import example, random_examples, stack, tree_depth
@@ -45,8 +45,8 @@ class TestKnn:
 
     def test_majority_of_neighbours(self):
         model = train_knn(*SEPARABLE, k=3)
-        assert predict(model, FeatureVector(10, 0, 2, 0.0)).label == BOT
-        assert predict(model, FeatureVector(10, 0, 52, 0.0)).label == HUMAN
+        assert predict(model, FeatureVector(10, 0, 2, 0.0)) == BOT
+        assert predict(model, FeatureVector(10, 0, 52, 0.0)) == HUMAN
 
     def test_standardization_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -58,17 +58,13 @@ class TestKnn:
         for row in queries:
             fv = FeatureVector(*row)
             fv_scaled = FeatureVector(*(row * scale))
-            assert predict(model, fv).label == predict(model_scaled, fv_scaled).label
+            assert predict(model, fv) == predict(model_scaled, fv_scaled)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             train_knn(*SEPARABLE, k=0)
         with pytest.raises(ValueError):
             train_knn(*SEPARABLE, k=len(SEPARABLE[1]) + 1)
-
-    def test_unknown_for_insufficient(self):
-        model = train_knn(*SEPARABLE, k=1)
-        assert predict(model, None).label == UNKNOWN
 
 
 class TestLogistic:
@@ -87,11 +83,9 @@ class TestLogistic:
             model = converged(train_logistic, *SEPARABLE, l2=1e4)
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
 
-    def test_confidence_is_probability_of_winner(self):
+    def test_bot_like_contributor_labelled_bot(self):
         model = train_logistic(*SEPARABLE)
-        prediction = predict(model, FeatureVector(10, 0, 1, 0.0))
-        assert prediction.label == BOT
-        assert 0.5 < prediction.confidence <= 1.0
+        assert predict(model, FeatureVector(10, 0, 1, 0.0)) == BOT
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
@@ -172,11 +166,6 @@ class TestSingleTree:
     def test_separable_data(self):
         model = train_single_tree(*SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
-
-    def test_confidence_from_leaf_purity(self):
-        model = train_single_tree(*SEPARABLE)
-        prediction = predict(model, FeatureVector(10, 0, 1, 0.0))
-        assert prediction.confidence == 1.0
 
 
 class TestStandardizer:

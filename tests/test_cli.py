@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gitbot import cli, dataset
+from gitbot import cli, dataset, forest
 from gitbot.cli import JSON, ResultRow, format_output, main
 from gitbot.dataset import featurize, load_dataset
 from gitbot.evaluation import (
@@ -108,6 +108,20 @@ def test_json_output_is_the_text_of_json_dumps_with_indent(rows, verbose):
 def test_only_predicted_drops_unknown_identities(capsys, cli_fixture_repo):
     argv = ["analyze", "--json", "--only-predicted", str(cli_fixture_repo)]
     assert analyze_json(capsys, argv) == {"carol": "human", "release-bot": "bot"}
+
+
+def test_analyze_predicts_only_contributors_with_features(capsys, monkeypatch, cli_fixture_repo):
+    original = forest.predict
+    predicted = []
+
+    def predict(model, features):
+        predicted.append(features)
+        return original(model, features)
+
+    monkeypatch.setattr(forest, "predict", predict)
+    predictions = analyze_json(capsys, ["analyze", "--json", str(cli_fixture_repo)])
+    assert predictions["dave"] == "unknown"
+    assert len(predicted) == 2 == sum(label != "unknown" for label in predictions.values())
 
 
 def test_include_keeps_only_the_named_identities(capsys, cli_fixture_repo):

@@ -80,6 +80,23 @@ class TestLoadDataset:
         path.write_text(text, encoding="utf-8")
         assert load_dataset(path) == LabeledDataset(entries=[], n_excluded=0)
 
+    @pytest.mark.parametrize("layout", ["csv", "json lines"])
+    def test_byte_order_mark_skipped(self, tmp_path, layout):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("b", "r1", "human", 10)
+        path = write_csv(tmp_path, rows)
+        if layout == "json lines":
+            path.write_text("".join(
+                json.dumps({"name": name, "repository": repo, "bot": label == "bot",
+                            "message": message}) + "\n"
+                for name, repo, label, message in rows
+            ), encoding="utf-8")
+        marked = tmp_path / "marked"
+        marked.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_dataset(marked) == load_dataset(path)
+        assert len(load_dataset(marked)) == 2
+
 
 class TestArchive:
     def write_archive(self, tmp_path, records):

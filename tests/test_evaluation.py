@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gitbot.baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
@@ -74,6 +74,29 @@ class TestStratifiedFolds:
     def test_too_few_per_class_rejected(self):
         with pytest.raises(SingleClassData):
             _stratified_folds(np.array([1, 1, 0, 0, 0, 0]), 3, np.random.default_rng(0))
+
+    @settings(deadline=None)
+    @given(
+        y=st.lists(st.integers(0, 1), min_size=4, max_size=80),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_robin_over_each_class_permutation(self, y, k, seed):
+        # the reference: fold f takes every k-th member of each class's
+        # permutation, starting at the f-th, bots drawn first
+        y = np.array(y, dtype=np.int64)
+        assume(min(int((y == 1).sum()), int((y == 0).sum())) >= k)
+        rng = np.random.default_rng(seed)
+        members = [[] for _ in range(k)]
+        for label_id in (1, 0):
+            shuffled = rng.permutation(np.nonzero(y == label_id)[0])
+            for fold in range(k):
+                members[fold].extend(shuffled[fold::k].tolist())
+        folds = _stratified_folds(y, k, np.random.default_rng(seed))
+        for (train, test), fold_members in zip(folds, members, strict=True):
+            assert test.tolist() == sorted(fold_members)
+            assert train.tolist() == sorted(set(range(len(y))) - set(fold_members))
+            assert train.dtype == test.dtype == np.intp
 
 
 counts = st.builds(ConfusionCounts, *[st.integers(0, 50)] * 4)
@@ -154,7 +177,7 @@ class TestEvaluatePretrained:
     def test_counts_are_the_per_row_predictions(self, model):
         X, y = random_examples(np.random.default_rng(9), 40, separable=False)
         report = evaluate_pretrained(model, X, y)
-        predicted = [predict(model, FeatureVector(*row)).label for row in X.tolist()]
+        predicted = [predict(model, FeatureVector(*row)) for row in X.tolist()]
         actual = [BOT if label == 1 else HUMAN for label in y.tolist()]
         pairs = list(zip(predicted, actual))
         assert report.confusion == ConfusionCounts(
@@ -247,8 +270,6 @@ def test_every_model_obeys_one_contract(models, fv):
     X = np.array([fv.as_row()], dtype=np.float64)
     for model in models:
         f = float(model.bot_fraction(X)[0])
-        prediction = predict(model, fv)
-        assert prediction.label == (BOT if predict_labels(model, X)[0] == 1 else HUMAN)
-        assert prediction.label == (BOT if f > 0.5 else HUMAN)  # ties go to human
-        assert prediction.confidence == max(f, 1.0 - f)
-        assert 0.5 <= prediction.confidence <= 1.0
+        label = predict(model, fv)
+        assert label == (BOT if predict_labels(model, X)[0] == 1 else HUMAN)
+        assert label == (BOT if f > 0.5 else HUMAN)  # ties go to human

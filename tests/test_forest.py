@@ -14,7 +14,6 @@ from gitbot.forest import (
     CRITERIA,
     HUMAN,
     LABEL_IDS,
-    UNKNOWN,
     ForestModel,
     Leaf,
     Split,
@@ -22,6 +21,7 @@ from gitbot.forest import (
 )
 from gitbot.model_io import model_to_json
 from gitbot.training import (
+    FEATURE_SUBSET_SIZE,
     IMPURITY,
     SMALL_NODE,
     _grow,
@@ -41,10 +41,10 @@ def entropy(class_counts) -> float:
     return float(_impurity(np.array([h]), np.array([b]), "entropy")[0])
 
 
-def train_tree(data, max_depth, feature_subset_size, rng, criterion="entropy"):
-    """Grow one decision tree on all of `data`, an (X, y) pair, without bootstrap."""
+def train_tree(data, max_depth, criterion="entropy"):
+    """Grow one decision tree on all of `data`, an (X, y) pair, without bootstrap or rng."""
     X, y = data
-    return _grow(X, y, 0, max_depth, feature_subset_size, rng, criterion)
+    return _grow(X, y, 0, max_depth, None, criterion)
 
 
 def tree_depth(node) -> int:
@@ -232,7 +232,12 @@ def tied_data(seed, n):
 
 
 class TestGrowAcrossTheSwitch:
-    """`_grow` grows the tree, and draws the random stream, of the all-numpy grower."""
+    """`_grow` grows the tree, and draws the random stream, of the all-numpy grower.
+
+    With a forest's rng it draws `FEATURE_SUBSET_SIZE` candidates per node,
+    as the reference does; with None it takes all four, as the reference
+    does when it draws four of four.
+    """
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -241,17 +246,21 @@ class TestGrowAcrossTheSwitch:
         seed=st.integers(0, 2**32 - 1),
         criterion=st.sampled_from(CRITERIA),
         max_depth=st.integers(1, 12),
-        feature_subset_size=st.integers(1, 4),
+        forest_draws=st.booleans(),
     )
-    def test_same_tree_as_numpy_grower(
-        self, n, data_seed, seed, criterion, max_depth, feature_subset_size
-    ):
+    def test_same_tree_as_numpy_grower(self, n, data_seed, seed, criterion, max_depth, forest_draws):
         X, y = tied_data(data_seed, n)
-        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        tree = _grow(X, y, 0, max_depth, feature_subset_size, rng, criterion)
-        expected = numpy_grow(X, y, 0, max_depth, feature_subset_size, reference_rng, criterion)
-        assert tree == expected
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        reference_rng = np.random.default_rng(seed)
+        if forest_draws:
+            rng = np.random.default_rng(seed)
+            tree = _grow(X, y, 0, max_depth, rng, criterion)
+            k = FEATURE_SUBSET_SIZE
+        else:
+            tree = _grow(X, y, 0, max_depth, None, criterion)
+            k = X.shape[1]
+        assert tree == numpy_grow(X, y, 0, max_depth, k, reference_rng, criterion)
+        if forest_draws:
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_large_nodes_split_in_numpy_and_small_ones_in_python(self, monkeypatch):
         sizes = {"numpy": [], "python": []}
@@ -266,7 +275,7 @@ class TestGrowAcrossTheSwitch:
         monkeypatch.setattr(training, "best_split", counted("numpy", best_split))
         monkeypatch.setattr(training, "best_split_small", counted("python", best_split_small))
         X, y = tied_data(3, 200)
-        tree = _grow(X, y, 0, 12, 4, np.random.default_rng(0), "entropy")
+        tree = _grow(X, y, 0, 12, None, "entropy")
         assert tree == numpy_grow(X, y, 0, 12, 4, np.random.default_rng(0), "entropy")
         assert sizes["numpy"] and min(sizes["numpy"]) > SMALL_NODE
         assert sizes["python"] and max(sizes["python"]) <= SMALL_NODE
@@ -275,23 +284,20 @@ class TestGrowAcrossTheSwitch:
 class TestTrainTree:
     def test_separable_data_single_split(self):
         data = stack(example(10, 0, 1, 0.0, BOT, copies=5), example(10, 0, 50, 0.0, HUMAN, copies=5))
-        tree = train_tree(data, max_depth=8, feature_subset_size=4,
-                          rng=np.random.default_rng(0))
+        tree = train_tree(data, max_depth=8)
         assert tree_depth(tree) == 1
         assert isinstance(tree, Split)
 
     def test_identical_features_mixed_labels_single_leaf(self):
         data = stack(example(10, 0, 5, 0.1, BOT, copies=3), example(10, 0, 5, 0.1, HUMAN, copies=7))
-        tree = train_tree(data, max_depth=8, feature_subset_size=4,
-                          rng=np.random.default_rng(0))
+        tree = train_tree(data, max_depth=8)
         assert isinstance(tree, Leaf)
         assert tree.counts == (7, 3)
 
     def test_beats_majority_baseline_on_training_data(self):
         rng = np.random.default_rng(5)
         data = random_examples(rng, 40, separable=False)
-        tree = train_tree(data, max_depth=8, feature_subset_size=4,
-                          rng=np.random.default_rng(0))
+        tree = train_tree(data, max_depth=8)
         X, y = data
         model = ForestModel(trees=[tree], max_depth=8, criterion="entropy", seed=0)
         accuracy = (predict_labels(model, X) == y).mean()
@@ -302,8 +308,7 @@ class TestTrainTree:
         rng = np.random.default_rng(6)
         data = random_examples(rng, 200, separable=False)
         for depth in (1, 3, 8):
-            tree = train_tree(data, max_depth=depth, feature_subset_size=4,
-                              rng=np.random.default_rng(0))
+            tree = train_tree(data, max_depth=depth)
             assert tree_depth(tree) <= depth
 
 
@@ -379,29 +384,18 @@ class TestTrainForest:
 
 
 class TestPredict:
-    def test_insufficient_features_unknown(self):
-        rng = np.random.default_rng(10)
-        model = train_forest(*random_examples(rng, 40), seed=0)
-        prediction = predict(model, None)
-        assert prediction.label == UNKNOWN
-        assert prediction.confidence == 0.0
-
     def test_unanimous_vote(self):
         # every tree routes the vector to a bot leaf
         bot_tree = Split(feature=2, threshold=10.0, left=Leaf((0, 5)), right=Leaf((5, 0)))
         model = ForestModel(trees=[bot_tree] * 20, max_depth=8, criterion="entropy", seed=0)
-        prediction = predict(model, FeatureVector(100, 0, 1, 0.0))
-        assert prediction.label == BOT
-        assert prediction.confidence == 1.0
+        assert predict(model, FeatureVector(100, 0, 1, 0.0)) == BOT
 
     def test_tie_votes_resolve_to_human(self):
         bot_leaf = Leaf((0, 1))
         human_leaf = Leaf((1, 0))
         model = ForestModel(trees=[bot_leaf] * 10 + [human_leaf] * 10,
                             max_depth=8, criterion="entropy", seed=0)
-        prediction = predict(model, FeatureVector(50, 0, 10, 0.3))
-        assert prediction.label == HUMAN
-        assert prediction.confidence == 0.5
+        assert predict(model, FeatureVector(50, 0, 10, 0.3)) == HUMAN
 
     def test_prediction_invariant_under_tree_permutation(self):
         rng = np.random.default_rng(12)

@@ -41,6 +41,13 @@ class TestLoadMapping:
         path = write_mapping(tmp_path, "name,identity\nbot-a,dependabot\n")
         assert load_mapping(path).entries == {"bot-a": "dependabot"}
 
+    @pytest.mark.parametrize("header", ["", "name,identity\n"], ids=["no header", "header"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        path = tmp_path / "mapping.csv"
+        path.write_text(header + "alice,Alice\nbob,Alice\n", encoding="utf-8-sig")
+        assert load_mapping(path).entries == {"alice": "Alice", "bob": "Alice"}
+
     def test_quoted_fields(self, tmp_path):
         path = write_mapping(tmp_path, '"Smith, Jane",jane\n')
         assert load_mapping(path).entries == {"Smith, Jane": "jane"}
