@@ -281,7 +281,7 @@ def build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="classify contributors of git repositories")
     analyze.add_argument("repositories", metavar="REPOSITORY", nargs="+")
-    analyze.add_argument("--include", metavar="NAME", nargs="*", default=None,
+    analyze.add_argument("--include", metavar="NAME", nargs="+", default=None,
                          help="only analyze these contributor names")
     analyze.add_argument("--start-date", type=date.fromisoformat, default=None,
                          help="ignore commits before this date (YYYY-MM-DD), "

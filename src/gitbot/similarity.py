@@ -15,7 +15,7 @@ shorter one, so strings of any length are exact.
 There is one similarity path: features.cluster_patterns calls
 compound_similarity once for each pair of distinct messages that it
 computes, that is, pairs not yet in one pattern and not rejected by its
-exact lower bound on the distance. No pairwise matrix is built.
+exact lower bounds on the distance. No pairwise matrix is built.
 """
 
 SIMILARITY_ID = "mean(token-jaccard, normalized-levenshtein)"

@@ -129,6 +129,17 @@ def test_include_keeps_only_the_named_identities(capsys, cli_fixture_repo):
     assert analyze_json(capsys, argv) == {"carol": "human", "release-bot": "bot"}
 
 
+@pytest.mark.parametrize("command", [["analyze"], []], ids=["analyze", "implied"])
+def test_include_without_names_is_a_usage_error(capsys, cli_fixture_repo, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, str(cli_fixture_repo), "--include"])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gitbot analyze ")
+    assert "--include" in captured.err
+
+
 def test_min_commits_above_max_commits_is_a_usage_error(capsys, cli_fixture_repo):
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze", "--min-commits", "20", "--max-commits", "10", str(cli_fixture_repo)])

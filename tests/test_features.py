@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gitbot import similarity
 from gitbot.features import (
     FeatureConfig,
     FeatureVector,
@@ -58,6 +59,35 @@ MIXED_WORDS = ("a", "ci", "fix", "bump", "typo", "release", "v2.0.1", "dependenc
 
 mixed_messages = st.lists(st.sampled_from(MIXED_WORDS), min_size=1, max_size=3).map(" ".join)
 mixed_corpora = st.lists(mixed_messages, min_size=1, max_size=30)
+
+# Messages of one length over three letters: the length bound reads at
+# most 0.5, so at the middle threshold the bag bound decides many pairs.
+equal_length_corpora = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(
+            st.text(alphabet="abc", min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        ).map(" ".join),
+        min_size=1,
+        max_size=30,
+    )
+)
+
+
+@st.composite
+def anagram_corpora(draw):
+    """Reorderings of one message's words and of each word's letters.
+
+    Every pair is at bag distance 0, while its edit distance can be large.
+    """
+    words = draw(st.lists(st.sampled_from(MIXED_WORDS), min_size=1, max_size=3))
+    corpus = []
+    for _ in range(draw(st.integers(1, 20))):
+        order = draw(st.permutations(words))
+        corpus.append(" ".join("".join(draw(st.permutations(w))) for w in order))
+    return corpus
+
 
 # the boundaries where ties and the all-in-one case occur
 boundary_thresholds = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -118,6 +148,26 @@ class TestClusterPatterns:
     @given(corpus=mixed_corpora, eps=boundary_thresholds)
     def test_matches_all_pairs_oracle_on_mixed_length_corpora(self, corpus, eps):
         assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
+
+    @settings(deadline=None)
+    @given(corpus=st.one_of(equal_length_corpora, anagram_corpora()), eps=boundary_thresholds)
+    def test_matches_all_pairs_oracle_where_the_bag_bound_decides(self, corpus, eps):
+        assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
+
+    def test_bag_bound_rejects_disjoint_letters_and_computes_anagrams(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return compound_similarity(a, b)
+
+        monkeypatch.setattr(similarity, "compound_similarity", counting)
+        # equal lengths, no shared token: the length bound reads 0.5 <= eps
+        assert cluster_patterns(["abcd", "efgh"], 0.5).labels == [0, 1]
+        assert calls == []
+        # bag distance 0, edit distance 4
+        assert cluster_patterns(["abcd", "dcba"], 0.5).labels == [0, 1]
+        assert calls == [("abcd", "dcba")]
 
     @pytest.mark.parametrize("eps", [-0.1, float("nan")])
     def test_negative_or_nan_eps_rejected(self, eps):

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gitbot import similarity
 from gitbot.similarity import (
     compound_similarity,
     jaccard_similarity,
@@ -116,6 +119,12 @@ class TestLevenshtein:
             m = max(len(a), len(b))
             expected = 1.0 if m == 0 else 1.0 - oracle_edit_distance(a, b) / m
             assert levenshtein_similarity(a, b) == expected
+
+    # the premise of the bag bound in features.cluster_patterns
+    @given(a=st.text(), b=st.text())
+    def test_bag_distance_is_at_most_the_edit_distance(self, a, b):
+        common = sum((Counter(a) & Counter(b)).values())
+        assert max(len(a), len(b)) - common <= similarity._edit_distance(a, b)
 
 
 class TestCompound:
