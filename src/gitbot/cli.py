@@ -92,8 +92,6 @@ def run_analysis(args) -> list[ResultRow]:
     Any extraction, mapping, or model error aborts the run and carries
     the offending repository's path in its message.
     """
-    if not args.repositories:
-        raise GitbotError("at least one repository is required")
     if args.model_path is not None:
         model = load_model(args.model_path)
     else:
@@ -282,7 +280,8 @@ def build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", help="classify contributors of git repositories")
     analyze.add_argument("repositories", metavar="REPOSITORY", nargs="+")
     analyze.add_argument("--include", metavar="NAME", nargs="+", default=None,
-                         help="only analyze these contributor names")
+                         help="only analyze these contributor names; list them after "
+                              "the repositories, or end them with --")
     analyze.add_argument("--start-date", type=date.fromisoformat, default=None,
                          help="ignore commits before this date (YYYY-MM-DD), "
                               "UTC, by the selected role's date")

@@ -4,20 +4,32 @@ Everything here indexes the arrays (X, y) of `dataset.featurize`:
 the split and the folds are index arrays into them, every fit takes
 rows of them, and every score compares `predict_labels` with y.
 
+`cross_validate` runs its fits in worker processes, one per CPU this
+process may run on, or in the caller when it may run on one CPU;
+everything else here runs in the caller. The workers are forked, so
+they read X, y, the folds and the grid from the memory they inherit;
+only task descriptions, scores and warnings cross the process
+boundary. Each fit is deterministic given its seed and rows, so the
+scores do not depend on which process computed them.
+
 Bot is the positive class for the confusion counts. Weighted averages
 weight each class row by its true-class support, matching the
 classification-report convention.
 """
 
 import inspect
-from dataclasses import dataclass, replace
+import multiprocessing
+import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
 from .errors import EmptyInput, SingleClassData
 from .features import compute_features  # no caller: kept for bench/tracer.py, which wraps it here
-from .forest import BOT, HUMAN, ForestModel
+from .forest import BOT, HUMAN, ForestModel, _vote, is_bot
 from .training import predict_labels, train_forest
 
 FAMILY_FOREST = "random forest"
@@ -235,6 +247,110 @@ def _forest_groups(grid: list[GridConfig]) -> list[list[tuple[int, int]]]:
     return list(groups.values())
 
 
+@dataclass(frozen=True)
+class _Search:
+    """What every task of one `cross_validate` call reads."""
+
+    X: np.ndarray
+    y: np.ndarray
+    folds: list[tuple[np.ndarray, np.ndarray]]
+    grid: list[GridConfig]
+    seed: int
+
+
+def _fold_metrics(predicted, actual: np.ndarray) -> tuple[float, ...]:
+    """The metrics of a FamilyResult row on one fold, in its field order."""
+    r = report_from_counts(confusion_counts(predicted, actual))
+    return (
+        r.bot.precision, r.bot.recall, r.human.precision, r.human.recall,
+        r.weighted_precision, r.weighted_recall, r.weighted_f1,
+    )
+
+
+def _fit_each(search: _Search, fold: int, positions: list[int]):
+    """(position, metrics) of each configuration at `positions`, fitted on the fold."""
+    train_idx, test_idx = search.folds[fold]
+    X_train, y_train = search.X[train_idx], search.y[train_idx]
+    X_test, y_test = search.X[test_idx], search.y[test_idx]
+    scored = []
+    for position in positions:
+        model = train_config(search.grid[position], X_train, y_train, seed=search.seed)
+        scored.append((position, _fold_metrics(predict_labels(model, X_test), y_test)))
+    return scored
+
+
+def _score_prefixes(search: _Search, fold: int, group: list[tuple[int, int]]):
+    """(position, metrics) of each member of a forest group: the first n trees of one forest.
+
+    The group's largest forest is grown once. Each of its trees votes
+    once per test row, and member n's bot fraction is the sum of the
+    first n trees' integer votes divided by n: the float that
+    `bot_fraction` of the n-tree forest computes.
+    """
+    train_idx, test_idx = search.folds[fold]
+    largest, _ = max(group, key=lambda member: member[1])
+    grown = train_config(search.grid[largest], search.X[train_idx], search.y[train_idx], seed=search.seed)
+    rows = search.X[test_idx].tolist()
+    votes = [0] * len(rows)
+    voted = 0  # trees whose votes are in `votes`
+    scored = []
+    for position, n in sorted(group, key=lambda member: member[1]):
+        for tree in grown.trees[voted:n]:
+            votes = [v + _vote(tree, row) for v, row in zip(votes, rows)]
+        voted = n
+        predicted = is_bot(np.array([v / n for v in votes]))
+        scored.append((position, _fold_metrics(predicted, search.y[test_idx])))
+    return scored
+
+
+def _run_task(search: _Search, task):
+    """Run one (scorer, fold, members) task: its (position, metrics) and its warnings.
+
+    A warning is returned as (message, category, filename, lineno), for
+    the caller to emit again.
+    """
+    score_unit, fold, members = task
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scored = score_unit(search, fold, members)
+    return scored, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+_worker_search: _Search | None = None  # set in each pool worker as it starts, never in the caller
+
+
+def _start_worker(search: _Search):
+    global _worker_search
+    _worker_search = search
+
+
+def _run_in_worker(task):
+    return _run_task(_worker_search, task)
+
+
+def _run_tasks(search: _Search, tasks: list) -> list:
+    """`_run_task` of every task, in task order: in worker processes, or here on one CPU.
+
+    The workers are forked, so they inherit `search` instead of
+    unpickling it. A spawned worker would start an interpreter and
+    import numpy again, about 0.2 s, as much as the pool saves on a
+    search of the benchmark's size; gitbot starts no threads before
+    this, so forking it is safe. A worker's exception is raised here
+    with its type; a worker that dies, say killed for memory, raises
+    `BrokenProcessPool` here, where `multiprocessing.Pool` would wait
+    forever. After an exception the tasks not yet started are dropped;
+    every worker is joined before this returns or raises.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers <= 1:
+        return [_run_task(search, task) for task in tasks]
+    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (search,))
+    try:
+        return list(executor.map(_run_in_worker, tasks))
+    finally:
+        executor.shutdown(cancel_futures=True)
+
+
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -254,6 +370,17 @@ def cross_validate(
     member is its first n trees. This is exact because `train_forest`
     draws tree i from a stream that depends only on (seed, i), so an
     n-tree forest is the first n trees of any larger one.
+
+    The work is split into tasks, one per fold and unit. A unit is all
+    configurations that are not forests, or one group of forest
+    prefixes. The tasks run in forked worker processes, one per CPU in
+    `os.sched_getaffinity`, and with one CPU in this process without a
+    pool. Either way each task fits the same rows with the same seed,
+    and its scores are collected in fold order, so every mean, and the
+    ranking, is the same float for float. Warnings a task raises are
+    recorded there and emitted again here, in task order, with their
+    category, message, filename and line; an exception a task raises is
+    raised here.
     """
     if grid is None:
         grid = default_grid()
@@ -267,30 +394,19 @@ def cross_validate(
     if not grid:
         raise ValueError("grid must not be empty")
 
+    others = [position for position, config in enumerate(grid) if config.family != FAMILY_FOREST]
+    units = [(_fit_each, others)] if others else []
+    units += [(_score_prefixes, group) for group in _forest_groups(grid)]
+    tasks = [(score_unit, fold, members) for fold in range(k_folds) for score_unit, members in units]
     # per configuration, per fold: the metrics of a FamilyResult row, in its
     # field order (tuples, not reports: all configurations' folds are held)
     scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
-    forest_groups = _forest_groups(grid)
-    for train_idx, test_idx in folds:
-        X_train, y_train = X[train_idx], y[train_idx]
-
-        def score(position, model):
-            predicted = predict_labels(model, X[test_idx])
-            r = report_from_counts(confusion_counts(predicted, y[test_idx]))
-            scores[position].append((
-                r.bot.precision, r.bot.recall, r.human.precision, r.human.recall,
-                r.weighted_precision, r.weighted_recall, r.weighted_f1,
-            ))
-
-        for position, config in enumerate(grid):
-            if config.family != FAMILY_FOREST:
-                score(position, train_config(config, X_train, y_train, seed=seed))
-        # one grown forest alive at a time; its prefixes are the group's members
-        for group in forest_groups:
-            largest, _ = max(group, key=lambda member: member[1])
-            grown = train_config(grid[largest], X_train, y_train, seed=seed)
-            for position, n in group:
-                score(position, replace(grown, trees=grown.trees[:n]))
+    registry: dict = {}  # the default filter shows each warning once per call
+    for scored, caught in _run_tasks(_Search(X, y, folds, grid, seed), tasks):
+        for position, metrics in scored:
+            scores[position].append(metrics)
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
 
     ranked = sorted(
         (

@@ -129,6 +129,11 @@ def test_include_keeps_only_the_named_identities(capsys, cli_fixture_repo):
     assert analyze_json(capsys, argv) == {"carol": "human", "release-bot": "bot"}
 
 
+def test_include_ended_by_double_dash_keeps_the_repository(capsys, cli_fixture_repo):
+    argv = ["analyze", "--json", "--include", "release-bot", "--", str(cli_fixture_repo)]
+    assert analyze_json(capsys, argv) == {"release-bot": "bot"}
+
+
 @pytest.mark.parametrize("command", [["analyze"], []], ids=["analyze", "implied"])
 def test_include_without_names_is_a_usage_error(capsys, cli_fixture_repo, command):
     with pytest.raises(SystemExit) as excinfo:

@@ -1,8 +1,15 @@
+import multiprocessing
+import os
+import signal
+import warnings
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gitbot import evaluation
 from gitbot.baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
 from gitbot.errors import EmptyInput, SingleClassData
 from gitbot.evaluation import (
@@ -238,6 +245,70 @@ def test_forest_prefixes_score_like_separate_fits(seed):
     data = random_examples(np.random.default_rng(30 + seed), 45, separable=False)
     rows = cross_validate(*data, PREFIX_GRID, k_folds=3, seed=seed)
     assert rows == table_fitting_every_config(data, PREFIX_GRID, 3, seed)
+
+
+CAPPED_LOGISTIC = GridConfig("logistic regression", "logistic(capped)", {"l2": 1.0, "max_iter": 3})
+ONE_CPU, THREE_CPUS = {0}, {0, 1, 2}
+
+
+def cpus(monkeypatch, available):
+    """Make `cross_validate` see `available` as the CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(available))
+
+
+@pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])
+def test_a_tasks_warnings_are_emitted_again_with_their_origin(monkeypatch, available):
+    cpus(monkeypatch, available)
+    data = random_examples(np.random.default_rng(12), 30, separable=False)
+    with pytest.warns(UserWarning, match="hit the iteration cap") as caught:
+        cross_validate(*data, [CAPPED_LOGISTIC, GRID[0]], k_folds=3, seed=0)
+    assert {os.path.basename(w.filename) for w in caught} == {"baselines.py"}
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])
+def test_a_tasks_exception_reaches_the_caller_with_its_type(monkeypatch, available):
+    cpus(monkeypatch, available)
+    data = random_examples(np.random.default_rng(13), 30, separable=False)
+    grid = [*GRID[:3], GridConfig("perceptron", "perceptron(a)", {})]
+    with pytest.raises(ValueError, match="unknown classifier family 'perceptron'"):
+        cross_validate(*data, grid, k_folds=3, seed=0)
+    assert not multiprocessing.active_children()
+
+
+def test_a_worker_that_dies_fails_the_search_instead_of_hanging(monkeypatch):
+    cpus(monkeypatch, THREE_CPUS)
+    caller, original = os.getpid(), evaluation.train_config
+
+    def killed_in_a_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_config", killed_in_a_worker)
+    data = random_examples(np.random.default_rng(14), 30, separable=False)
+    with pytest.raises(BrokenProcessPool):
+        cross_validate(*data, GRID, k_folds=3, seed=0)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_cpu_and_the_pool_give_the_same_rows_and_warnings(monkeypatch, seed):
+    # forest prefix groups, a kNN k above the smallest training fold (left
+    # out) and a fit that warns: the pool must match the in-process run
+    grid = [*PREFIX_GRID, *GRID[4:6], GridConfig("k-nearest neighbours", "knn(c)", {"k": 40}),
+            GridConfig("logistic regression", "logistic(one step)", {"max_iter": 1})]
+    data = random_examples(np.random.default_rng(40 + seed), 45, separable=False)
+    runs = []
+    for available in (ONE_CPU, THREE_CPUS):
+        cpus(monkeypatch, available)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = cross_validate(*data, grid, k_folds=3, seed=seed)
+        assert not multiprocessing.active_children()
+        runs.append((rows, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 3  # the one-step fit warns on every fold
 
 
 TRAINERS = [
