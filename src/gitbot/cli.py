@@ -109,11 +109,12 @@ def run_analysis(args) -> list[ResultRow]:
             groups = group_messages(commits)
             if args.include is not None:
                 wanted = set(args.include)
-                groups = {name: c for name, c in groups.items() if name in wanted}
+                groups = {name: p for name, p in groups.items() if name in wanted}
             groups = apply_mapping(groups, mapping)
         except GitbotError as exc:
             raise type(exc)(f"{repo}: {exc}") from exc
-        for name, corpus in groups.items():
+        for name, positions in groups.items():
+            corpus = [commits[i].message for i in positions]
             features = compute_features(corpus, config)
             if features is None:
                 rows.append(ResultRow(name, len(corpus), None, None, UNKNOWN, None))
@@ -292,7 +293,7 @@ def build_parser() -> _Parser:
     analyze.add_argument("--min-commits", type=_int_at_least(1), default=None,
                          help="minimum commits needed to make a prediction")
     analyze.add_argument("--max-commits", type=_int_at_least(1), default=None,
-                         help="most recent commits considered per contributor")
+                         help="newest commits per contributor, in git log order")
     analyze.add_argument("--verbose", action="store_true",
                          help="include the full feature columns")
     analyze.add_argument("--only-predicted", action="store_true",

@@ -13,8 +13,8 @@ byte-order mark at the start of either layout is skipped.
   with "name", "repository", "message" and a boolean "bot".
 
 Rows for one (contributor, repository) pair need not be consecutive;
-they accumulate into one corpus, ordered as they appear (most recent
-first).
+they accumulate into one corpus, a list of messages in the order they
+appear, which the file gives newest first.
 
 `featurize` turns a loaded dataset into the arrays (X, y) that the
 split, the cross-validation folds, every trainer and every score index:
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedDataset
-from .features import FEATURE_NAMES, FeatureConfig, MessageCorpus, compute_features
+from .features import FEATURE_NAMES, FeatureConfig, compute_features
 from .forest import BOT, HUMAN, LABEL_IDS
 
 logger = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ _HEADER = ["contributor_id", "repository_id", "label", "message"]
 class DatasetEntry:
     contributor: str
     repository: str
-    corpus: MessageCorpus
+    corpus: list[str]  # messages, newest first
     label: str
 
 
@@ -82,7 +82,7 @@ def _build_dataset(rows, min_messages: int) -> LabeledDataset:
             DatasetEntry(
                 contributor=contributor,
                 repository=repository,
-                corpus=MessageCorpus(messages=messages[key]),
+                corpus=messages[key],
                 label=labels[key],
             )
         )

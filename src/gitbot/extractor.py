@@ -1,17 +1,20 @@
 """Extract commit records from a local git repository via `git log`.
 
-A record holds only what analysis reads: the selected role's name, its
-Unix time and the message. Fields are separated by a NUL byte and
-records end with NUL-NUL, so any printable message content survives
-parsing (git forbids NUL inside commit messages). git is asked for
-UTF-8 (`--encoding=UTF-8`), whatever the user's i18n.logOutputEncoding
-says, and its output is decoded with surrogateescape, which keeps
-messages byte-exact even when they are not valid UTF-8.
+A record holds only what analysis reads: the selected role's name and
+the message. Commits come in git's walk order, newest first, and that
+order is what "newest" means for every contributor. Fields are
+separated by a NUL byte and records end with NUL-NUL, so any printable
+message content survives parsing (git forbids NUL inside commit
+messages). git is asked for UTF-8 (`--encoding=UTF-8`), whatever the
+user's i18n.logOutputEncoding says, and its output is decoded with
+surrogateescape, which keeps messages byte-exact even when they are not
+valid UTF-8.
 
-Times are integer Unix seconds (`%at` / `%ct`). git stores dates with
-one-second resolution, so ordering or comparing these integers is
-exactly ordering or comparing the UTC instants, whatever the time zone
-each commit was recorded in.
+git also writes the role's time as integer Unix seconds (`%at` /
+`%ct`). Every time field is parsed and checked, but read only to
+compare with the `--start-date` cutoff. git stores dates with
+one-second resolution, so comparing these integers is exactly comparing
+the UTC instants, whatever the time zone each commit was recorded in.
 
 The output is read and parsed block by block while git still writes
 it. git runs with `GIT_FLUSH=0`: when its stdout is a pipe, git
@@ -27,10 +30,10 @@ import enum
 import os
 import subprocess
 import tempfile
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import ExtractionFailed, GitUnavailable, NotAGitRepository
-from .features import MessageCorpus
 
 
 class Role(enum.Enum):
@@ -42,7 +45,6 @@ class Role(enum.Enum):
 
 class RawCommit(NamedTuple):
     name: str  # author or committer name, per the extracted role
-    timestamp: int  # that role's date, in Unix seconds
     message: str
 
 
@@ -60,7 +62,7 @@ class _LogParser:
 
     `feed` parses every record the bytes fed so far complete and keeps
     the rest; `close` checks that nothing is left and returns the
-    commits, in output order, whose timestamp is at least `cutoff`.
+    commits, in output order, whose time is at least `cutoff`.
     """
 
     def __init__(self, cutoff: int | None = None):
@@ -89,9 +91,9 @@ class _LogParser:
             stamps = [int(field) for field in tokens[1::_FIELDS_PER_RECORD]]
         except ValueError as exc:
             raise ExtractionFailed(f"unexpected git log time field: {exc}") from exc
-        commits = map(RawCommit, names, stamps, tokens[2::_FIELDS_PER_RECORD])
+        commits = map(RawCommit, names, tokens[2::_FIELDS_PER_RECORD])
         if self._cutoff is not None:
-            commits = (commit for commit in commits if commit.timestamp >= self._cutoff)
+            commits = compress(commits, [stamp >= self._cutoff for stamp in stamps])
         self._commits += commits
 
     def close(self) -> list[RawCommit]:
@@ -104,8 +106,8 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     """All commits reachable from HEAD, newest first, named by `role`.
 
     When start_date (a datetime.date) is given, only commits whose
-    timestamp for the selected role falls on or after UTC midnight of
-    that date are returned. The filter runs here, over the whole
+    time for the selected role falls on or after UTC midnight of that
+    date are returned. The filter runs here, over the whole
     history; git gets no date filter, because git's loses commits:
     - `--since` stops its walk at an older-dated commit (clock skew);
     - it compares commit dates, so it (and `--since-as-filter`) drops a
@@ -158,18 +160,13 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     return parser.close()
 
 
-def group_messages(commits: list[RawCommit]) -> dict[str, MessageCorpus]:
-    """Group commit messages per contributor name.
+def group_messages(commits: list[RawCommit]) -> dict[str, list[int]]:
+    """Each contributor name's positions in `commits`, in ascending order.
 
-    Input commits are expected newest first (as extract_commits returns
-    them), so each corpus ends up most recent first.
+    Input commits come newest first (as extract_commits returns them),
+    so each name's first position is its newest commit.
     """
-    messages: dict[str, list[str]] = {}
-    timestamps: dict[str, list[int]] = {}
-    for name, timestamp, message in commits:
-        messages.setdefault(name, []).append(message)
-        timestamps.setdefault(name, []).append(timestamp)
-    return {
-        name: MessageCorpus(messages=messages[name], timestamps=timestamps[name])
-        for name in messages
-    }
+    positions: dict[str, list[int]] = {}
+    for i, (name, _message) in enumerate(commits):
+        positions.setdefault(name, []).append(i)
+    return positions

@@ -1,8 +1,9 @@
 """Turn one contributor's commit messages into the four model features.
 
-Features per contributor: number of messages considered, number of
-empty messages, number of message patterns (groups of mutually similar
-messages), and the Gini coefficient of pattern sizes.
+A contributor's corpus is a plain list of commit messages, newest
+first. Features per contributor: number of messages considered, number
+of empty messages, number of message patterns (groups of mutually
+similar messages), and the Gini coefficient of pattern sizes.
 """
 
 from collections import Counter
@@ -12,23 +13,6 @@ from . import similarity
 from .similarity import normalize_message
 
 FEATURE_NAMES = ("n_messages", "n_empty", "n_patterns", "gini")
-
-
-@dataclass(frozen=True)
-class MessageCorpus:
-    """Commit messages of one contributor identity, most recent first.
-
-    timestamps holds each message's date in Unix seconds, which orders
-    exactly as the UTC instants do; identity merges sort by it. Corpora
-    read from git always carry timestamps. Corpora read from a labeled
-    dataset carry none, and they are never merged.
-    """
-
-    messages: list[str]
-    timestamps: list[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.messages)
 
 
 @dataclass(frozen=True)
@@ -183,19 +167,20 @@ def gini_coefficient(sizes) -> float:
 
 
 def compute_features(
-    corpus: MessageCorpus,
+    corpus: list[str],
     config: FeatureConfig = FeatureConfig(),
 ) -> FeatureVector | None:
     """Feature vector for one corpus, or None when it is too small.
 
-    Corpora under config.min_messages yield None (no prediction is
-    possible). Otherwise the most recent config.max_messages messages
-    are considered; empty messages count toward n_empty and are
-    excluded from pattern clustering.
+    corpus holds one contributor's messages, newest first. Corpora under
+    config.min_messages yield None (no prediction is possible).
+    Otherwise the first config.max_messages messages are considered;
+    empty messages count toward n_empty and are excluded from pattern
+    clustering.
     """
     if len(corpus) < config.min_messages:
         return None
-    selected = corpus.messages[: config.max_messages]
+    selected = corpus[: config.max_messages]
     normalized = [normalize_message(m) for m in selected]
     non_empty = [m for m in normalized if m]
     n_empty = len(normalized) - len(non_empty)

@@ -4,13 +4,17 @@ The mapping file has two columns, name and identity, with no header
 required (a literal "name,identity" header row is tolerated). Mapping
 a name to the reserved identity "IGNORE" drops that name entirely. A
 UTF-8 byte-order mark, which spreadsheet exports write, is skipped.
+
+Identities hold positions in the extracted commit list, not messages.
+A merged identity keeps git's walk order, so its newest commits are
+chosen as an unmerged name's are.
 """
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DuplicateName, MalformedMapping
-from .features import MessageCorpus
 
 IGNORE_IDENTITY = "IGNORE"
 
@@ -47,33 +51,23 @@ def load_mapping(path) -> IdentityMapping:
     return IdentityMapping(entries=entries)
 
 
-def _merge_corpora(sources: list[tuple[str, MessageCorpus]]) -> MessageCorpus:
-    rows = [
-        (corpus.timestamps[i], name, i, corpus.messages[i])
-        for name, corpus in sources
-        for i in range(len(corpus.messages))
-    ]
-    # stable sort: ties keep (name, original position) order, so the
-    # result does not depend on the input map's iteration order
-    rows.sort(key=lambda r: r[0], reverse=True)
-    return MessageCorpus(messages=[r[3] for r in rows], timestamps=[r[0] for r in rows])
-
-
 def apply_mapping(
-    groups: dict[str, MessageCorpus], mapping: IdentityMapping
-) -> dict[str, MessageCorpus]:
-    """Rekey corpora by identity, merging shared ones and dropping IGNORE.
+    groups: dict[str, list[int]], mapping: IdentityMapping
+) -> dict[str, list[int]]:
+    """Rekey each name's commit positions by identity, dropping IGNORE.
 
-    Merged corpora are re-sorted by timestamp descending so downstream
-    recency truncation selects the merged identity's newest messages.
+    groups maps names to ascending positions in one commit list, as
+    extractor.group_messages returns them. A name that is its identity's
+    only source passes through as the same list; the positions of names
+    that share an identity are merged into one ascending list, so the
+    merge keeps git's walk order, newest first.
     """
-    buckets: dict[str, list[tuple[str, MessageCorpus]]] = {}
-    for name in sorted(groups):
+    buckets: dict[str, list[list[int]]] = {}
+    for name, positions in groups.items():
         identity = mapping.resolve(name)
-        if identity == IGNORE_IDENTITY:
-            continue
-        buckets.setdefault(identity, []).append((name, groups[name]))
+        if identity != IGNORE_IDENTITY:
+            buckets.setdefault(identity, []).append(positions)
     return {
-        identity: sources[0][1] if len(sources) == 1 else _merge_corpora(sources)
+        identity: sources[0] if len(sources) == 1 else sorted(chain.from_iterable(sources))
         for identity, sources in buckets.items()
     }

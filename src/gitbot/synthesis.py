@@ -10,7 +10,6 @@ desk-scale benchmarks and to train the shipped default model.
 import numpy as np
 
 from .dataset import DatasetEntry, LabeledDataset
-from .features import MessageCorpus
 from .forest import BOT, HUMAN
 
 _PACKAGES = [
@@ -124,7 +123,7 @@ def synthetic_dataset(
             DatasetEntry(
                 contributor=name,
                 repository=f"repo-{i % 37:03d}",
-                corpus=MessageCorpus(messages=bot_messages(n, rng)),
+                corpus=bot_messages(n, rng),
                 label=BOT,
             )
         )
@@ -135,7 +134,7 @@ def synthetic_dataset(
             DatasetEntry(
                 contributor=name,
                 repository=f"repo-{i % 37:03d}",
-                corpus=MessageCorpus(messages=human_messages(n, rng)),
+                corpus=human_messages(n, rng),
                 label=HUMAN,
             )
         )

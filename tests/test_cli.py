@@ -208,13 +208,8 @@ def test_mapping_merges_names_and_ignores_the_ignored(capsys, cli_fixture_repo, 
     assert rows["carol"]["prediction"] == "human"
 
 
-def test_mapping_merges_aliases_newest_utc_instant_first(capsys, monkeypatch, tmp_path):
-    # 10:00 at +05:00 is 05:00Z, an hour before 06:00Z, though its wall clock reads later
-    repo = init_repo(tmp_path / "aliases")
-    add_commit(repo, "alias-utc", "sent at six utc", date="2021-01-01T06:00:00+00:00")
-    add_commit(repo, "alias-east", "sent at ten east", date="2021-01-01T10:00:00+05:00")
-    mapping = tmp_path / "mapping.csv"
-    mapping.write_text("alias-utc,merged\nalias-east,merged\n", encoding="utf-8")
+def analyzed_corpora(capsys, monkeypatch, argv):
+    """The corpus of every identity that `analyze` featurizes, in call order."""
     original = cli.compute_features
     corpora = []
 
@@ -222,10 +217,47 @@ def test_mapping_merges_aliases_newest_utc_instant_first(capsys, monkeypatch, tm
         corpora.append(corpus)
         return original(corpus, config)
 
-    monkeypatch.setattr(cli, "compute_features", compute_features)
-    assert main(["analyze", "--json", "--mapping", str(mapping), str(repo)]) == 0
-    assert [row["name"] for row in json.loads(capsys.readouterr().out)] == ["merged"]
-    assert [c.messages for c in corpora] == [["sent at six utc\n", "sent at ten east\n"]]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "compute_features", compute_features)
+        assert main(argv) == 0
+    capsys.readouterr()
+    return corpora
+
+
+def test_mapping_merges_aliases_in_walk_order(capsys, monkeypatch, tmp_path):
+    # 10:00 at +05:00 is 05:00Z, an hour before its parent's 06:00Z; the
+    # child still comes first, as git log lists it
+    repo = init_repo(tmp_path / "aliases")
+    add_commit(repo, "alias-utc", "sent at six utc", date="2021-01-01T06:00:00+00:00")
+    add_commit(repo, "alias-east", "sent at ten east", date="2021-01-01T10:00:00+05:00")
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("alias-utc,merged\nalias-east,merged\n", encoding="utf-8")
+    argv = ["analyze", "--json", "--mapping", str(mapping), str(repo)]
+    assert analyze_rows(capsys, argv).keys() == {"merged"}
+    assert analyzed_corpora(capsys, monkeypatch, argv) == [
+        ["sent at ten east\n", "sent at six utc\n"]
+    ]
+
+
+def test_merged_and_unmerged_names_keep_the_same_newest_commits(capsys, monkeypatch, tmp_path):
+    # author dates out of commit order: "newest" must not depend on whether
+    # a name is mapped, so --max-commits keeps the same messages either way
+    repo = init_repo(tmp_path / "skewed")
+    for message, day in [("m1", "05"), ("m2", "01"), ("m3", "03")]:
+        add_commit(repo, "alice", message, date=f"2021-01-{day}T00:00:00+00:00")
+    add_commit(repo, "alias", "m4", date="2021-01-04T00:00:00+00:00")
+    log = subprocess.run(
+        ["git", "-C", str(repo), "log", "--format=%s"], check=True, capture_output=True, text=True
+    ).stdout
+    in_log_order = [subject + "\n" for subject in log.split()]
+    assert in_log_order == ["m4\n", "m3\n", "m2\n", "m1\n"]
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("alice,alice\nalias,alice\n", encoding="utf-8")
+
+    merged = analyzed_corpora(capsys, monkeypatch, ["analyze", "--mapping", str(mapping), str(repo)])
+    alone = analyzed_corpora(capsys, monkeypatch, ["analyze", str(repo), "--include", "alice"])
+    assert merged == [in_log_order]
+    assert alone == [[message for message in in_log_order if message != "m4\n"]]
 
 
 def test_committer_groups_by_committer_name(capsys, cli_fixture_repo):
@@ -240,7 +272,7 @@ def write_dataset_csv(path, dataset):
         writer = csv.writer(handle)
         writer.writerow(["contributor_id", "repository_id", "label", "message"])
         for entry in dataset.entries:
-            for message in entry.corpus.messages:
+            for message in entry.corpus:
                 writer.writerow([entry.contributor, entry.repository, entry.label, message])
     return path
 
@@ -321,13 +353,13 @@ def test_train_featurizes_every_loaded_corpus_once(capsys, monkeypatch, dataset_
     featurized = []
 
     def compute_features(corpus, config):
-        featurized.append(tuple(corpus.messages))
+        featurized.append(tuple(corpus))
         return original(corpus, config)
 
     monkeypatch.setattr(dataset, "compute_features", compute_features)
     argv = ["train", str(dataset_csv), "-o", str(tmp_path / "model.json"), "--folds", "3"]
     assert main(argv) == 0
-    loaded = [tuple(entry.corpus.messages) for entry in load_dataset(dataset_csv).entries]
+    loaded = [tuple(entry.corpus) for entry in load_dataset(dataset_csv).entries]
     assert featurized == loaded
 
 

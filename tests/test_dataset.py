@@ -7,7 +7,7 @@ import pytest
 
 from gitbot.dataset import LabeledDataset, featurize, load_dataset
 from gitbot.errors import MalformedDataset
-from gitbot.features import FEATURE_NAMES, FeatureConfig, MessageCorpus, compute_features
+from gitbot.features import FEATURE_NAMES, FeatureConfig, compute_features
 
 
 def write_csv(tmp_path, rows, header=True, name="dataset.csv"):
@@ -57,7 +57,7 @@ class TestLoadDataset:
     def test_multiline_quoted_messages(self, tmp_path):
         rows = [["a", "r1", "bot", f"line one {i}\nline two, with comma"] for i in range(12)]
         dataset = load_dataset(write_csv(tmp_path, rows))
-        assert "\n" in dataset.entries[0].corpus.messages[0]
+        assert "\n" in dataset.entries[0].corpus[0]
 
     def test_conflicting_labels_rejected(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 6) + contributor_rows("a", "r1", "human", 6)
@@ -116,7 +116,7 @@ class TestArchive:
         records = self.archive_records("x", "r", True, 12) + self.archive_records("y", "r", False, 15)
         dataset = load_dataset(self.write_archive(tmp_path, records))
         assert [entry.label for entry in dataset.entries] == ["bot", "human"]
-        assert dataset.entries[0].corpus.messages == [f"m {i}" for i in range(12)]
+        assert dataset.entries[0].corpus == [f"m {i}" for i in range(12)]
 
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -184,6 +184,6 @@ class TestFeaturize:
     def test_too_small_corpus_rejected(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("tiny", "r1", "human", 12)
         entries = load_dataset(write_csv(tmp_path, rows)).entries
-        small = replace(entries[1], corpus=MessageCorpus(["m"] * 9))
+        small = replace(entries[1], corpus=["m"] * 9)
         with pytest.raises(MalformedDataset, match="'tiny' has fewer than 10 messages"):
             featurize(LabeledDataset(entries=[entries[0], small]), FeatureConfig())

@@ -88,8 +88,7 @@ class TestExtractCommits:
         repo = make_repo(THREE_COMMITS)
         # git log is newest first; `git commit -m` ends the message with a newline
         assert extract_commits(repo) == [
-            RawCommit(name, unix(iso), message + "\n")
-            for name, message, iso in reversed(THREE_COMMITS)
+            RawCommit(name, message + "\n") for name, message, _ in reversed(THREE_COMMITS)
         ]
 
     def test_start_date_after_everything_yields_empty(self, make_repo):
@@ -120,9 +119,7 @@ class TestExtractCommits:
             committer_date="2021-02-01T00:00:00+00:00",
         )
         commits = extract_commits(repo, start_date=date(2021, 1, 15))
-        assert commits == [
-            RawCommit("bob", unix("2021-01-15T00:00:00+00:00"), "authored at UTC midnight\n")
-        ]
+        assert commits == [RawCommit("bob", "authored at UTC midnight\n")]
 
     def test_start_date_keeps_commits_early_on_that_day(self, make_repo):
         # the cutoff is UTC midnight, not the start date at the time of day
@@ -132,9 +129,7 @@ class TestExtractCommits:
             ("bob", "just after midnight", "2021-01-15T00:00:01+00:00"),
         ])
         commits = extract_commits(repo, start_date=date(2021, 1, 15))
-        assert commits == [
-            RawCommit("bob", unix("2021-01-15T00:00:01+00:00"), "just after midnight\n")
-        ]
+        assert commits == [RawCommit("bob", "just after midnight\n")]
 
     def test_start_date_before_1973(self, make_repo):
         # a cutoff below 10^8 Unix seconds is still compared as a time
@@ -145,16 +140,20 @@ class TestExtractCommits:
     @pytest.mark.parametrize("role", list(Role))
     def test_start_date_keeps_newer_commits_behind_an_older_dated_one(self, make_repo, role):
         # clock skew: a 1990 commit sits between commits of 2021
-        repo = make_repo([
+        history = [
             ("alice", "on the start date", "2021-01-15T10:00:00+00:00"),
             ("bob", "the day after", "2021-01-16T00:00:00+00:00"),
             ("carol", "from a skewed clock", "1990-01-01T00:00:00+00:00"),
             ("dave", "days later", "2021-01-20T00:00:00+00:00"),
-        ])
-        everything = extract_commits(repo, role=role)
+        ]
+        repo = make_repo(history)  # each commit's author and committer dates agree
         kept = extract_commits(repo, role=role, start_date=date(2021, 1, 15))
         cutoff = unix("2021-01-15T00:00:00+00:00")
-        assert kept == [c for c in everything if c.timestamp >= cutoff]
+        assert kept == [
+            RawCommit(name if role is Role.AUTHOR else "ci-runner", message + "\n")
+            for name, message, iso in reversed(history)
+            if unix(iso) >= cutoff
+        ]
         assert len(kept) == 3
 
     def test_start_date_reads_the_selected_roles_date(self, tmp_path):
@@ -169,7 +168,7 @@ class TestExtractCommits:
         )
         start = date(2021, 1, 15)
         assert extract_commits(repo, role=Role.AUTHOR, start_date=start) == [
-            RawCommit("alice", unix("2021-01-25T00:00:00+00:00"), "rebased onto an older base\n")
+            RawCommit("alice", "rebased onto an older base\n")
         ]
         assert extract_commits(repo, role=Role.COMMITTER, start_date=start) == []
 
@@ -203,21 +202,24 @@ class TestExtractCommits:
         stream = git_log_bytes(records)
         cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
         pieces = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
-        expected = [
-            RawCommit(
-                name.decode("utf-8", "surrogateescape"),
-                stamp,
-                message.decode("utf-8", "surrogateescape"),
-            )
-            for name, stamp, message in records
-        ]
-        assert parse_blocks(pieces) == parse_blocks([stream]) == expected
+
+        def expected(cutoff=0):
+            return [
+                RawCommit(
+                    name.decode("utf-8", "surrogateescape"),
+                    message.decode("utf-8", "surrogateescape"),
+                )
+                for name, stamp, message in records
+                if stamp >= cutoff
+            ]
+
+        assert parse_blocks(pieces) == parse_blocks([stream]) == expected()
         # decoding keeps every byte: messages encode back to what git wrote
-        assert [c.message.encode("utf-8", "surrogateescape") for c in expected] == [
+        assert [c.message.encode("utf-8", "surrogateescape") for c in expected()] == [
             message for _, _, message in records
         ]
         cutoff = 2**32
-        assert parse_blocks(pieces, cutoff) == [c for c in expected if c.timestamp >= cutoff]
+        assert parse_blocks(pieces, cutoff) == expected(cutoff)
 
     def test_extraction_idempotent(self, make_repo):
         repo = make_repo(THREE_COMMITS)
@@ -249,6 +251,8 @@ class TestExtractCommits:
         assert commit.message.encode("utf-8", "surrogateescape") == "café au lait\n".encode("utf-8")
 
     def test_role_selects_timestamp_source(self, tmp_path):
+        # the mirror of a rebased commit: committed after the start date,
+        # authored before it; each role brings its own name and date
         repo = init_repo(tmp_path / "roles")
         add_commit(
             repo,
@@ -257,13 +261,13 @@ class TestExtractCommits:
             date="2021-01-01T00:00:00+00:00",
             committer_date="2021-06-01T00:00:00+00:00",
         )
-        by_author = extract_commits(repo, role=Role.AUTHOR)
-        by_committer = extract_commits(repo, role=Role.COMMITTER)
-        assert [(c.name, c.timestamp) for c in by_author] == [
-            ("alice", unix("2021-01-01T00:00:00+00:00"))
+        start = date(2021, 3, 1)
+        assert extract_commits(repo, role=Role.AUTHOR) == [
+            RawCommit("alice", "authored early, committed late\n")
         ]
-        assert [(c.name, c.timestamp) for c in by_committer] == [
-            ("ci-runner", unix("2021-06-01T00:00:00+00:00"))
+        assert extract_commits(repo, role=Role.AUTHOR, start_date=start) == []
+        assert extract_commits(repo, role=Role.COMMITTER, start_date=start) == [
+            RawCommit("ci-runner", "authored early, committed late\n")
         ]
 
     def test_empty_repository_yields_no_commits(self, tmp_path):
@@ -319,7 +323,7 @@ class TestExtractCommits:
             "message = (os.environ['GIT_FLUSH'] + ' ' + os.environ['HOME']).encode()\n"
             "sys.stdout.buffer.write(b'env\\x001609459200\\x00' + message + b'\\x00\\x00')"
         ))
-        assert extract_commits(tmp_path) == [RawCommit("env", 1609459200, f"0 {home}")]
+        assert extract_commits(tmp_path) == [RawCommit("env", f"0 {home}")]
 
 
 class TestGroupMessages:
@@ -342,13 +346,13 @@ class TestGroupMessages:
         assert group_messages([]) == {}
 
     def test_corpus_order_most_recent_first(self, make_repo):
-        commits = [("alice", f"msg {i}", f"2021-01-{i+1:02d}T09:00:00+00:00") for i in range(4)]
-        repo = make_repo(commits)
-        groups = group_messages(extract_commits(repo))
-        messages = [m.strip() for m in groups["alice"].messages]
+        history = [("alice", f"msg {i}", f"2021-01-{i+1:02d}T09:00:00+00:00") for i in range(4)]
+        repo = make_repo(history)
+        commits = extract_commits(repo)
+        groups = group_messages(commits)
+        assert groups["alice"] == [0, 1, 2, 3]
+        messages = [commits[i].message.strip() for i in groups["alice"]]
         assert messages == ["msg 3", "msg 2", "msg 1", "msg 0"]
-        stamps = groups["alice"].timestamps
-        assert stamps == sorted(stamps, reverse=True)
 
     def test_corpus_sizes_sum_to_commit_count(self, make_repo):
         repo = make_repo(THREE_COMMITS)

@@ -7,7 +7,6 @@ from gitbot import similarity
 from gitbot.features import (
     FeatureConfig,
     FeatureVector,
-    MessageCorpus,
     cluster_patterns,
     compute_features,
     gini_coefficient,
@@ -244,29 +243,29 @@ class TestGini:
 
 class TestComputeFeatures:
     def test_too_small_corpus_is_insufficient(self):
-        corpus = MessageCorpus([f"message {i}" for i in range(9)])
+        corpus = [f"message {i}" for i in range(9)]
         assert compute_features(corpus) is None
 
     def test_cap_limits_to_most_recent(self):
-        corpus = MessageCorpus([f"unique message {i} {i*7}" for i in range(250)])
+        corpus = [f"unique message {i} {i*7}" for i in range(250)]
         fv = compute_features(corpus)
         assert fv.n_messages == 100
 
     def test_identical_messages(self):
-        corpus = MessageCorpus(["same thing"] * 12)
+        corpus = ["same thing"] * 12
         assert compute_features(corpus) == FeatureVector(12, 0, 1, 0.0)
 
     def test_all_empty_messages(self):
-        corpus = MessageCorpus(["", "  ", "\n\t"] * 4)
+        corpus = ["", "  ", "\n\t"] * 4
         assert compute_features(corpus) == FeatureVector(12, 12, 0, 0.0)
 
     def test_empty_messages_counted_not_clustered(self):
-        corpus = MessageCorpus(["real message here"] * 10 + ["", "   "])
+        corpus = ["real message here"] * 10 + ["", "   "]
         fv = compute_features(corpus)
         assert fv == FeatureVector(12, 2, 1, 0.0)
 
     def test_custom_config_thresholds(self):
-        corpus = MessageCorpus([f"message number {i}" for i in range(8)])
+        corpus = [f"message number {i}" for i in range(8)]
         assert compute_features(corpus, FeatureConfig(min_messages=8)) is not None
         fv = compute_features(corpus, FeatureConfig(min_messages=5, max_messages=6))
         assert fv.n_messages == 6
@@ -274,35 +273,31 @@ class TestComputeFeatures:
     def test_recency_cap_takes_head_of_list(self):
         # most recent first: cap must keep the head, not the tail
         messages = ["recent unique alpha"] * 5 + ["old repeated beta"] * 10
-        fv = compute_features(
-            MessageCorpus(messages), FeatureConfig(min_messages=5, max_messages=5)
-        )
+        fv = compute_features(messages, FeatureConfig(min_messages=5, max_messages=5))
         assert fv.n_patterns == 1
         assert fv.n_messages == 5
 
     def test_permutation_invariance_under_cap(self):
         rng = np.random.default_rng(31)
         corpus = random_corpus(rng, 20)
-        fv = compute_features(MessageCorpus(corpus))
+        fv = compute_features(corpus)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(20)
             shuffled = [corpus[i] for i in perm]
-            other = compute_features(MessageCorpus(shuffled))
+            other = compute_features(shuffled)
             assert (other.n_patterns, other.gini) == (fv.n_patterns, fv.gini)
 
     @settings(deadline=None)
     @given(data=st.data(), corpus=mixed_corpora.map(lambda c: c + ["", "  "]))
     def test_permuting_a_corpus_keeps_its_features(self, data, corpus):
         shuffled = data.draw(st.permutations(corpus))
-        assert compute_features(MessageCorpus(shuffled), UNCAPPED) == compute_features(
-            MessageCorpus(corpus), UNCAPPED
-        )
+        assert compute_features(shuffled, UNCAPPED) == compute_features(corpus, UNCAPPED)
 
     @settings(deadline=None)
     @given(corpus=mixed_corpora, message=st.one_of(st.just(""), mixed_messages))
     def test_appending_a_message_adds_at_most_one_pattern(self, corpus, message):
-        before = compute_features(MessageCorpus(corpus), UNCAPPED)
-        after = compute_features(MessageCorpus(corpus + [message]), UNCAPPED)
+        before = compute_features(corpus, UNCAPPED)
+        after = compute_features(corpus + [message], UNCAPPED)
         assert after.n_patterns <= before.n_patterns + 1
 
     def test_config_validation(self):

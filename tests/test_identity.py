@@ -1,26 +1,16 @@
-import calendar
-
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gitbot.errors import DuplicateName, MalformedMapping
-from gitbot.features import MessageCorpus
+from gitbot.extractor import RawCommit, group_messages
 from gitbot.identity import IGNORE_IDENTITY, IdentityMapping, apply_mapping, load_mapping
-
-_BASE = calendar.timegm((2021, 5, 1, 0, 0, 0))  # Unix seconds of 2021-05-01T00:00Z
 
 
 def write_mapping(tmp_path, text):
     path = tmp_path / "mapping.csv"
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def corpus(messages, start_hour=0):
-    stamps = [
-        _BASE + 3600 * start_hour + 60 * (len(messages) - i)
-        for i in range(len(messages))
-    ]
-    return MessageCorpus(messages=list(messages), timestamps=stamps)
 
 
 class TestLoadMapping:
@@ -74,82 +64,64 @@ class TestLoadMapping:
 
 class TestApplyMapping:
     def test_additive_merge(self):
-        groups = {
-            "bot-a": corpus([f"a{i}" for i in range(5)], start_hour=0),
-            "bot-b": corpus([f"b{i}" for i in range(7)], start_hour=8),
-        }
+        groups = {"bot-a": [0, 2, 4, 6, 8], "bot-b": [1, 3, 5, 7, 9, 10, 11]}
         mapping = IdentityMapping({"bot-a": "dependabot", "bot-b": "dependabot"})
         merged = apply_mapping(groups, mapping)
-        assert set(merged) == {"dependabot"}
-        assert len(merged["dependabot"]) == 12
-        assert sorted(merged["dependabot"].messages) == sorted(
-            groups["bot-a"].messages + groups["bot-b"].messages
-        )
-
-    def test_merge_orders_by_recency(self):
-        groups = {
-            "old": corpus(["o1", "o2"], start_hour=0),
-            "new": corpus(["n1", "n2"], start_hour=12),
-        }
-        mapping = IdentityMapping({"old": "both", "new": "both"})
-        merged = apply_mapping(groups, mapping)["both"]
-        assert merged.messages == ["n1", "n2", "o1", "o2"]
-        assert merged.timestamps == sorted(merged.timestamps, reverse=True)
+        assert merged == {"dependabot": list(range(12))}
 
     def test_ignore_drops_names(self):
-        groups = {"ci-runner": corpus(["m"] * 30)}
+        groups = {"ci-runner": list(range(30))}
         merged = apply_mapping(groups, IdentityMapping({"ci-runner": IGNORE_IDENTITY}))
         assert merged == {}
 
     def test_empty_mapping_is_identity(self):
-        groups = {
-            "alice": corpus(["a"]),
-            "bob": corpus(["b", "c"]),
-        }
+        groups = {"alice": [0], "bob": [1, 2]}
         merged = apply_mapping(groups, IdentityMapping())
         assert merged == groups
 
     def test_unmapped_names_pass_through(self):
-        groups = {
-            "alice": corpus(["a"]),
-            "bot-a": corpus(["x"]),
-        }
+        groups = {"alice": [1], "bot-a": [0]}
         merged = apply_mapping(groups, IdentityMapping({"bot-a": "dependabot"}))
         assert set(merged) == {"alice", "dependabot"}
         assert merged["alice"] is groups["alice"]
 
     def test_renamed_single_name_passes_through(self):
-        groups = {"bot-a": corpus(["x", "y"]), "bob": corpus(["b"])}
+        groups = {"bot-a": [0, 2], "bob": [1]}
         merged = apply_mapping(groups, IdentityMapping({"bot-a": "dependabot"}))
         assert merged["dependabot"] is groups["bot-a"]
         assert merged["bob"] is groups["bob"]
 
     def test_message_count_conserved_minus_ignored(self):
-        groups = {
-            "a": corpus(["1", "2"]),
-            "b": corpus(["3"]),
-            "c": corpus(["4", "5", "6"]),
-        }
+        groups = {"a": [0, 3], "b": [1], "c": [2, 4, 5]}
         mapping = IdentityMapping({"a": "ab", "b": "ab", "c": IGNORE_IDENTITY})
         merged = apply_mapping(groups, mapping)
         total_before = sum(len(c) for c in groups.values())
         total_after = sum(len(c) for c in merged.values())
         assert total_after == total_before - 3
 
-    def test_iteration_order_insensitive(self):
-        base = {
-            "a": corpus(["a1", "a2"], start_hour=2),
-            "b": corpus(["b1"], start_hour=2),  # colliding timestamps
-            "c": corpus(["c1", "c2"], start_hour=5),
-        }
-        mapping = IdentityMapping({"a": "merged", "b": "merged", "c": "merged"})
-        orders = [
-            dict(items)
-            for items in (
-                list(base.items()),
-                list(reversed(base.items())),
-                [("b", base["b"]), ("c", base["c"]), ("a", base["a"])],
-            )
-        ]
-        results = [apply_mapping(g, mapping)["merged"] for g in orders]
-        assert results[0] == results[1] == results[2]
+
+_NAMES = ["alice", "bob", "carol", "dave", "erin"]
+# targets: a new identity (rename, many-to-one), another name, or IGNORE
+_IDENTITIES = ["merged", "other", "alice", "bob", IGNORE_IDENTITY]
+
+
+@given(
+    names=st.lists(st.sampled_from(_NAMES), max_size=30),
+    entries=st.dictionaries(st.sampled_from(_NAMES), st.sampled_from(_IDENTITIES)),
+    data=st.data(),
+)
+def test_each_identity_holds_its_commits_in_walk_order(names, entries, data):
+    commits = [RawCommit(name, f"m{i}") for i, name in enumerate(names)]
+    mapping = IdentityMapping(entries)
+    groups = group_messages(commits)
+    merged = apply_mapping(groups, mapping)
+    resolved = [mapping.resolve(commit.name) for commit in commits]
+    assert set(merged) == set(resolved) - {IGNORE_IDENTITY}
+    for identity, positions in merged.items():
+        assert positions == [i for i, other in enumerate(resolved) if other == identity]
+    # no commit of an ignored name survives, and every other commit does
+    kept = {i for positions in merged.values() for i in positions}
+    assert kept == {i for i, identity in enumerate(resolved) if identity != IGNORE_IDENTITY}
+    # the result does not depend on the order in which names are listed
+    shuffled = dict(data.draw(st.permutations(list(groups.items()))))
+    assert apply_mapping(shuffled, mapping) == merged

@@ -2,7 +2,7 @@ from gitbot.synthesis import synthetic_dataset
 
 
 def corpora(dataset):
-    return [(e.contributor, e.repository, e.label, e.corpus.messages) for e in dataset.entries]
+    return [(e.contributor, e.repository, e.label, e.corpus) for e in dataset.entries]
 
 
 def test_same_seed_gives_equal_corpora():
