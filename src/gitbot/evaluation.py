@@ -30,7 +30,7 @@ from .baselines import train_knn, train_linear_svm, train_logistic, train_single
 from .errors import EmptyInput, SingleClassData
 from .features import compute_features  # no caller: kept for bench/tracer.py, which wraps it here
 from .forest import BOT, HUMAN, ForestModel, _vote, is_bot
-from .training import predict_labels, train_forest
+from .training import deepest_draw, grow_tree, predict_labels, train_forest, tree_seeds
 
 FAMILY_FOREST = "random forest"
 FAMILY_TREE = "decision tree"
@@ -227,23 +227,27 @@ def train_config(config: GridConfig, X: np.ndarray, y: np.ndarray, seed: int = 0
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
-def _forest_groups(grid: list[GridConfig]) -> list[list[tuple[int, int]]]:
-    """(position, n_estimators) of the forest configurations, grouped by their other parameters.
+def _forest_groups(grid: list[GridConfig]) -> list[tuple[dict, list[tuple[int, int, int]]]]:
+    """The forest configurations, grouped by every parameter but n_estimators and max_depth.
 
-    A parameter a configuration omits takes `train_forest`'s default, so
+    A group is (parameters, members): the parameters its configurations
+    share, and each member's (position, n_estimators, max_depth). A
+    parameter a configuration omits takes `train_forest`'s default, so
     configurations that spell the same forest differently share a group.
+    The default grid has two groups, one per criterion; `_score_group`
+    scores each from one set of trees.
     """
     defaults = {
         name: parameter.default
         for name, parameter in inspect.signature(train_forest).parameters.items()
-        if parameter.default is not inspect.Parameter.empty
+        if parameter.default is not inspect.Parameter.empty and name != "seed"  # the search's seed
     }
-    groups: dict[tuple, list[tuple[int, int]]] = {}
+    groups: dict[tuple, tuple[dict, list[tuple[int, int, int]]]] = {}
     for position, config in enumerate(grid):
         if config.family == FAMILY_FOREST:
             params = {**defaults, **config.params}
-            n_estimators = params.pop("n_estimators")
-            groups.setdefault(tuple(sorted(params.items())), []).append((position, n_estimators))
+            member = (position, params.pop("n_estimators"), params.pop("max_depth"))
+            groups.setdefault(tuple(sorted(params.items())), (params, []))[1].append(member)
     return list(groups.values())
 
 
@@ -279,27 +283,46 @@ def _fit_each(search: _Search, fold: int, positions: list[int]):
     return scored
 
 
-def _score_prefixes(search: _Search, fold: int, group: list[tuple[int, int]]):
-    """(position, metrics) of each member of a forest group: the first n trees of one forest.
+def _score_group(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int, int]]]):
+    """(position, metrics) of each member of a forest group, from one set of trees.
 
-    The group's largest forest is grown once. Each of its trees votes
-    once per test row, and member n's bot fraction is the sum of the
-    first n trees' integer votes divided by n: the float that
-    `bot_fraction` of the n-tree forest computes.
+    The group's N trees, N its largest n_estimators, are grown once at
+    its deepest limit D. At a shallower limit d, tree i is the deep tree
+    when no node of it at depth d or below drew candidates
+    (`training.deepest_draw`), and is grown again at d from the same
+    seed otherwise. A member is the first n trees at its limit: each
+    tree votes once per test row, and member n's bot fraction is the
+    sum of the first n trees' integer votes divided by n, the float
+    that `bot_fraction` of the n-tree forest computes.
     """
+    params, members = group
     train_idx, test_idx = search.folds[fold]
-    largest, _ = max(group, key=lambda member: member[1])
-    grown = train_config(search.grid[largest], search.X[train_idx], search.y[train_idx], seed=search.seed)
+    X, y = search.X[train_idx], search.y[train_idx]
+    n_trees = max(n for _, n, _ in members)
+    deepest = max(depth for _, _, depth in members)
+    grown = train_forest(X, y, seed=search.seed, n_estimators=n_trees, max_depth=deepest, **params)
     rows = search.X[test_idx].tolist()
-    votes = [0] * len(rows)
-    voted = 0  # trees whose votes are in `votes`
+
+    def votes_of(tree):
+        return [_vote(tree, row) for row in rows]
+
+    deep = [(votes_of(tree), deepest_draw(tree, deepest)) for tree in grown.trees]
+    seeds = tree_seeds(search.seed, n_trees)
     scored = []
-    for position, n in sorted(group, key=lambda member: member[1]):
-        for tree in grown.trees[voted:n]:
-            votes = [v + _vote(tree, row) for v, row in zip(votes, rows)]
-        voted = n
-        predicted = is_bot(np.array([v / n for v in votes]))
-        scored.append((position, _fold_metrics(predicted, search.y[test_idx])))
+    for limit in sorted({depth for _, _, depth in members}):
+        tree_votes = [
+            votes if drawn < limit else votes_of(grow_tree(X, y, tree_seed, limit, grown.criterion))
+            for (votes, drawn), tree_seed in zip(deep, seeds)
+        ]
+        votes = [0] * len(rows)
+        voted = 0  # trees whose votes are in `votes`
+        at_limit = sorted((n, position) for position, n, depth in members if depth == limit)
+        for n, position in at_limit:
+            for each in tree_votes[voted:n]:
+                votes = [v + t for v, t in zip(votes, each)]
+            voted = n
+            predicted = is_bot(np.array([v / n for v in votes]))
+            scored.append((position, _fold_metrics(predicted, search.y[test_idx])))
     return scored
 
 
@@ -365,15 +388,22 @@ def cross_validate(
     smaller name. A kNN configuration whose k exceeds the smallest
     training fold cannot be fitted on every fold and is left out.
 
-    Forest configurations that differ only in n_estimators are scored
-    from one forest per fold, grown with the largest n_estimators: each
-    member is its first n trees. This is exact because `train_forest`
-    draws tree i from a stream that depends only on (seed, i), so an
-    n-tree forest is the first n trees of any larger one.
+    Forest configurations that differ only in n_estimators and
+    max_depth form a group (`_forest_groups`; the default grid has two,
+    one per criterion), scored per fold from one set of trees: the
+    largest n_estimators, grown at the deepest max_depth. At a shallower
+    limit d, a tree is reused when no node of it at depth d or below
+    drew candidates, and is grown again at d otherwise. Both steps are
+    exact. `train_forest` draws tree i from a stream that depends only
+    on (seed, i), so an n-tree forest is the first n trees of any larger
+    one. And a tree draws its nodes' candidates in preorder from that
+    stream: when no node at depth d or below drew, the grower limited
+    to d makes the same draws at the same nodes, and its nodes at depth
+    d are the deep tree's pure leaves, so it grows the same tree.
 
     The work is split into tasks, one per fold and unit. A unit is all
-    configurations that are not forests, or one group of forest
-    prefixes. The tasks run in forked worker processes, one per CPU in
+    configurations that are not forests, or one forest group. The tasks
+    run in forked worker processes, one per CPU in
     `os.sched_getaffinity`, and with one CPU in this process without a
     pool. Either way each task fits the same rows with the same seed,
     and its scores are collected in fold order, so every mean, and the
@@ -396,7 +426,7 @@ def cross_validate(
 
     others = [position for position, config in enumerate(grid) if config.family != FAMILY_FOREST]
     units = [(_fit_each, others)] if others else []
-    units += [(_score_prefixes, group) for group in _forest_groups(grid)]
+    units += [(_score_group, group) for group in _forest_groups(grid)]
     tasks = [(score_unit, fold, members) for fold in range(k_folds) for score_unit, members in units]
     # per configuration, per fold: the metrics of a FamilyResult row, in its
     # field order (tuples, not reports: all configurations' folds are held)

@@ -12,6 +12,15 @@ before the node's scan, in preorder; given no rng, as for the single
 tree of `baselines`, every feature is a candidate and nothing is
 drawn. Training is fully deterministic given a seed.
 
+The draw is `rng.choice(n, k, replace=False)` without its per-call
+cost: `_FeatureDraw` runs numpy's own algorithm for it on the
+generator's raw 64-bit stream, so it gives the same candidates and
+leaves the same generator state. The algorithm is numpy's, not part of
+its documented interface; the tests compare the two on the installed
+numpy, and the shipped-model rebuild test fails if they part.
+Because each tree draws in preorder from one stream, a tree grown to
+a shallower limit is often the same tree: see `deepest_draw`.
+
 A node's split search takes one of two paths, chosen by its row count:
 - A node of more than `SMALL_NODE` rows is searched by `best_split`,
   a few numpy calls per candidate feature.
@@ -151,27 +160,85 @@ def best_split_small(cols, labels, rows, feature_indices, criterion: str = "entr
     return best
 
 
-def _candidates(n_features: int, rng):
-    """A node's candidate features: `FEATURE_SUBSET_SIZE` drawn from rng, or all without one."""
-    if rng is None:
+class _FeatureDraw:
+    """`rng.choice(n, k, replace=False)`, computed from rng's raw stream.
+
+    This is numpy's own algorithm for a population of at most 10,000,
+    so every draw and the generator's final state are the same:
+    - the stream is cut into 32-bit halves, low half first, with the
+      high half buffered in the generator's `has_uint32`/`uinteger`;
+    - each value in [0, j] is Lemire's bounded integer over those
+      halves, and a bound of 0 consumes nothing;
+    - Floyd's loop picks the k values, then a Fisher-Yates pass from
+      the last position down to the second one shuffles them.
+    One `random_raw` call per 64 bits replaces numpy's per-call setup.
+    The buffered half is written back by `close`.
+    """
+
+    def __init__(self, rng):
+        self._bit_generator = rng.bit_generator
+        self._next_raw = self._bit_generator.random_raw
+        state = self._bit_generator.state
+        self._buffered = state["has_uint32"]
+        self._half = state["uinteger"]  # kept after use, as numpy keeps it
+
+    def _bounded(self, high: int) -> int:
+        """A value in [0, high], for 0 < high < 2**32 - 1."""
+        span = high + 1
+        while True:
+            if self._buffered:
+                self._buffered = 0
+                word = self._half
+            else:
+                raw = self._next_raw()
+                self._buffered = 1
+                self._half = raw >> 32
+                word = raw & 0xFFFFFFFF
+            m = word * span
+            # numpy rejects low 32 bits below 2**32 % span, which would bias the
+            # result; that bound is below span, so it is computed only under span
+            if (m & 0xFFFFFFFF) >= span or (m & 0xFFFFFFFF) >= (0xFFFFFFFF - high) % span:
+                return m >> 32
+
+    def choice(self, n: int, k: int) -> list[int]:
+        picked = []
+        for j in range(n - k, n):
+            value = self._bounded(j) if j else 0
+            picked.append(j if value in picked else value)
+        for i in range(k - 1, 0, -1):
+            j = self._bounded(i)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
+
+    def close(self):
+        """Leave the generator's buffered half as `rng.choice` would have."""
+        state = self._bit_generator.state
+        state["has_uint32"] = self._buffered
+        state["uinteger"] = self._half
+        self._bit_generator.state = state
+
+
+def _candidates(n_features: int, draw):
+    """A node's candidate features: `FEATURE_SUBSET_SIZE` drawn, or all without a draw."""
+    if draw is None:
         return range(n_features)
-    return rng.choice(n_features, size=min(FEATURE_SUBSET_SIZE, n_features), replace=False)
+    return draw.choice(n_features, min(FEATURE_SUBSET_SIZE, n_features))
 
 
-def _grow_small(cols, labels, rows, depth, max_depth, rng, criterion):
-    """`_grow` on lists: the subtree of a node of at most `SMALL_NODE` rows."""
+def _grow_small(cols, labels, rows, depth, max_depth, draw, criterion):
+    """`_grow_node` on lists: the subtree of a node of at most `SMALL_NODE` rows."""
     bots = sum([labels[i] for i in rows])
     counts = (len(rows) - bots, bots)
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    found = best_split_small(cols, labels, rows, _candidates(len(cols), rng), criterion)
+    found = best_split_small(cols, labels, rows, _candidates(len(cols), draw), criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
     col = cols[f]
     left = [i for i in rows if col[i] <= threshold]
     right = [i for i in rows if not col[i] <= threshold]
-    grow = (depth + 1, max_depth, rng, criterion)
+    grow = (depth + 1, max_depth, draw, criterion)
     return Split(
         feature=f,
         threshold=threshold,
@@ -180,29 +247,78 @@ def _grow_small(cols, labels, rows, depth, max_depth, rng, criterion):
     )
 
 
-def _grow(X, y, depth, max_depth, rng, criterion) -> TreeNode:
-    """The subtree of a node; rng draws each node's candidates, or None takes every feature."""
+def _grow_node(X, y, depth, max_depth, draw, criterion) -> TreeNode:
+    """`_grow` with rng's `_FeatureDraw`, or None to take every feature."""
     if len(y) <= SMALL_NODE:
         return _grow_small(
-            X.T.tolist(), y.tolist(), range(len(y)), depth, max_depth, rng, criterion
+            X.T.tolist(), y.tolist(), range(len(y)), depth, max_depth, draw, criterion
         )
     counts_arr = np.bincount(y, minlength=2)
     counts = (int(counts_arr[0]), int(counts_arr[1]))
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    found = best_split(X, y, _candidates(X.shape[1], rng), criterion)
+    found = best_split(X, y, _candidates(X.shape[1], draw), criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
     mask = X[:, f] <= threshold
-    left = _grow(X[mask], y[mask], depth + 1, max_depth, rng, criterion)
-    right = _grow(X[~mask], y[~mask], depth + 1, max_depth, rng, criterion)
+    left = _grow_node(X[mask], y[mask], depth + 1, max_depth, draw, criterion)
+    right = _grow_node(X[~mask], y[~mask], depth + 1, max_depth, draw, criterion)
     return Split(feature=f, threshold=threshold, left=left, right=right)
+
+
+def _grow(X, y, depth, max_depth, rng, criterion) -> TreeNode:
+    """The subtree of a node; rng draws each node's candidates, or None takes every feature.
+
+    rng is left in the state that drawing with `rng.choice` leaves.
+    """
+    if rng is None:
+        return _grow_node(X, y, depth, max_depth, None, criterion)
+    draw = _FeatureDraw(rng)
+    tree = _grow_node(X, y, depth, max_depth, draw, criterion)
+    draw.close()
+    return tree
+
+
+def deepest_draw(node: TreeNode, max_depth: int, depth: int = 0) -> int:
+    """The depth of the deepest node that drew candidates when grown to max_depth; -1 if none did.
+
+    A node draws when it is neither pure nor at the limit: every
+    `Split` did, and so did an impure `Leaf` above the limit, where no
+    split gained. A tree grown from the same rng and rows to a limit
+    d < max_depth equals this one when this returns less than d: each
+    tree draws in preorder from one stream, so the shallower grower
+    makes the same draws at the same nodes, and its nodes at depth d
+    are this tree's pure leaves.
+    """
+    if isinstance(node, Split):
+        return max(
+            depth,
+            deepest_draw(node.left, max_depth, depth + 1),
+            deepest_draw(node.right, max_depth, depth + 1),
+        )
+    return depth if depth < max_depth and min(node.counts) > 0 else -1
 
 
 def _check_two_classes(y: np.ndarray):
     if len(np.unique(y)) < 2:
         raise SingleClassData("training data must contain both classes")
+
+
+def tree_seeds(seed: int, n_estimators: int) -> list[np.random.SeedSequence]:
+    """Each tree's seed: tree i's depends only on (seed, i).
+
+    So an n-tree forest is the first n trees of any larger one:
+    `cross_validate` scores such prefixes.
+    """
+    return np.random.SeedSequence(seed).spawn(n_estimators)
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, tree_seed, max_depth: int, criterion: str) -> TreeNode:
+    """One forest tree: a bootstrap sample of (X, y), then its nodes, all drawn from one stream."""
+    rng = np.random.default_rng(tree_seed)
+    idx = rng.integers(0, len(y), size=len(y))
+    return _grow(X[idx], y[idx], 0, max_depth, rng, criterion)
 
 
 def train_forest(
@@ -220,14 +336,10 @@ def train_forest(
     if n_estimators < 1:
         raise ValueError(f"n_estimators must be at least 1, got {n_estimators!r}")
     _check_two_classes(y)
-    n = len(y)
-    trees = []
-    # tree i's stream depends only on (seed, i), so an n-tree forest is the
-    # first n trees of any larger one: cross_validate scores such prefixes
-    for child_seed in np.random.SeedSequence(seed).spawn(n_estimators):
-        rng = np.random.default_rng(child_seed)
-        idx = rng.integers(0, n, size=n)
-        trees.append(_grow(X[idx], y[idx], 0, max_depth, rng, criterion))
+    trees = [
+        grow_tree(X, y, tree_seed, max_depth, criterion)
+        for tree_seed in tree_seeds(seed, n_estimators)
+    ]
     return ForestModel(
         trees=trees,
         max_depth=max_depth,

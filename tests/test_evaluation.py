@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gitbot import evaluation
+from gitbot import evaluation, training
 from gitbot.baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
 from gitbot.errors import EmptyInput, SingleClassData
 from gitbot.evaluation import (
@@ -25,10 +26,10 @@ from gitbot.evaluation import (
     train_config,
 )
 from gitbot.features import FeatureVector
-from gitbot.forest import BOT, HUMAN, predict
-from gitbot.training import predict_labels, train_forest
+from gitbot.forest import BOT, CRITERIA, HUMAN, predict
+from gitbot.training import deepest_draw, grow_tree, predict_labels, train_forest
 
-from .test_forest import random_examples
+from .test_forest import random_examples, tied_data
 
 
 def class_labels(n_bots, n_humans):
@@ -254,6 +255,82 @@ ONE_CPU, THREE_CPUS = {0}, {0, 1, 2}
 def cpus(monkeypatch, available):
     """Make `cross_validate` see `available` as the CPUs it may run on."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(available))
+
+
+DEPTH_GRID = [
+    GridConfig("random forest", "forest(depth=02)", {"max_depth": 2, "n_estimators": 8}),
+    GridConfig("random forest", "forest(depth=04,small)", {"max_depth": 4, "n_estimators": 3}),
+    GridConfig("random forest", "forest(depth=04)", {"max_depth": 4, "n_estimators": 8}),
+    GridConfig("random forest", "forest(default depth)", {"n_estimators": 5}),
+    GridConfig("random forest", "forest(depth=12)", {"max_depth": 12, "n_estimators": 8}),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
+    # forests that differ only in depth, one of them by omitting it: one group,
+    # grown at depth 12; of its trees at depths 2, 4 and 8, some are the deep
+    # trees and some are grown again
+    cpus(monkeypatch, ONE_CPU)  # so that the regrowths are counted here
+    regrown = []
+
+    def counted(X, y, tree_seed, max_depth, criterion):
+        regrown.append(max_depth)
+        return grow_tree(X, y, tree_seed, max_depth, criterion)
+
+    monkeypatch.setattr(evaluation, "grow_tree", counted)
+    data = random_examples(np.random.default_rng(50 + seed), 45, separable=False)
+    rows = cross_validate(*data, DEPTH_GRID, k_folds=3, seed=seed)
+    assert rows == table_fitting_every_config(data, DEPTH_GRID, 3, seed)
+    assert 0 < len(regrown) < 3 * 3 * 8  # of 3 folds x 3 shallower depths x 8 trees
+
+    # every member, not only the best row, scores as its own fit
+    X, y = data
+    folds = _stratified_folds(y, 3, np.random.default_rng(seed))
+    search = evaluation._Search(X, y, folds, DEPTH_GRID, seed)
+    (group,) = evaluation._forest_groups(DEPTH_GRID)
+    for fold, (train_idx, test_idx) in enumerate(folds):
+        for position, metrics in evaluation._score_group(search, fold, group):
+            model = train_config(DEPTH_GRID[position], X[train_idx], y[train_idx], seed=seed)
+            predicted = predict_labels(model, X[test_idx])
+            assert metrics == evaluation._fold_metrics(predicted, y[test_idx])
+
+
+def drawing_depths(X, y, tree_seed, max_depth, criterion):
+    """The depth of every node at which growing the tree drew candidates, seen from the grower."""
+    depths = []
+    candidates = training._candidates
+
+    def recorded(n_features, draw):
+        if draw is not None:
+            depths.append(sys._getframe(1).f_locals["depth"])
+        return candidates(n_features, draw)
+
+    training._candidates = recorded
+    try:
+        tree = grow_tree(X, y, tree_seed, max_depth, criterion)
+    finally:
+        training._candidates = candidates
+    return tree, depths
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(2, 150),
+    data_seed=st.integers(0, 2**32 - 1),
+    tree_seed=st.integers(0, 2**32 - 1),
+    criterion=st.sampled_from(CRITERIA),
+    deepest=st.integers(1, 12),
+)
+def test_a_tree_that_drew_nothing_from_depth_d_down_is_the_tree_grown_to_d(
+    n, data_seed, tree_seed, criterion, deepest
+):
+    X, y = tied_data(data_seed, n)
+    deep, depths = drawing_depths(X, y, tree_seed, deepest, criterion)
+    drawn = deepest_draw(deep, deepest)
+    assert drawn == max(depths, default=-1)
+    for limit in range(drawn + 1, deepest):
+        assert grow_tree(X, y, tree_seed, limit, criterion) == deep
 
 
 @pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])

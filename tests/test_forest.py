@@ -24,6 +24,7 @@ from gitbot.training import (
     FEATURE_SUBSET_SIZE,
     IMPURITY,
     SMALL_NODE,
+    _FeatureDraw,
     _grow,
     _impurity,
     best_split,
@@ -229,6 +230,50 @@ def tied_data(seed, n):
     X[:, 3] = np.where(rng.random(n) < 0.3, np.nextafter(X[:, 3], 2.0), X[:, 3])
     y = (rng.random(n) < 0.2 + 0.02 * X[:, 2]).astype(np.int64)
     return X, y
+
+
+# (n, k) with 1 <= k <= n <= 8
+choice_sizes = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+class TestFeatureDraw:
+    """`_FeatureDraw.choice` is `rng.choice(n, k, replace=False)` of the installed numpy."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.sampled_from(["fresh", "bootstrap", "half buffered"]),
+        rows=st.integers(1, 200),
+        sizes=st.lists(choice_sizes, max_size=20),
+    )
+    def test_same_draws_and_state_as_rng_choice(self, seed, start, rows, sizes):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for generator in (rng, reference):
+            if start == "bootstrap":  # as a forest tree starts
+                generator.integers(0, rows, size=rows)
+            elif start == "half buffered":  # a 32-bit draw keeps the other half of its word
+                generator.random(dtype=np.float32)
+        draw = _FeatureDraw(rng)
+        for n, k in sizes:
+            assert draw.choice(n, k) == reference.choice(n, k, replace=False).tolist()
+        draw.close()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_biased_product_is_rejected(self):
+        # no seed reaches this in practice: the low half 0 times span 3 leaves
+        # 0 in the low 32 bits, below (2**32 - 3) % 3 == 1, so Lemire's method
+        # rejects it and multiplies the buffered high half instead
+        high = 0x8000_0000
+
+        class Scripted:
+            state = {"has_uint32": 0, "uinteger": 0}
+            random_raw = iter([high << 32]).__next__
+
+        rng = type("Rng", (), {"bit_generator": Scripted()})()
+        draw = _FeatureDraw(rng)
+        assert draw.choice(3, 1) == [high * 3 >> 32]
+        draw.close()
+        assert Scripted.state == {"has_uint32": 0, "uinteger": high}
 
 
 class TestGrowAcrossTheSwitch:
