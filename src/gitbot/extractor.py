@@ -2,19 +2,22 @@
 
 A record holds only what analysis reads: the selected role's name and
 the message. Commits come in git's walk order, newest first, and that
-order is what "newest" means for every contributor. Fields are
-separated by a NUL byte and records end with NUL-NUL, so any printable
-message content survives parsing (git forbids NUL inside commit
-messages). git is asked for UTF-8 (`--encoding=UTF-8`), whatever the
-user's i18n.logOutputEncoding says, and its output is decoded with
-surrogateescape, which keeps messages byte-exact even when they are not
-valid UTF-8.
+order is what "newest" means for every contributor. git runs with `-z`
+and a `tformat:` layout, so each record reads `name NUL message NUL NUL`:
+its fields are separated by a NUL byte and the record ends with NUL-NUL,
+the last NUL being git's record terminator. Any printable message
+content survives parsing (git forbids NUL inside commit messages), and
+no separator byte joins a record to the next one. git is asked for UTF-8
+(`--encoding=UTF-8`), whatever the user's i18n.logOutputEncoding says,
+and its output is decoded with surrogateescape, which keeps messages
+byte-exact even when they are not valid UTF-8.
 
-git also writes the role's time as integer Unix seconds (`%at` /
-`%ct`). Every time field is parsed and checked, but read only to
-compare with the `--start-date` cutoff. git stores dates with
-one-second resolution, so comparing these integers is exactly comparing
-the UTC instants, whatever the time zone each commit was recorded in.
+Only with `--start-date` does git also write the role's time, as integer
+Unix seconds (`%at` / `%ct`) after the name: `name NUL time NUL message
+NUL NUL`. Every time field is then parsed and checked, but read only to
+compare with the cutoff. git stores dates with one-second resolution, so
+comparing these integers is exactly comparing the UTC instants, whatever
+the time zone each commit was recorded in.
 
 The output is read and parsed block by block while git still writes
 it. git runs with `GIT_FLUSH=0`: when its stdout is a pipe, git
@@ -22,7 +25,9 @@ otherwise flushes after every commit, and reading a 100,000-commit log
 to its end took 84,579 reads instead of 1,325. Each block is cut after
 its last whole record; the rest is carried into the next block. A cut
 at a NUL never splits a UTF-8 sequence, because no multibyte sequence
-contains a NUL byte.
+contains a NUL byte. The reader is woken after each of git's 4 KiB
+writes and then mostly runs on git's CPU, so the two share one CPU and
+every step the parser spends on a commit adds to the wall time.
 """
 
 import calendar
@@ -30,7 +35,8 @@ import enum
 import os
 import subprocess
 import tempfile
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ExtractionFailed, GitUnavailable, NotAGitRepository
@@ -48,51 +54,64 @@ class RawCommit(NamedTuple):
     message: str
 
 
-_FIELDS_PER_RECORD = 4  # name, time, body, terminator gap
 _BLOCK_BYTES = 1 << 18  # the most one read of git's stdout returns
 
 
-def _pretty_format(role: Role) -> str:
-    fields = "%an%x00%at" if role is Role.AUTHOR else "%cn%x00%ct"
-    return f"--pretty=format:{fields}%x00%B%x00%x00"
+def _pretty_format(role: Role, timed: bool) -> str:
+    name, stamp = ("%an", "%at") if role is Role.AUTHOR else ("%cn", "%ct")
+    fields = f"{name}%x00{stamp}" if timed else name
+    return f"--pretty=tformat:{fields}%x00%B%x00"  # -z adds the terminating NUL
 
 
 class _LogParser:
-    """Parses `git log` output fed in blocks cut at arbitrary bytes.
+    """Parses `git log -z` output fed in blocks cut at arbitrary bytes.
 
+    A record holds name, message and an empty terminator gap, 3 fields;
+    with a `cutoff`, git also writes the time after the name, 4 fields.
     `feed` parses every record the bytes fed so far complete and keeps
     the rest; `close` checks that nothing is left and returns the
     commits, in output order, whose time is at least `cutoff`.
+
+    git and this parser share one CPU (see the module docstring), so
+    `feed` works on whole blocks: the fields of a block's records are
+    taken by slicing its token list, with no Python step per field.
     """
 
     def __init__(self, cutoff: int | None = None):
         self._cutoff = cutoff
+        self._fields = 3 if cutoff is None else 4
         self._tail = b""
         self._commits: list[RawCommit] = []
 
     def feed(self, block: bytes) -> None:
+        fields = self._fields
         data = self._tail + block
-        # data starts at a record and every record holds exactly 4 NULs, so
-        # the last whole record ends at the NUL with count % 4 NULs after it
+        # data starts at a record and every record holds exactly `fields`
+        # NULs, so the last whole record ends at the NUL with
+        # count % fields NULs after it
         cut = len(data)
-        for _ in range(data.count(b"\x00") % _FIELDS_PER_RECORD + 1):
+        for _ in range(data.count(b"\x00") % fields + 1):
             cut = data.rfind(b"\x00", 0, cut)
         cut += 1  # 0 when no record is whole
         self._tail = data[cut:]
         if not cut:
             return
         tokens = data[:cut].decode("utf-8", "surrogateescape").split("\x00")
-        # each record contributes 4 tokens; one trailing empty token remains
-        if any(tokens[3::_FIELDS_PER_RECORD]):
+        # each record contributes `fields` tokens; one trailing empty token remains
+        if any(tokens[fields - 1 :: fields]):
             raise ExtractionFailed("unexpected git log record terminator")
-        # records are separated by a newline that fuses onto the next name
-        names = [name.removeprefix("\n") for name in tokens[0:-1:_FIELDS_PER_RECORD]]
-        try:
-            stamps = [int(field) for field in tokens[1::_FIELDS_PER_RECORD]]
-        except ValueError as exc:
-            raise ExtractionFailed(f"unexpected git log time field: {exc}") from exc
-        commits = map(RawCommit, names, tokens[2::_FIELDS_PER_RECORD])
+        # tuple.__new__ makes each RawCommit in C; RawCommit(...) is a
+        # Python call per commit
+        commits = map(
+            tuple.__new__,
+            repeat(RawCommit),
+            zip(tokens[0:-1:fields], tokens[fields - 2 :: fields]),
+        )
         if self._cutoff is not None:
+            try:
+                stamps = [int(field) for field in tokens[1::fields]]
+            except ValueError as exc:
+                raise ExtractionFailed(f"unexpected git log time field: {exc}") from exc
             commits = compress(commits, [stamp >= self._cutoff for stamp in stamps])
         self._commits += commits
 
@@ -121,10 +140,13 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
     while this reads stdout. On any error git is killed and reaped
     before the error propagates.
     """
-    cmd = ["git", "-C", str(repo_path), "log", "--encoding=UTF-8", _pretty_format(role)]
     cutoff = None
     if start_date is not None:
         cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
+    cmd = [
+        "git", "-C", str(repo_path), "log", "-z", "--encoding=UTF-8",
+        _pretty_format(role, timed=cutoff is not None),
+    ]
     parser = _LogParser(cutoff)
     with tempfile.TemporaryFile() as errors:
         try:
@@ -167,6 +189,11 @@ def group_messages(commits: list[RawCommit]) -> dict[str, list[int]]:
     so each name's first position is its newest commit.
     """
     positions: dict[str, list[int]] = {}
-    for i, (name, _message) in enumerate(commits):
-        positions.setdefault(name, []).append(i)
+    get = positions.get
+    for i, name in enumerate(map(itemgetter(0), commits)):
+        group = get(name)
+        if group is None:
+            positions[name] = [i]
+        else:
+            group.append(i)
     return positions

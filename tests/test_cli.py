@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot import cli, dataset, forest
-from gitbot.cli import JSON, ResultRow, format_output, main
+from gitbot.cli import CSV, JSON, TEXT, ResultRow, format_output, main
 from gitbot.dataset import featurize, load_dataset
 from gitbot.evaluation import (
     FAMILY_FOREST,
@@ -80,20 +81,29 @@ _names = st.one_of(
                               "\U0001f600", "\udc80", "\ud800", "a"])).map("".join),
 )
 _counts = st.one_of(st.none(), st.integers(min_value=0, max_value=10**6))
-_rows = st.builds(
-    ResultRow,
-    name=_names,
-    commits=st.integers(min_value=0, max_value=10**6),
-    patterns=_counts,
-    dispersion=st.one_of(st.none(), st.floats()),
-    prediction=st.sampled_from(["bot", "human", "unknown"]),
-    empties=_counts,
+_commits = st.integers(min_value=0, max_value=10**6)
+_dispersions = st.one_of(st.none(), st.floats())
+_rows = st.one_of(
+    st.builds(
+        ResultRow,
+        name=_names,
+        commits=_commits,
+        patterns=_counts,
+        dispersion=_dispersions,
+        prediction=st.sampled_from(["bot", "human", "unknown"]),
+        empties=_counts,
+    ),
+    # the unknown row, which format_output writes from text built once per
+    # call, and its near misses, which must go cell by cell
+    st.builds(ResultRow, _names, _commits, st.none(), st.none(), st.just("unknown"), st.none()),
+    st.builds(ResultRow, _names, _commits, st.none(), st.none(), st.just("unknown"),
+              st.integers(min_value=0, max_value=10**6)),
+    st.builds(ResultRow, _names, _commits, st.none(), _dispersions, st.just("bot"), _counts),
 )
 
 
-@settings(max_examples=300)
-@given(rows=st.lists(_rows, max_size=5), verbose=st.booleans())
-def test_json_output_is_the_text_of_json_dumps_with_indent(rows, verbose):
+def _payload(rows, verbose):
+    """The columns, and each row's cells by column, dispersion rounded."""
     columns = ["name", "commits", "empties", "patterns", "dispersion", "prediction"]
     if not verbose:
         columns.remove("empties")
@@ -102,7 +112,75 @@ def test_json_output_is_the_text_of_json_dumps_with_indent(rows, verbose):
          for c, v in ((c, getattr(row, c)) for c in columns)}
         for row in rows
     ]
+    return columns, payload
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(_rows, max_size=5), verbose=st.booleans())
+def test_json_output_is_the_text_of_json_dumps_with_indent(rows, verbose):
+    _, payload = _payload(rows, verbose)
     assert format_output(rows, JSON, verbose) == json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(_rows, max_size=5), verbose=st.booleans())
+def test_csv_and_text_output_spell_every_cell(rows, verbose):
+    columns, payload = _payload(rows, verbose)
+    table = [columns] + [
+        ["" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
+         for v in cells.values()]
+        for cells in payload
+    ]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(table)
+    assert format_output(rows, CSV, verbose) == buffer.getvalue()
+    widths = [max(map(len, column)) for column in zip(*table)]
+    text = "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
+        for line in table
+    )
+    assert format_output(rows, TEXT, verbose) == text
+
+
+def test_analysis_makes_no_reference_cycles(cli_fixture_repo, tmp_path):
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("carol,Carol\ndave,IGNORE\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(
+        ["analyze", "--mapping", str(mapping), "--start-date", "2000-01-01", str(cli_fixture_repo)]
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        rows = cli.run_analysis(args)
+        format_output(rows, JSON, verbose=True)
+        del rows
+        assert gc.collect() == 0  # nothing for the collector that main pauses
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_cycle_collection_only_during_analysis(
+    capsys, monkeypatch, cli_fixture_repo, tmp_path, collecting
+):
+    seen = []
+    original = cli.compute_features
+
+    def recording(corpus, config):
+        seen.append(gc.isenabled())
+        return original(corpus, config)
+
+    monkeypatch.setattr(cli, "compute_features", recording)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["analyze", str(cli_fixture_repo)]) == 0
+        assert seen and not any(seen)
+        assert gc.isenabled() is collecting
+        assert main(["analyze", str(tmp_path / "missing")]) == 2  # an error restores it too
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_only_predicted_drops_unknown_identities(capsys, cli_fixture_repo):

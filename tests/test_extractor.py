@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import sys
@@ -32,10 +33,14 @@ def parse_blocks(blocks, cutoff=None):
     return parser.close()
 
 
-def git_log_bytes(records):
-    """`git log` output for (name, time, message) byte records, newest first."""
-    return b"\n".join(
-        name + b"\x00" + str(stamp).encode() + b"\x00" + message + b"\x00\x00"
+def git_log_bytes(records, timed):
+    """`git log -z` output for (name, time, message) byte records, newest first.
+
+    The time field is written only when `timed`, as git writes it only
+    under a `--start-date` cutoff.
+    """
+    return b"".join(
+        name + b"\x00" + (str(stamp).encode() + b"\x00" if timed else b"") + message + b"\x00\x00"
         for name, stamp, message in records
     )
 
@@ -180,29 +185,31 @@ class TestExtractCommits:
         assert later <= earlier
 
     @pytest.mark.parametrize(
-        "stdout",
+        "stdout,cutoff",
         [
-            b"alice\x001609459200\x00msg\n\x00",  # a record cut short
-            b"alice\x001609459200\x00msg\n\x00stray\x00",  # non-empty terminator
-            b"alice\x002021-01-01T00:00:00+00:00\x00msg\n\x00\x00",  # ISO, not Unix
-            b"alice\x00\x00msg\n\x00\x00",  # empty time field
-            b"alice\x001609459200\x00msg\n\x00\x00\nbob\x0016094",  # ends in the next record
-            b"alice\x001609459200\x00msg\x00stray\x00",  # text where the terminator belongs
+            (b"alice\x00msg\n\x00", None),  # a record cut short
+            (b"alice\x001609459200\x00msg\n\x00", 0),
+            (b"alice\x00msg\n\x00stray\x00", None),  # non-empty terminator
+            (b"alice\x001609459200\x00msg\n\x00stray\x00", 0),
+            (b"alice\x002021-01-01T00:00:00+00:00\x00msg\n\x00\x00", 0),  # ISO, not Unix
+            (b"alice\x00\x00msg\n\x00\x00", 0),  # empty time field
+            (b"alice\x00msg\n\x00\x00bob\x00ms", None),  # ends in the next record
+            (b"alice\x001609459200\x00msg\n\x00\x00bob\x0016094", 0),
+            (b"alice\x00msg\x00stray\x00\x00", None),  # text where the terminator belongs
+            (b"alice\x001609459200\x00msg\x00stray\x00", 0),
+            (b"alice\x001609459200\x00msg\x00\x00", None),  # a time nobody asked for
         ],
-        ids=["token-count", "terminator", "iso-time", "empty-time", "ends-mid-record",
-             "misplaced-terminator"],
+        ids=["token-count", "token-count-timed", "terminator", "terminator-timed", "iso-time",
+             "empty-time", "ends-mid-record", "ends-mid-record-timed", "misplaced-terminator",
+             "misplaced-terminator-timed", "unrequested-time"],
     )
-    def test_malformed_log_output_fails(self, stdout):
+    def test_malformed_log_output_fails(self, stdout, cutoff):
         with pytest.raises(ExtractionFailed):
-            parse_blocks([stdout])
+            parse_blocks([stdout], cutoff)
 
     @settings(max_examples=300, deadline=None)
     @given(records=_records, data=st.data())
     def test_blocks_cut_anywhere_parse_to_the_records(self, records, data):
-        stream = git_log_bytes(records)
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
-        pieces = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
-
         def expected(cutoff=0):
             return [
                 RawCommit(
@@ -213,13 +220,17 @@ class TestExtractCommits:
                 if stamp >= cutoff
             ]
 
-        assert parse_blocks(pieces) == parse_blocks([stream]) == expected()
         # decoding keeps every byte: messages encode back to what git wrote
         assert [c.message.encode("utf-8", "surrogateescape") for c in expected()] == [
             message for _, _, message in records
         ]
-        cutoff = 2**32
-        assert parse_blocks(pieces, cutoff) == expected(cutoff)
+        # 3 fields without a cutoff, 4 (the time after the name) with one
+        for cutoff in (None, 2**32):
+            stream = git_log_bytes(records, timed=cutoff is not None)
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+            pieces = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+            parsed = expected(cutoff or 0)
+            assert parse_blocks(pieces, cutoff) == parse_blocks([stream], cutoff) == parsed
 
     def test_extraction_idempotent(self, make_repo):
         repo = make_repo(THREE_COMMITS)
@@ -310,7 +321,7 @@ class TestExtractCommits:
         ))
         start = time.monotonic()
         with pytest.raises(ExtractionFailed, match="time field"):
-            extract_commits(tmp_path)
+            extract_commits(tmp_path, start_date=date(2021, 1, 1))
         assert time.monotonic() - start < 10
         with pytest.raises(ProcessLookupError):  # neither running nor a zombie
             os.kill(int(pid_file.read_text()), 0)
@@ -321,9 +332,32 @@ class TestExtractCommits:
         monkeypatch.setenv("GIT_FLUSH", "1")
         fake_git(tmp_path, monkeypatch, (
             "message = (os.environ['GIT_FLUSH'] + ' ' + os.environ['HOME']).encode()\n"
-            "sys.stdout.buffer.write(b'env\\x001609459200\\x00' + message + b'\\x00\\x00')"
+            "sys.stdout.buffer.write(b'env\\x00' + message + b'\\x00\\x00')"
         ))
         assert extract_commits(tmp_path) == [RawCommit("env", f"0 {home}")]
+
+    @pytest.mark.parametrize("role,stamp,other", [
+        (Role.AUTHOR, "%at", "%ct"),
+        (Role.COMMITTER, "%ct", "%at"),
+    ])
+    def test_git_command_line(self, tmp_path, monkeypatch, role, stamp, other):
+        argv_file = tmp_path / "argv.json"
+        fake_git(tmp_path, monkeypatch, (
+            f"import json\njson.dump(sys.argv[1:], open({str(argv_file)!r}, 'w'))"
+        ))
+
+        def git_argv(**options):
+            assert extract_commits(tmp_path, role=role, **options) == []
+            argv = json.loads(argv_file.read_text())
+            [pretty] = [arg for arg in argv if arg.startswith("--pretty=")]
+            assert "-z" in argv
+            assert pretty.startswith("--pretty=tformat:")
+            return pretty
+
+        untimed = git_argv()
+        assert "%at" not in untimed and "%ct" not in untimed
+        timed = git_argv(start_date=date(2021, 1, 1))
+        assert stamp in timed and other not in timed
 
 
 class TestGroupMessages:
@@ -353,6 +387,15 @@ class TestGroupMessages:
         assert groups["alice"] == [0, 1, 2, 3]
         messages = [commits[i].message.strip() for i in groups["alice"]]
         assert messages == ["msg 3", "msg 2", "msg 1", "msg 0"]
+
+    @settings(max_examples=200)
+    @given(names=st.lists(st.sampled_from(["alice", "bob", "carol", "", "\udc80"]) | st.text(max_size=3)))
+    def test_equals_a_setdefault_grouping_in_dict_order(self, names):
+        reference: dict[str, list[int]] = {}
+        for i, name in enumerate(names):
+            reference.setdefault(name, []).append(i)
+        groups = group_messages([RawCommit(name, f"m{i}") for i, name in enumerate(names)])
+        assert list(groups.items()) == list(reference.items())
 
     def test_corpus_sizes_sum_to_commit_count(self, make_repo):
         repo = make_repo(THREE_COMMITS)
