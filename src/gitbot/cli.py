@@ -32,8 +32,10 @@ UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 
 # The module docstring is the --help text, so the split is told here:
 # `analyze` runs without numpy, while evaluation and training load it and
-# are imported only when `train` or `evaluate` runs. Attribute -> module
-# of the names those commands call through this module.
+# are imported only when `train` or `evaluate` runs. `analyze` also runs
+# without `dataclasses`: the records it imports are NamedTuples, and the
+# dataclasses of `dataset`, `evaluation` and `baselines` load with numpy.
+# Attribute -> module of the names those commands call through this module.
 _TRAINING_NAMES = {
     "load_dataset": "dataset",
     "featurize": "dataset",
@@ -186,22 +188,46 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
         ]
         return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
     unknown_rest = [_text_cell(unknown, c) for c in columns[2:]]
-    table = [
-        [row[0], str(row[1]), *unknown_rest]
-        if row[2:] == unknown_shape
-        else [_text_cell(row, c) for c in columns]
-        for row in rows
-    ]
     if output_format == CSV:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(table)
+        writer.writerows(
+            [row[0], str(row[1]), *unknown_rest]
+            if row[2:] == unknown_shape
+            else [_text_cell(row, c) for c in columns]
+            for row in rows
+        )
         return buffer.getvalue()
-    # text: whitespace-aligned columns
-    table.insert(0, columns)
-    widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() for line in table]
+    # text: whitespace-aligned columns. Each width is found once: names and
+    # commits from every row (commits are counts, so the largest is the
+    # longest), the other columns from the header, the known rows and, if
+    # any row is unknown, the unknown tail. That tail ends in the
+    # prediction, so it is never blank, and it is padded once per call.
+    cells = [None if row[2:] == unknown_shape else [_text_cell(row, c) for c in columns]
+             for row in rows]
+    shown = [columns, *(line for line in cells if line is not None)]
+    if None in cells:
+        shown.append(["", "", *unknown_rest])
+    widths = [max(len(line[i]) for line in shown) for i in range(len(columns))]
+    if rows:
+        widths[0] = max(widths[0], max(map(len, map(itemgetter(0), rows))))
+        widths[1] = max(widths[1], len(str(max(map(itemgetter(1), rows)))))
+
+    def render(line):
+        return "  ".join([cell.ljust(width) for cell, width in zip(line, widths)]).rstrip()
+
+    name_width, commits_width = widths[:2]
+    tail = "  ".join(
+        [cell.ljust(width) for cell, width in zip(unknown_rest, widths[2:])]
+    ).rstrip()
+    lines = [render(columns)]
+    lines += [
+        f"{row[0].ljust(name_width)}  {str(row[1]).ljust(commits_width)}  {tail}"
+        if line is None
+        else render(line)
+        for row, line in zip(rows, cells)
+    ]
     return "\n".join(lines) + "\n"
 
 

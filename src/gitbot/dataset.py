@@ -170,7 +170,7 @@ def featurize(
             raise MalformedDataset(
                 f"{entry.contributor!r} has fewer than {config.min_messages} messages"
             )
-        rows.append(vector.as_row())
+        rows.append(vector)
     X = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     y = np.array([LABEL_IDS[entry.label] for entry in dataset.entries], dtype=np.int64)
     return X, y

@@ -7,48 +7,56 @@ similar messages), and the Gini coefficient of pattern sizes.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import similarity
 from .similarity import normalize_message
 
-FEATURE_NAMES = ("n_messages", "n_empty", "n_patterns", "gini")
 
-
-@dataclass(frozen=True)
-class FeatureConfig:
+class _FeatureConfigFields(NamedTuple):
     min_messages: int = 10
     max_messages: int = 100
     distance_threshold: float = 0.5
 
-    def __post_init__(self):
+
+class FeatureConfig(_FeatureConfigFields):
+    """How many messages a corpus needs and reads, and the pattern threshold.
+
+    A subclass, because a NamedTuple body may not define the __new__ that
+    checks the ranges.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.min_messages <= self.max_messages:
             raise ValueError("need 0 < min_messages <= max_messages")
         if not 0.0 <= self.distance_threshold <= 1.0:
             raise ValueError("distance_threshold must be in [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """One contributor's features; the vector is the model's input row."""
+
     n_messages: int
     n_empty: int
     n_patterns: int
     gini: float
 
-    def as_row(self) -> tuple:
-        """The four features in FEATURE_NAMES order."""
-        return (self.n_messages, self.n_empty, self.n_patterns, self.gini)
+
+FEATURE_NAMES = FeatureVector._fields
 
 
-@dataclass(frozen=True)
-class PatternAssignment:
+class PatternAssignment(NamedTuple):
     """Pattern id per message plus the size of each pattern.
 
     Ids are contiguous from 0, assigned in first-occurrence order.
     """
 
-    labels: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
+    labels: list[int]
+    sizes: list[int]
 
 
 def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
@@ -64,8 +72,20 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     - Identical messages are at distance 0 <= eps. Each copy is hung
       under the first occurrence of its text, and only distinct texts
       are compared.
-    - A pair whose two texts are already in one component is skipped:
-      linking it could not change any component.
+    - Only texts that share a token are compared when eps <= 0.5, found
+      by OR-ing per-token bitmasks of distinct-text positions (the
+      candidate filter of all-pairs similarity search; Bayardo, Ma and
+      Srikant, 2007). Two distinct texts that share no token, at least
+      one of which has a token, have Jaccard 0.0 and edit distance
+      d >= 1. Texts shorter than 2**52 characters give d / longest >=
+      2**-52, and the float expression of compound_similarity then puts
+      the distance at 0.5 + 2**-53 or more, which is > eps. Two texts
+      without tokens have Jaccard 1.0, so each such text is given the
+      empty token, which split() never returns: it makes them candidates
+      of each other and leaves every Jaccard value unchanged. With
+      eps > 0.5 every later text is a candidate.
+    - A candidate pair whose two texts are already in one component is
+      skipped: linking it could not change any component.
     - A pair is rejected without an edit distance when a lower bound on
       its distance exceeds eps. The bound is the compound distance with
       the edit distance d replaced by |la - lb| <= d, evaluated by the
@@ -96,12 +116,21 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     parent = [first.setdefault(text, i) for i, text in enumerate(messages)]
 
     token_ids: dict[str, int] = {}
+    holders: list[int] = []  # per token id, a bitmask of the positions in distinct
     distinct = []  # (index of first occurrence, text, length, token mask, char counts)
-    for text, i in first.items():
+    token_lists = []  # per position in distinct, the token ids of its text
+    for k, (text, i) in enumerate(first.items()):
+        ids = [token_ids.setdefault(token, len(token_ids)) for token in text.split() or [""]]
         mask = 0
-        for token in text.split():
-            mask |= 1 << token_ids.setdefault(token, len(token_ids))
+        for t in ids:
+            if t == len(holders):
+                holders.append(0)
+            holders[t] |= 1 << k
+            mask |= 1 << t
         distinct.append((i, text, len(text), mask, Counter(text)))
+        token_lists.append(ids)
+    every_later = eps > 0.5
+    everyone = (1 << len(distinct)) - 1
 
     def find(x):
         root = x
@@ -114,12 +143,23 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     for k, (i, text_i, len_i, mask_i, counts_i) in enumerate(distinct):
         # every link below hangs a root under ri, so ri stays i's root
         ri = find(i)
-        for j, text_j, len_j, mask_j, counts_j in distinct[k + 1:]:
-            rj = find(j)
+        if every_later:
+            candidates = everyone
+        else:
+            candidates = 0
+            for t in token_lists[k]:
+                candidates |= holders[t]
+        candidates >>= k + 1
+        j = k
+        while candidates:
+            step = (candidates & -candidates).bit_length()  # to the next set bit
+            candidates >>= step
+            j += step
+            first_j, text_j, len_j, mask_j, counts_j = distinct[j]
+            rj = find(first_j)
             if rj == ri:
                 continue
-            union = (mask_i | mask_j).bit_count()
-            jac = (mask_i & mask_j).bit_count() / union if union else 1.0
+            jac = (mask_i & mask_j).bit_count() / (mask_i | mask_j).bit_count()
             longest = max(len_i, len_j)
             if 1.0 - 0.5 * (jac + (1.0 - abs(len_i - len_j) / longest)) > eps:
                 continue

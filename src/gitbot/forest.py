@@ -16,8 +16,7 @@ Labeled data reaches the trainers as arrays (X, y), feature rows and
 `LABEL_IDS` labels, built once by `dataset.featurize`.
 """
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .features import FeatureConfig, FeatureVector
 
@@ -30,8 +29,7 @@ LABEL_IDS = {HUMAN: 0, BOT: 1}
 CRITERIA = ("entropy", "gini")
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     counts: tuple[int, int]  # (humans, bots)
 
     def vote(self) -> int:
@@ -39,8 +37,7 @@ class Leaf:
         return 1 if self.counts[1] > self.counts[0] else 0
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     feature: int
     threshold: float
     left: "TreeNode"  # taken when x[feature] <= threshold
@@ -50,13 +47,12 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
-@dataclass(frozen=True)
-class ForestModel:
+class ForestModel(NamedTuple):
     trees: list[TreeNode]
     max_depth: int
     criterion: str
     seed: int
-    feature_config: FeatureConfig = field(default_factory=FeatureConfig)
+    feature_config: FeatureConfig = FeatureConfig()
 
     def bot_fraction(self, X) -> list[float]:
         """Share of the trees voting bot, per row of X (any sequence of feature rows)."""
@@ -80,4 +76,4 @@ def is_bot(fraction):
 
 def predict(model, features: FeatureVector) -> str:
     """BOT or HUMAN: one contributor's label under any model with `bot_fraction`."""
-    return BOT if is_bot(model.bot_fraction([features.as_row()])[0]) else HUMAN
+    return BOT if is_bot(model.bot_fraction([features])[0]) else HUMAN

@@ -11,17 +11,16 @@ chosen as an unmerged name's are.
 """
 
 import csv
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import DuplicateName, MalformedMapping
 
 IGNORE_IDENTITY = "IGNORE"
 
 
-@dataclass(frozen=True)
-class IdentityMapping:
-    entries: dict[str, str] = field(default_factory=dict)
+class IdentityMapping(NamedTuple):
+    entries: dict[str, str] = {}  # shared by every default mapping: never mutated
 
     def resolve(self, name: str) -> str:
         return self.entries.get(name, name)

@@ -9,7 +9,6 @@ bytes.
 
 import json
 import math
-from dataclasses import asdict
 
 from .errors import UnreadableModel
 from .features import FEATURE_NAMES, FeatureConfig
@@ -75,7 +74,7 @@ def model_to_json(model: ForestModel) -> str:
         "max_depth": model.max_depth,
         "seed": model.seed,
         "feature_names": list(FEATURE_NAMES),
-        "feature_config": asdict(model.feature_config),
+        "feature_config": model.feature_config._asdict(),
         "trees": [_node_to_obj(tree) for tree in model.trees],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -10,7 +10,10 @@ The edit distance is computed by the bit-vector algorithm of Myers
 (1999, "A fast bit-vector algorithm for approximate string matching")
 in the formulation of Hyyrö (2001): one column of the dynamic program
 per character of the longer string, held as two Python ints over the
-shorter one, so strings of any length are exact.
+shorter one, so strings of any length are exact. The common prefix
+and suffix of the two strings are stripped first, inside
+`_edit_distance`, so that the stripping stays inside the one similarity
+path below and is not a second one.
 
 There is one similarity path: features.cluster_patterns calls
 compound_similarity once for each pair of distinct messages that it
@@ -40,12 +43,21 @@ def jaccard_similarity(a: str, b: str) -> float:
 
 
 def _edit_distance(a: str, b: str) -> int:
-    # D[i][j] is the distance of b[:i] and a[:j]. Bit i of pv (mv) is set
-    # when D[i+1][j] - D[i][j] is +1 (-1) in the current column j.
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
+    # A common prefix and suffix leave the distance unchanged: an optimal
+    # alignment matches them character for character.
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_b and a[start] == b[start]:
+        start += 1
+    while end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    if start == end_b:
+        return end_a - end_b
+    a, b = a[start:end_a], b[start:end_b]
+    # D[i][j] is the distance of b[:i] and a[:j]. Bit i of pv (mv) is set
+    # when D[i+1][j] - D[i][j] is +1 (-1) in the current column j.
     peq: dict[str, int] = {}
     bit = 1
     for c in b:

@@ -490,6 +490,15 @@ def test_json_lines_dataset_reports_as_its_csv_does(capsys, dataset_csv, tmp_pat
     assert runs[0] == runs[1]
 
 
+def test_importing_the_cli_loads_neither_numpy_nor_dataclasses():
+    script = "import sys, gitbot.cli; print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_analyze_never_imports_numpy(cli_fixture_repo):
     # runs `python -m gitbot analyze --json REPO`, then inspects the interpreter
     script = (

@@ -175,7 +175,7 @@ class TestFeaturize:
         X, y = featurize(dataset, FeatureConfig())
         assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (3, 4), np.int64, (3,))
         for row, entry in zip(X.tolist(), dataset.entries):
-            assert tuple(row) == compute_features(entry.corpus, FeatureConfig()).as_row()
+            assert tuple(row) == compute_features(entry.corpus, FeatureConfig())
 
     def test_empty_dataset_gives_empty_arrays(self):
         X, y = featurize(LabeledDataset(entries=[]))

@@ -415,7 +415,7 @@ vectors = st.builds(
 @settings(deadline=None)
 @given(fv=vectors)
 def test_every_model_obeys_one_contract(models, fv):
-    X = np.array([fv.as_row()], dtype=np.float64)
+    X = np.array([fv], dtype=np.float64)
     for model in models:
         f = float(model.bot_fraction(X)[0])
         label = predict(model, fv)

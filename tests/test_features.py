@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,21 @@ def anagram_corpora(draw):
     return corpus
 
 
+# Words of up to three letters over two: texts that share a token beside
+# token-disjoint ones that share letters ("ab" and "ba", "a" and "aa"), and
+# texts with no token at all.
+short_word_corpora = st.lists(
+    st.lists(st.text(alphabet="ab", max_size=3), max_size=3).map(" ".join),
+    min_size=1,
+    max_size=30,
+)
+
+# eps at and next to 0.5, the largest threshold where only texts that
+# share a token are compared, and above it
+candidate_rule_thresholds = st.sampled_from(
+    [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.75, 1.0]
+)
+
 # the boundaries where ties and the all-in-one case occur
 boundary_thresholds = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 thresholds = st.one_of(boundary_thresholds, st.floats(0.0, 1.0))
@@ -153,6 +170,30 @@ class TestClusterPatterns:
     def test_matches_all_pairs_oracle_where_the_bag_bound_decides(self, corpus, eps):
         assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
 
+    @settings(deadline=None)
+    @given(
+        corpus=st.one_of(short_word_corpora, anagram_corpora(), mixed_corpora),
+        eps=candidate_rule_thresholds,
+    )
+    def test_matches_all_pairs_oracle_around_the_token_rule(self, corpus, eps):
+        assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
+
+    def test_token_disjoint_texts_are_compared_only_above_one_half(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return compound_similarity(a, b)
+
+        monkeypatch.setattr(similarity, "compound_similarity", counting)
+        # no shared token, bag distance 0: both bounds pass at any eps >= 0.5
+        assert cluster_patterns(["abcd", "dcba"], 0.5).labels == [0, 1]
+        assert calls == []
+        assert cluster_patterns(["abcd", "dcba"], math.nextafter(0.5, 1.0)).labels == [0, 1]
+        assert calls == [("abcd", "dcba")]
+        # at distance 0.75, "a" and "aa" link without sharing a token
+        assert cluster_patterns(["a", "aa"], 0.75).labels == [0, 0]
+
     def test_bag_bound_rejects_disjoint_letters_and_computes_anagrams(self, monkeypatch):
         calls = []
 
@@ -161,12 +202,12 @@ class TestClusterPatterns:
             return compound_similarity(a, b)
 
         monkeypatch.setattr(similarity, "compound_similarity", counting)
-        # equal lengths, no shared token: the length bound reads 0.5 <= eps
-        assert cluster_patterns(["abcd", "efgh"], 0.5).labels == [0, 1]
+        # equal lengths, one shared token of three: the length bound reads 1/3 <= eps
+        assert cluster_patterns(["x abcd", "x efgh"], 0.5).labels == [0, 1]
         assert calls == []
         # bag distance 0, edit distance 4
-        assert cluster_patterns(["abcd", "dcba"], 0.5).labels == [0, 1]
-        assert calls == [("abcd", "dcba")]
+        assert cluster_patterns(["x abcd", "x dcba"], 0.5).labels == [0, 1]
+        assert calls == [("x abcd", "x dcba")]
 
     @pytest.mark.parametrize("eps", [-0.1, float("nan")])
     def test_negative_or_nan_eps_rejected(self, eps):

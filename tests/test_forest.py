@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gitbot import training
 from gitbot.cli import load_default_model
 from gitbot.errors import SingleClassData
-from gitbot.features import FeatureVector
+from gitbot.features import FeatureConfig, FeatureVector
 from gitbot.forest import (
     BOT,
     CRITERIA,
@@ -506,6 +506,8 @@ forests = st.lists(trees, min_size=1, max_size=12).flatmap(
         max_depth=st.integers(1, 20),
         criterion=st.sampled_from(CRITERIA),
         seed=st.integers(0, 2**63),
+        # builds() draws every field of a NamedTuple, defaulted ones too
+        feature_config=st.just(FeatureConfig()),
     )
 )
 feature_rows = st.tuples(

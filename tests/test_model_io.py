@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import runpy
 from importlib import resources
@@ -81,7 +80,7 @@ feature_configs = st.integers(1, 100).flatmap(
 @settings(deadline=None)
 @given(model=forests, config=feature_configs)
 def test_save_load_save_gives_identical_bytes(model, config, tmp_path_factory):
-    model = dataclasses.replace(model, feature_config=config)
+    model = model._replace(feature_config=config)
     first = tmp_path_factory.mktemp("roundtrip") / "first.json"
     second = first.with_name("second.json")
     save_model(model, first)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot import similarity
@@ -119,6 +119,20 @@ class TestLevenshtein:
             m = max(len(a), len(b))
             expected = 1.0 if m == 0 else 1.0 - oracle_edit_distance(a, b) / m
             assert levenshtein_similarity(a, b) == expected
+
+    # Texts with a long common prefix and suffix, across the 64-bit word
+    # boundaries of the bit vectors: _edit_distance strips both first.
+    @settings(deadline=None)
+    @given(
+        prefix=st.text(alphabet="ab\u00e9", max_size=70),
+        middles=st.tuples(st.text(alphabet="ab\u00e9", max_size=6),
+                          st.text(alphabet="ab\u00e9", max_size=6)),
+        suffix=st.text(alphabet="ab\u00e9", max_size=70),
+    )
+    def test_equals_the_unstripped_oracle_on_shared_affixes(self, prefix, middles, suffix):
+        a, b = (prefix + middle + suffix for middle in middles)
+        assert similarity._edit_distance(a, b) == oracle_edit_distance(a, b)
+        assert similarity._edit_distance(b, a) == oracle_edit_distance(a, b)
 
     # the premise of the bag bound in features.cluster_patterns
     @given(a=st.text(), b=st.text())
