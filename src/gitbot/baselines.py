@@ -10,7 +10,11 @@ standardized features (statistics from the training set); the two linear
 families share `LinearModel`, whose bot fraction is the sigmoid of the
 score. The single decision tree is a one-tree `ForestModel` grown
 by the tree grower of `training` without bootstrap and without an rng:
-every feature is a candidate at each node, and nothing is drawn.
+every feature is a candidate at each node, and nothing is drawn. So
+the tree at a shallower depth is the deeper tree cut there
+(`cut_tree`), and a grid search grows one tree per fold for all
+depths. Likewise it orders each test row's neighbours once for every
+k (`KnnModel.bot_fractions`).
 
 Both linear families minimize a convex objective with an unpenalized
 bias, and both solve it to a stated tolerance:
@@ -25,16 +29,15 @@ A fit that stops short of its tolerance warns.
 """
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .forest import ForestModel
+from .forest import ForestModel, Leaf, Split
 from .training import _check_two_classes, _grow
 
 
-@dataclass(frozen=True)
-class Standardizer:
+class Standardizer(NamedTuple):
     mean: np.ndarray
     scale: np.ndarray
 
@@ -48,19 +51,31 @@ class Standardizer:
         return (X - self.mean) / self.scale
 
 
-@dataclass(frozen=True)
-class KnnModel:
+class KnnModel(NamedTuple):
     X: np.ndarray  # standardized training features
     y: np.ndarray
     k: int
     scaler: Standardizer
 
     def bot_fraction(self, X: np.ndarray) -> np.ndarray:
+        return self.bot_fractions(X, [self.k])[0]
+
+    def bot_fractions(self, X: np.ndarray, ks) -> list[np.ndarray]:
+        """`bot_fraction` at each k in ks, from one order of the neighbours.
+
+        A k-row's fraction is its bot count among the first k neighbours
+        divided by k, the float that the mean of their labels gives.
+        """
         Z = self.scaler.transform(X)
-        d2 = ((Z[:, None, :] - self.X[None, :, :]) ** 2).sum(axis=2)
+        # the squared distances summed feature by feature, in the order and
+        # to the bits of ((Z[:, None] - self.X[None]) ** 2).sum(axis=2)
+        d2 = (Z[:, None, 0] - self.X[None, :, 0]) ** 2
+        for f in range(1, Z.shape[1]):
+            d2 += (Z[:, None, f] - self.X[None, :, f]) ** 2
         # stable sort keeps training order on distance ties
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self.y[nearest].mean(axis=1)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, : max(ks)]
+        bots = np.cumsum(self.y[nearest], axis=1)
+        return [bots[:, k - 1] / k for k in ks]
 
 
 def train_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:
@@ -80,8 +95,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     """Logistic regression or linear SVM: a hyperplane over standardized features."""
 
     weights: np.ndarray
@@ -238,3 +252,31 @@ def train_single_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 8) -> Fores
     _check_two_classes(y)
     tree = _grow(X, y, 0, max_depth, None, "entropy")
     return ForestModel(trees=[tree], max_depth=max_depth, criterion="entropy", seed=0)
+
+
+def cut_tree(model: ForestModel, max_depth: int) -> ForestModel:
+    """`train_single_tree` of the same data at max_depth, from a model of it at least as deep.
+
+    Nothing is drawn, so the shallower grower scans the same rows at
+    the same nodes down to max_depth and stops there: each node at that
+    depth becomes a `Leaf` of its rows, which are its subtree's rows.
+    """
+    (tree,) = model.trees
+    return model._replace(trees=[_cut(tree, max_depth)], max_depth=max_depth)
+
+
+def _cut(node, depth: int):
+    if isinstance(node, Leaf):
+        return node
+    if depth == 0:
+        return Leaf(_counts(node))
+    f, threshold, left, right = node
+    return Split(f, threshold, _cut(left, depth - 1), _cut(right, depth - 1))
+
+
+def _counts(node) -> tuple[int, int]:
+    """(humans, bots) of a subtree's rows: its leaves' counts, summed."""
+    if isinstance(node, Leaf):
+        return node.counts
+    (h1, b1), (h2, b2) = _counts(node.left), _counts(node.right)
+    return (h1 + h2, b1 + b2)

@@ -12,6 +12,7 @@ import gc
 import importlib
 import io
 import json
+import re
 import sys
 from datetime import date
 from importlib import resources
@@ -28,13 +29,16 @@ from .identity import IdentityMapping, apply_mapping, load_mapping
 from .model_io import load_model, model_from_json, save_model
 
 TEXT, CSV, JSON = "text", "csv", "json"
+# characters that can make csv.writer quote a cell: its delimiter, its quote
+# character and line breaks. A name holding one is written by csv.writer
+# itself, so a character listed here needlessly costs only time.
+_CSV_QUOTED = '[,"\r\n]'
 UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 
 # The module docstring is the --help text, so the split is told here:
 # `analyze` runs without numpy, while evaluation and training load it and
-# are imported only when `train` or `evaluate` runs. `analyze` also runs
-# without `dataclasses`: the records it imports are NamedTuples, and the
-# dataclasses of `dataset`, `evaluation` and `baselines` load with numpy.
+# are imported only when `train` or `evaluate` runs. No command loads
+# `dataclasses`: every record in the package is a NamedTuple.
 # Attribute -> module of the names those commands call through this module.
 _TRAINING_NAMES = {
     "load_dataset": "dataset",
@@ -189,16 +193,26 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
         return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
     unknown_rest = [_text_cell(unknown, c) for c in columns[2:]]
     if output_format == CSV:
+        # An unknown row whose name csv would not quote is written from the
+        # tail rendered once; every other row goes through csv.writer.
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(
-            [row[0], str(row[1]), *unknown_rest]
-            if row[2:] == unknown_shape
-            else [_text_cell(row, c) for c in columns]
+
+        def csv_line(cells):
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow(cells)
+            return buffer.getvalue()
+
+        tail = csv_line(unknown_rest)
+        quoted = re.compile(_CSV_QUOTED).search  # compiled here: most runs write no CSV
+        lines = [
+            f"{row[0]},{row[1]},{tail}"
+            if row[2:] == unknown_shape and not quoted(row[0])
+            else csv_line([_text_cell(row, c) for c in columns])
             for row in rows
-        )
-        return buffer.getvalue()
+        ]
+        return csv_line(columns) + "".join(lines)
     # text: whitespace-aligned columns. Each width is found once: names and
     # commits from every row (commits are counts, so the largest is the
     # longest), the other columns from the header, the known rows and, if

@@ -24,7 +24,7 @@ one float64 feature row per corpus and its int64 label, bot 1.
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,20 +37,20 @@ logger = logging.getLogger(__name__)
 _HEADER = ["contributor_id", "repository_id", "label", "message"]
 
 
-@dataclass(frozen=True)
-class DatasetEntry:
+class DatasetEntry(NamedTuple):
     contributor: str
     repository: str
     corpus: list[str]  # messages, newest first
     label: str
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(NamedTuple):
     entries: list[DatasetEntry]
     n_excluded: int = 0  # corpora dropped for having too few messages
 
     def __len__(self) -> int:
+        # the entries, not the fields; `_make` and `_replace` check len
+        # against the field count, so they do not apply to this class
         return len(self.entries)
 
 

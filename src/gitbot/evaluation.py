@@ -2,7 +2,8 @@
 
 Everything here indexes the arrays (X, y) of `dataset.featurize`:
 the split and the folds are index arrays into them, every fit takes
-rows of them, and every score compares `predict_labels` with y.
+rows of them, and every score compares the labels that `predict_labels`
+gives with y.
 
 `cross_validate` runs its fits in worker processes, one per CPU this
 process may run on, or in the caller when it may run on one CPU;
@@ -22,15 +23,16 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from operator import and_
+from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import train_knn, train_linear_svm, train_logistic, train_single_tree
+from .baselines import cut_tree, train_knn, train_linear_svm, train_logistic, train_single_tree
 from .errors import EmptyInput, SingleClassData
 from .features import compute_features  # no caller: kept for bench/tracer.py, which wraps it here
 from .forest import BOT, HUMAN, ForestModel, _vote, is_bot
-from .training import deepest_draw, grow_tree, predict_labels, train_forest, tree_seeds
+from .training import _check_forest, grow_tree_depths, predict_labels, train_forest, tree_seeds
 
 FAMILY_FOREST = "random forest"
 FAMILY_TREE = "decision tree"
@@ -39,8 +41,7 @@ FAMILY_LOGISTIC = "logistic regression"
 FAMILY_KNN = "k-nearest neighbours"
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int  # bots classified as bots
     fn: int  # bots classified as humans
     fp: int  # humans classified as bots
@@ -51,16 +52,14 @@ class ConfusionCounts:
         return self.tp + self.fn + self.fp + self.tn
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     bot: ClassMetrics
     human: ClassMetrics
     weighted_precision: float
@@ -103,13 +102,19 @@ def report_from_counts(counts: ConfusionCounts, model_descriptor: str = "") -> E
     )
 
 
-def confusion_counts(predicted: np.ndarray, actual: np.ndarray) -> ConfusionCounts:
-    """Confusion counts of 0/1 label arrays (1 is bot)."""
-    tp = int(np.sum((predicted == 1) & (actual == 1)))
-    fn = int(np.sum((predicted == 0) & (actual == 1)))
-    fp = int(np.sum((predicted == 1) & (actual == 0)))
-    tn = int(np.sum((predicted == 0) & (actual == 0)))
-    return ConfusionCounts(tp, fn, fp, tn)
+def confusion_counts(predicted, actual) -> ConfusionCounts:
+    """Confusion counts of 0/1 labels (1 is bot), as arrays or lists; predicted may be booleans.
+
+    Counted in Python: a fold's few labels cost less as lists than as
+    four numpy reductions.
+    """
+    if isinstance(predicted, np.ndarray):
+        predicted = predicted.tolist()
+    if isinstance(actual, np.ndarray):
+        actual = actual.tolist()
+    tp = sum(map(and_, predicted, actual))
+    bots, flagged = sum(actual), sum(predicted)
+    return ConfusionCounts(tp, bots - tp, flagged - tp, len(actual) - bots - flagged + tp)
 
 
 def stratified_split(
@@ -145,15 +150,13 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator):
     return [(np.nonzero(fold_of != fold)[0], np.nonzero(fold_of == fold)[0]) for fold in range(k)]
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     family: str
     name: str  # canonical descriptor, also the lexicographic tiebreaker
     params: dict
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     config: GridConfig
     p_bot: float
     r_bot: float
@@ -227,32 +230,34 @@ def train_config(config: GridConfig, X: np.ndarray, y: np.ndarray, seed: int = 0
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
-def _forest_groups(grid: list[GridConfig]) -> list[tuple[dict, list[tuple[int, int, int]]]]:
-    """The forest configurations, grouped by every parameter but n_estimators and max_depth.
+def _size_groups(grid: list[GridConfig], family: str, trainer, sizes: tuple[str, ...]):
+    """The family's configurations, grouped by every parameter but the size parameters.
 
     A group is (parameters, members): the parameters its configurations
-    share, and each member's (position, n_estimators, max_depth). A
-    parameter a configuration omits takes `train_forest`'s default, so
-    configurations that spell the same forest differently share a group.
-    The default grid has two groups, one per criterion; `_score_group`
-    scores each from one set of trees.
+    share, and each member's (position, *sizes). A parameter a
+    configuration omits takes the trainer's default, so configurations
+    that spell the same model differently share a group; a parameter
+    the trainer does not take raises TypeError here. The default grid
+    has two forest groups, one per criterion, one decision-tree group
+    and one kNN group; each is scored per fold from one fit (`_SIZED`).
     """
+    signature = inspect.signature(trainer)
     defaults = {
         name: parameter.default
-        for name, parameter in inspect.signature(train_forest).parameters.items()
+        for name, parameter in signature.parameters.items()
         if parameter.default is not inspect.Parameter.empty and name != "seed"  # the search's seed
     }
-    groups: dict[tuple, tuple[dict, list[tuple[int, int, int]]]] = {}
+    groups: dict[tuple, tuple[dict, list[tuple]]] = {}
     for position, config in enumerate(grid):
-        if config.family == FAMILY_FOREST:
+        if config.family == family:
+            signature.bind(None, None, **config.params)  # (X, y, **params)
             params = {**defaults, **config.params}
-            member = (position, params.pop("n_estimators"), params.pop("max_depth"))
+            member = (position, *(params.pop(size) for size in sizes))
             groups.setdefault(tuple(sorted(params.items())), (params, []))[1].append(member)
     return list(groups.values())
 
 
-@dataclass(frozen=True)
-class _Search:
+class _Search(NamedTuple):
     """What every task of one `cross_validate` call reads."""
 
     X: np.ndarray
@@ -260,9 +265,10 @@ class _Search:
     folds: list[tuple[np.ndarray, np.ndarray]]
     grid: list[GridConfig]
     seed: int
+    tree_seeds: list  # `training.tree_seeds` of the seed, as many as any forest has trees
 
 
-def _fold_metrics(predicted, actual: np.ndarray) -> tuple[float, ...]:
+def _fold_metrics(predicted, actual) -> tuple[float, ...]:
     """The metrics of a FamilyResult row on one fold, in its field order."""
     r = report_from_counts(confusion_counts(predicted, actual))
     return (
@@ -284,46 +290,96 @@ def _fit_each(search: _Search, fold: int, positions: list[int]):
 
 
 def _score_group(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int, int]]]):
-    """(position, metrics) of each member of a forest group, from one set of trees.
+    """(position, metrics) of each member of a forest group, from one growth per tree.
 
-    The group's N trees, N its largest n_estimators, are grown once at
-    its deepest limit D. At a shallower limit d, tree i is the deep tree
-    when no node of it at depth d or below drew candidates
-    (`training.deepest_draw`), and is grown again at d from the same
-    seed otherwise. A member is the first n trees at its limit: each
-    tree votes once per test row, and member n's bot fraction is the
-    sum of the first n trees' integer votes divided by n, the float
-    that `bot_fraction` of the n-tree forest computes.
+    The group's N trees, N its largest n_estimators, are each grown
+    once by `training.grow_tree_depths`: at the group's deepest limit D,
+    and resumed at each shallower limit d from the generator state saved
+    just before D's growth first drew at depth d; with no draw at depth
+    d, the tree at d is D's tree. A member is the first n trees at its
+    limit: each tree votes once per test row, and member n's bot
+    fraction is the sum of the first n trees' integer votes divided by
+    n, the float that `bot_fraction` of the n-tree forest computes.
     """
     params, members = group
     train_idx, test_idx = search.folds[fold]
     X, y = search.X[train_idx], search.y[train_idx]
     n_trees = max(n for _, n, _ in members)
-    deepest = max(depth for _, _, depth in members)
-    grown = train_forest(X, y, seed=search.seed, n_estimators=n_trees, max_depth=deepest, **params)
+    limits = sorted({depth for _, _, depth in members})
+    _check_forest(y, min(n for _, n, _ in members), params["criterion"])
     rows = search.X[test_idx].tolist()
+    actual = search.y[test_idx].tolist()
 
     def votes_of(tree):
         return [_vote(tree, row) for row in rows]
 
-    deep = [(votes_of(tree), deepest_draw(tree, deepest)) for tree in grown.trees]
-    seeds = tree_seeds(search.seed, n_trees)
+    tree_votes: dict[int, list[list[int]]] = {limit: [] for limit in limits}
+    for tree_seed in search.tree_seeds[:n_trees]:
+        trees = grow_tree_depths(X, y, tree_seed, limits, params["criterion"])
+        deep = trees[limits[-1]]
+        deep_votes = votes_of(deep)
+        for limit in limits:
+            tree_votes[limit].append(deep_votes if trees[limit] is deep else votes_of(trees[limit]))
     scored = []
-    for limit in sorted({depth for _, _, depth in members}):
-        tree_votes = [
-            votes if drawn < limit else votes_of(grow_tree(X, y, tree_seed, limit, grown.criterion))
-            for (votes, drawn), tree_seed in zip(deep, seeds)
-        ]
+    for limit in limits:
         votes = [0] * len(rows)
         voted = 0  # trees whose votes are in `votes`
         at_limit = sorted((n, position) for position, n, depth in members if depth == limit)
         for n, position in at_limit:
-            for each in tree_votes[voted:n]:
+            for each in tree_votes[limit][voted:n]:
                 votes = [v + t for v, t in zip(votes, each)]
             voted = n
-            predicted = is_bot(np.array([v / n for v in votes]))
-            scored.append((position, _fold_metrics(predicted, search.y[test_idx])))
+            scored.append((position, _fold_metrics([is_bot(v / n) for v in votes], actual)))
     return scored
+
+
+def _score_trees(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int]]]):
+    """(position, metrics) of each member of a decision-tree group, from one tree.
+
+    The tree is grown once at the group's deepest max_depth, and each
+    member's tree is that tree cut at its depth (`baselines.cut_tree`).
+    A one-tree forest's bot fraction is its tree's vote.
+    """
+    params, members = group
+    train_idx, test_idx = search.folds[fold]
+    deep = train_single_tree(
+        search.X[train_idx], search.y[train_idx], max_depth=max(d for _, d in members), **params
+    )
+    rows = search.X[test_idx].tolist()
+    actual = search.y[test_idx].tolist()
+    scored = []
+    for position, depth in members:
+        (tree,) = cut_tree(deep, depth).trees
+        scored.append((position, _fold_metrics([_vote(tree, row) for row in rows], actual)))
+    return scored
+
+
+def _score_knn(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int]]]):
+    """(position, metrics) of each member of a kNN group, from one neighbour order.
+
+    One model is fitted with the group's largest k, and
+    `KnnModel.bot_fractions` reads every member's k from one stable
+    order of each test row's neighbours.
+    """
+    params, members = group
+    train_idx, test_idx = search.folds[fold]
+    ks = [k for _, k in members]
+    model = train_knn(search.X[train_idx], search.y[train_idx], k=max(ks), **params)
+    fractions = model.bot_fractions(search.X[test_idx], ks)
+    actual = search.y[test_idx].tolist()
+    return [
+        (position, _fold_metrics(is_bot(fraction), actual))
+        for (position, _), fraction in zip(members, fractions)
+    ]
+
+
+# family -> (its group scorer, the trainer whose defaults fill omitted
+# parameters, the size parameters in which the group's configurations differ)
+_SIZED = {
+    FAMILY_FOREST: (_score_group, train_forest, ("n_estimators", "max_depth")),
+    FAMILY_TREE: (_score_trees, train_single_tree, ("max_depth",)),
+    FAMILY_KNN: (_score_knn, train_knn, ("k",)),
+}
 
 
 def _run_task(search: _Search, task):
@@ -388,21 +444,26 @@ def cross_validate(
     smaller name. A kNN configuration whose k exceeds the smallest
     training fold cannot be fitted on every fold and is left out.
 
-    Forest configurations that differ only in n_estimators and
-    max_depth form a group (`_forest_groups`; the default grid has two,
-    one per criterion), scored per fold from one set of trees: the
-    largest n_estimators, grown at the deepest max_depth. At a shallower
-    limit d, a tree is reused when no node of it at depth d or below
-    drew candidates, and is grown again at d otherwise. Both steps are
-    exact. `train_forest` draws tree i from a stream that depends only
-    on (seed, i), so an n-tree forest is the first n trees of any larger
-    one. And a tree draws its nodes' candidates in preorder from that
-    stream: when no node at depth d or below drew, the grower limited
-    to d makes the same draws at the same nodes, and its nodes at depth
-    d are the deep tree's pure leaves, so it grows the same tree.
+    A family whose configurations differ only in size parameters costs
+    one fit per fold and group (`_size_groups`, `_SIZED`), and every
+    score is exactly the one a separate fit gives:
+    - Forests that differ only in n_estimators and max_depth share one
+      growth per tree, of the largest n_estimators. `train_forest` draws
+      tree i from a stream that depends only on (seed, i), so an n-tree
+      forest is the first n trees of any larger one. Each tree is grown
+      at the deepest max_depth D and resumed at each shallower limit d:
+      it draws its nodes' candidates in preorder from its stream, so the
+      grower limited to d makes D's draws up to the first node at depth
+      d that draws in D's growth, makes a leaf there, and grows the rest
+      of the preorder from the stream state saved just before that draw
+      (`training.grow_tree_depths`).
+    - Decision trees draw nothing, so the tree at each max_depth is the
+      deepest one cut there (`baselines.cut_tree`).
+    - kNN configurations share one stable neighbour order per test row
+      (`KnnModel.bot_fractions`).
 
     The work is split into tasks, one per fold and unit. A unit is all
-    configurations that are not forests, or one forest group. The tasks
+    configurations of the other families, or one group. The tasks
     run in forked worker processes, one per CPU in
     `os.sched_getaffinity`, and with one CPU in this process without a
     pool. Either way each task fits the same rows with the same seed,
@@ -424,15 +485,19 @@ def cross_validate(
     if not grid:
         raise ValueError("grid must not be empty")
 
-    others = [position for position, config in enumerate(grid) if config.family != FAMILY_FOREST]
+    others = [position for position, config in enumerate(grid) if config.family not in _SIZED]
     units = [(_fit_each, others)] if others else []
-    units += [(_score_group, group) for group in _forest_groups(grid)]
+    groups = {family: _size_groups(grid, family, trainer, sizes)
+              for family, (_, trainer, sizes) in _SIZED.items()}
+    units += [(_SIZED[family][0], group) for family in _SIZED for group in groups[family]]
+    n_trees = max((n for _, members in groups[FAMILY_FOREST] for _, n, _ in members), default=0)
     tasks = [(score_unit, fold, members) for fold in range(k_folds) for score_unit, members in units]
     # per configuration, per fold: the metrics of a FamilyResult row, in its
     # field order (tuples, not reports: all configurations' folds are held)
     scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
     registry: dict = {}  # the default filter shows each warning once per call
-    for scored, caught in _run_tasks(_Search(X, y, folds, grid, seed), tasks):
+    search = _Search(X, y, folds, grid, seed, tree_seeds(seed, n_trees))
+    for scored, caught in _run_tasks(search, tasks):
         for position, metrics in scored:
             scores[position].append(metrics)
         for message, category, filename, lineno in caught:

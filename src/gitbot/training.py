@@ -18,8 +18,10 @@ generator's raw 64-bit stream, so it gives the same candidates and
 leaves the same generator state. The algorithm is numpy's, not part of
 its documented interface; the tests compare the two on the installed
 numpy, and the shipped-model rebuild test fails if they part.
-Because each tree draws in preorder from one stream, a tree grown to
-a shallower limit is often the same tree: see `deepest_draw`.
+Because each tree draws in preorder from one stream, the tree grown to
+a shallower limit is a prefix of the deeper tree's growth:
+`grow_tree_depths` grows a tree once and resumes it at each shallower
+limit from the generator state saved on the way.
 
 A node's split search takes one of two paths, chosen by its row count:
 - A node of more than `SMALL_NODE` rows is searched by `best_split`,
@@ -173,14 +175,21 @@ class _FeatureDraw:
       the last position down to the second one shuffles them.
     One `random_raw` call per 64 bits replaces numpy's per-call setup.
     The buffered half is written back by `close`.
+
+    Given depths to save, `_candidates` saves in `saved`, just before the
+    first draw at a node of each such depth, the generator state that
+    `close` would leave at that point; setting a generator to it resumes
+    the draws from there.
     """
 
-    def __init__(self, rng):
+    def __init__(self, rng, save_depths=()):
         self._bit_generator = rng.bit_generator
         self._next_raw = self._bit_generator.random_raw
         state = self._bit_generator.state
         self._buffered = state["has_uint32"]
         self._half = state["uinteger"]  # kept after use, as numpy keeps it
+        self.unsaved = set(save_depths)  # depths whose first draw is still to come
+        self.saved: dict[int, dict] = {}  # depth -> state just before its first draw
 
     def _bounded(self, high: int) -> int:
         """A value in [0, high], for 0 < high < 2**32 - 1."""
@@ -210,18 +219,25 @@ class _FeatureDraw:
             picked[i], picked[j] = picked[j], picked[i]
         return picked
 
-    def close(self):
-        """Leave the generator's buffered half as `rng.choice` would have."""
+    def state(self) -> dict:
+        """The generator state that `rng.choice` would have left by now."""
         state = self._bit_generator.state
         state["has_uint32"] = self._buffered
         state["uinteger"] = self._half
-        self._bit_generator.state = state
+        return state
+
+    def close(self):
+        """Leave the generator's buffered half as `rng.choice` would have."""
+        self._bit_generator.state = self.state()
 
 
-def _candidates(n_features: int, draw):
+def _candidates(n_features: int, draw, depth: int):
     """A node's candidate features: `FEATURE_SUBSET_SIZE` drawn, or all without a draw."""
     if draw is None:
         return range(n_features)
+    if depth in draw.unsaved:
+        draw.unsaved.discard(depth)
+        draw.saved[depth] = draw.state()
     return draw.choice(n_features, min(FEATURE_SUBSET_SIZE, n_features))
 
 
@@ -231,7 +247,7 @@ def _grow_small(cols, labels, rows, depth, max_depth, draw, criterion):
     counts = (len(rows) - bots, bots)
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    found = best_split_small(cols, labels, rows, _candidates(len(cols), draw), criterion)
+    found = best_split_small(cols, labels, rows, _candidates(len(cols), draw, depth), criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
@@ -257,7 +273,7 @@ def _grow_node(X, y, depth, max_depth, draw, criterion) -> TreeNode:
     counts = (int(counts_arr[0]), int(counts_arr[1]))
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    found = best_split(X, y, _candidates(X.shape[1], draw), criterion)
+    found = best_split(X, y, _candidates(X.shape[1], draw, depth), criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
@@ -280,28 +296,76 @@ def _grow(X, y, depth, max_depth, rng, criterion) -> TreeNode:
     return tree
 
 
-def deepest_draw(node: TreeNode, max_depth: int, depth: int = 0) -> int:
-    """The depth of the deepest node that drew candidates when grown to max_depth; -1 if none did.
+def _first_draw_path(node: TreeNode, depth: int, limit: int):
+    """Turns (0 left, 1 right) from node to the first node in preorder at depth `limit` that drew.
 
-    A node draws when it is neither pure nor at the limit: every
-    `Split` did, and so did an impure `Leaf` above the limit, where no
-    split gained. A tree grown from the same rng and rows to a limit
-    d < max_depth equals this one when this returns less than d: each
-    tree draws in preorder from one stream, so the shallower grower
-    makes the same draws at the same nodes, and its nodes at depth d
-    are this tree's pure leaves.
+    node is of a tree grown deeper than `limit`, where a node drew when
+    it was neither pure nor at that tree's limit: a `Split`, or an
+    impure `Leaf`, where no split gained. None if no node there drew.
     """
+    if depth == limit:
+        return [] if isinstance(node, Split) or min(node.counts) > 0 else None
     if isinstance(node, Split):
-        return max(
-            depth,
-            deepest_draw(node.left, max_depth, depth + 1),
-            deepest_draw(node.right, max_depth, depth + 1),
+        for turn in (0, 1):
+            path = _first_draw_path(node[2 + turn], depth + 1, limit)
+            if path is not None:
+                return [turn, *path]
+    return None
+
+
+def _resume_small(node, path, cols, labels, rows, depth, limit, draw, criterion):
+    """`_resume_node` on lists: node has at most `SMALL_NODE` rows."""
+    if not path:  # at depth `limit`: the grower limited to it makes a leaf of the rows
+        return _grow_small(cols, labels, rows, depth, limit, draw, criterion)
+    f, threshold, left, right = node
+    col = cols[f]
+    right_rows = [i for i in rows if not col[i] <= threshold]
+    grow = (depth + 1, limit, draw, criterion)
+    if path[0]:
+        right = _resume_small(right, path[1:], cols, labels, right_rows, *grow)
+    else:
+        left_rows = [i for i in rows if col[i] <= threshold]
+        left = _resume_small(left, path[1:], cols, labels, left_rows, *grow)
+        right = _grow_small(cols, labels, right_rows, *grow)
+    return Split(f, threshold, left, right)
+
+
+def _resume_node(node, path, X, y, depth, limit, draw, criterion) -> TreeNode:
+    """The subtree that `_grow_node` grows at `limit`, from node, grown deeper, and its rows.
+
+    path leads from node to the first node at depth `limit` that drew,
+    and draw resumes from just before that draw. What precedes that node
+    in preorder is kept, that node becomes a leaf, and every subtree
+    after it is grown with draw.
+    """
+    if len(y) <= SMALL_NODE:
+        return _resume_small(
+            node, path, X.T.tolist(), y.tolist(), range(len(y)), depth, limit, draw, criterion
         )
-    return depth if depth < max_depth and min(node.counts) > 0 else -1
+    if not path:
+        return _grow_node(X, y, depth, limit, draw, criterion)
+    f, threshold, left, right = node
+    mask = X[:, f] <= threshold
+    grow = (depth + 1, limit, draw, criterion)
+    if path[0]:
+        right = _resume_node(right, path[1:], X[~mask], y[~mask], *grow)
+    else:
+        left = _resume_node(left, path[1:], X[mask], y[mask], *grow)
+        right = _grow_node(X[~mask], y[~mask], *grow)
+    return Split(f, threshold, left, right)
+
+
+def _check_forest(y: np.ndarray, n_estimators: int, criterion: str):
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    if n_estimators < 1:
+        raise ValueError(f"n_estimators must be at least 1, got {n_estimators!r}")
+    _check_two_classes(y)
 
 
 def _check_two_classes(y: np.ndarray):
-    if len(np.unique(y)) < 2:
+    # not np.unique: it imports numpy.ma, about 40 ms, in every process that calls it
+    if len(set(y.tolist())) < 2:
         raise SingleClassData("training data must contain both classes")
 
 
@@ -314,11 +378,39 @@ def tree_seeds(seed: int, n_estimators: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n_estimators)
 
 
-def grow_tree(X: np.ndarray, y: np.ndarray, tree_seed, max_depth: int, criterion: str) -> TreeNode:
-    """One forest tree: a bootstrap sample of (X, y), then its nodes, all drawn from one stream."""
+def grow_tree_depths(X: np.ndarray, y: np.ndarray, tree_seed, limits, criterion: str) -> dict:
+    """`grow_tree` at each depth limit in limits, by limit, from one growth.
+
+    The tree is grown once, at the deepest limit D. Each tree draws its
+    nodes' candidates in preorder from one stream, so the grower limited
+    to d < D makes the same draws at the same nodes up to the first node
+    at depth d that draws in D's growth: there it makes a leaf instead,
+    and draws nothing. So the tree at d is D's preorder up to that node,
+    the node as a `Leaf` of its rows, and the rest of the preorder grown
+    to d from the state the generator had just before that node's draw,
+    which D's growth saves. Where no node at depth d drew, the tree at d
+    is D's tree itself, the same object.
+    """
     rng = np.random.default_rng(tree_seed)
     idx = rng.integers(0, len(y), size=len(y))
-    return _grow(X[idx], y[idx], 0, max_depth, rng, criterion)
+    X, y = X[idx], y[idx]
+    draw = _FeatureDraw(rng, limits)  # D's growth never draws at depth D
+    deep = _grow_node(X, y, 0, max(limits), draw, criterion)
+    trees = {}
+    for limit in limits:
+        state = draw.saved.get(limit)
+        if state is None:
+            trees[limit] = deep
+        else:
+            rng.bit_generator.state = state
+            path = _first_draw_path(deep, 0, limit)
+            trees[limit] = _resume_node(deep, path, X, y, 0, limit, _FeatureDraw(rng), criterion)
+    return trees
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, tree_seed, max_depth: int, criterion: str) -> TreeNode:
+    """One forest tree: a bootstrap sample of (X, y), then its nodes, all drawn from one stream."""
+    return grow_tree_depths(X, y, tree_seed, [max_depth], criterion)[max_depth]
 
 
 def train_forest(
@@ -331,11 +423,7 @@ def train_forest(
     feature_config: FeatureConfig | None = None,
 ) -> ForestModel:
     """Train the forest: bootstrap per tree, random features per node."""
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if n_estimators < 1:
-        raise ValueError(f"n_estimators must be at least 1, got {n_estimators!r}")
-    _check_two_classes(y)
+    _check_forest(y, n_estimators, criterion)
     trees = [
         grow_tree(X, y, tree_seed, max_depth, criterion)
         for tree_seed in tree_seeds(seed, n_estimators)

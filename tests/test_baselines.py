@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitbot.baselines import (
     Standardizer,
+    cut_tree,
     train_knn,
     train_linear_svm,
     train_logistic,
@@ -15,7 +18,7 @@ from gitbot.features import FeatureVector
 from gitbot.forest import BOT, HUMAN, predict
 from gitbot.training import predict_labels
 
-from .test_forest import example, random_examples, stack, tree_depth
+from .test_forest import example, random_examples, stack, tied_data, tree_depth
 
 
 def accuracy(model, data):
@@ -30,10 +33,26 @@ def converged(fit, *args, **kwargs):
         return fit(*args, **kwargs)
 
 
+def two_class_tied_data(seed, n):
+    """`tied_data` with both classes: the first two rows are a human and a bot."""
+    X, y = tied_data(seed, n)
+    y[:2] = [0, 1]
+    return X, y
+
+
 SEPARABLE = stack(
     *[example(10, 0, p, 0.0, BOT) for p in (1, 2, 3, 2, 1)],
     *[example(10, 0, p, 0.0, HUMAN) for p in (40, 50, 60, 55, 45)],
 )
+
+
+def knn_oracle(X, y, k, queries):
+    """kNN bot fractions of the queries: every squared distance in one 3-D array, summed."""
+    scaler = Standardizer.fit(X)
+    Z, T = scaler.transform(queries), scaler.transform(X)
+    d2 = ((Z[:, None, :] - T[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return y[nearest].mean(axis=1)
 
 
 class TestKnn:
@@ -65,6 +84,29 @@ class TestKnn:
             train_knn(*SEPARABLE, k=0)
         with pytest.raises(ValueError):
             train_knn(*SEPARABLE, k=len(SEPARABLE[1]) + 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 80),
+        data_seed=st.integers(0, 2**32 - 1),
+        ks=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+    )
+    def test_one_order_gives_every_k_the_fraction_of_its_own_fit(self, n, data_seed, ks):
+        # every feature column is a permutation of one column of five levels,
+        # so all four standardize alike: many equal distances, and distances
+        # equal but for the last bit, which the order of the additions sets
+        rng = np.random.default_rng(data_seed)
+        column = rng.integers(0, 5, n) * 0.7
+        X = np.column_stack([rng.permutation(column) for _ in range(4)])
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        queries = np.vstack([X[:10], rng.integers(0, 5, (10, 4)) * 0.7])
+        ks = [min(k, n) for k in ks]
+        fractions = train_knn(X, y, k=max(ks)).bot_fractions(queries, ks)
+        assert len(fractions) == len(ks)
+        for k, fraction in zip(ks, fractions):
+            assert fraction.tolist() == knn_oracle(X, y, k, queries).tolist()
+            assert fraction.tolist() == train_knn(X, y, k=k).bot_fraction(queries).tolist()
 
 
 class TestLogistic:
@@ -166,6 +208,14 @@ class TestSingleTree:
     def test_separable_data(self):
         model = train_single_tree(*SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(2, 200), data_seed=st.integers(0, 2**32 - 1))
+    def test_cut_trees_are_the_trees_grown_to_each_depth(self, n, data_seed):
+        X, y = two_class_tied_data(data_seed, n)
+        deep = train_single_tree(X, y, max_depth=10)
+        for depth in range(1, 11):
+            assert cut_tree(deep, depth) == train_single_tree(X, y, max_depth=depth)
 
 
 class TestStandardizer:

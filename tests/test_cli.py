@@ -142,6 +142,29 @@ def test_csv_and_text_output_spell_every_cell(rows, verbose):
     assert format_output(rows, TEXT, verbose) == text
 
 
+# names of unknown rows, which CSV writes from a tail rendered once unless
+# csv.writer would quote the name: commas, quotes, line breaks, leading and
+# trailing spaces, non-ASCII text and lone surrogates
+_csv_names = st.tuples(
+    st.sampled_from(["", " ", "  "]),
+    st.lists(st.sampled_from([",", '"', " ", "\r", "\n", "\u00e9", "\u4e2d", "\U0001f600",
+                              "\udc80", "a", "b"])).map("".join),
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(names=st.lists(_csv_names, max_size=8), commits=_commits, verbose=st.booleans())
+def test_csv_unknown_rows_are_what_csv_writer_writes(names, commits, verbose):
+    rows = [ResultRow(name, commits + i, None, None, "unknown", None) for i, name in enumerate(names)]
+    columns, _ = _payload(rows, verbose)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row.name, str(row.commits), *[""] * (len(columns) - 3), "unknown"])
+    assert format_output(rows, CSV, verbose) == buffer.getvalue()
+
+
 def test_analysis_makes_no_reference_cycles(cli_fixture_repo, tmp_path):
     mapping = tmp_path / "mapping.csv"
     mapping.write_text("carol,Carol\ndave,IGNORE\n", encoding="utf-8")
@@ -518,3 +541,27 @@ def test_analyze_never_imports_numpy(cli_fixture_repo):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert {row["name"] for row in json.loads(proc.stdout)} == {"carol", "dave", "release-bot"}
+
+
+def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):
+    # runs `python -m gitbot train` on one CPU, so that every fit runs in this
+    # interpreter, then inspects it; np.unique would load numpy.ma (about 40 ms)
+    script = (
+        "import os, runpy, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "sys.argv = ['gitbot', 'train', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('gitbot', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code != 0:\n"
+        "        raise\n"
+        "loaded = sorted({'dataclasses', 'numpy.ma'} & set(sys.modules))\n"
+        "if loaded:\n"
+        "    sys.exit(f'train imported {loaded}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [str(dataset_csv), "-o", str(tmp_path / "model.json"), "--folds", "3"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "model written to" in proc.stdout

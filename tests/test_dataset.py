@@ -1,6 +1,5 @@
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +183,6 @@ class TestFeaturize:
     def test_too_small_corpus_rejected(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("tiny", "r1", "human", 12)
         entries = load_dataset(write_csv(tmp_path, rows)).entries
-        small = replace(entries[1], corpus=["m"] * 9)
+        small = entries[1]._replace(corpus=["m"] * 9)
         with pytest.raises(MalformedDataset, match="'tiny' has fewer than 10 messages"):
             featurize(LabeledDataset(entries=[entries[0], small]), FeatureConfig())

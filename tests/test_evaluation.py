@@ -1,7 +1,6 @@
 import multiprocessing
 import os
 import signal
-import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -27,7 +26,7 @@ from gitbot.evaluation import (
 )
 from gitbot.features import FeatureVector
 from gitbot.forest import BOT, CRITERIA, HUMAN, predict
-from gitbot.training import deepest_draw, grow_tree, predict_labels, train_forest
+from gitbot.training import SMALL_NODE, _grow, predict_labels, train_forest
 
 from .test_forest import random_examples, tied_data
 
@@ -264,31 +263,35 @@ DEPTH_GRID = [
     GridConfig("random forest", "forest(default depth)", {"n_estimators": 5}),
     GridConfig("random forest", "forest(depth=12)", {"max_depth": 12, "n_estimators": 8}),
 ]
+FOREST_SIZES = ("n_estimators", "max_depth")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
     # forests that differ only in depth, one of them by omitting it: one group,
     # grown at depth 12; of its trees at depths 2, 4 and 8, some are the deep
-    # trees and some are grown again
-    cpus(monkeypatch, ONE_CPU)  # so that the regrowths are counted here
-    regrown = []
+    # trees and some are resumed from a saved generator state
+    cpus(monkeypatch, ONE_CPU)  # so that the resumed trees are counted here
+    resumed = []
+    grow_tree_depths = training.grow_tree_depths
 
-    def counted(X, y, tree_seed, max_depth, criterion):
-        regrown.append(max_depth)
-        return grow_tree(X, y, tree_seed, max_depth, criterion)
+    def counted(X, y, tree_seed, limits, criterion):
+        trees = grow_tree_depths(X, y, tree_seed, limits, criterion)
+        deep = trees[max(limits)]
+        resumed.extend(limit for limit, tree in trees.items() if tree is not deep)
+        return trees
 
-    monkeypatch.setattr(evaluation, "grow_tree", counted)
+    monkeypatch.setattr(evaluation, "grow_tree_depths", counted)
     data = random_examples(np.random.default_rng(50 + seed), 45, separable=False)
     rows = cross_validate(*data, DEPTH_GRID, k_folds=3, seed=seed)
     assert rows == table_fitting_every_config(data, DEPTH_GRID, 3, seed)
-    assert 0 < len(regrown) < 3 * 3 * 8  # of 3 folds x 3 shallower depths x 8 trees
+    assert 0 < len(resumed) < 3 * 3 * 8  # of 3 folds x 3 shallower depths x 8 trees
 
     # every member, not only the best row, scores as its own fit
     X, y = data
     folds = _stratified_folds(y, 3, np.random.default_rng(seed))
-    search = evaluation._Search(X, y, folds, DEPTH_GRID, seed)
-    (group,) = evaluation._forest_groups(DEPTH_GRID)
+    search = evaluation._Search(X, y, folds, DEPTH_GRID, seed, training.tree_seeds(seed, 8))
+    (group,) = evaluation._size_groups(DEPTH_GRID, "random forest", train_forest, FOREST_SIZES)
     for fold, (train_idx, test_idx) in enumerate(folds):
         for position, metrics in evaluation._score_group(search, fold, group):
             model = train_config(DEPTH_GRID[position], X[train_idx], y[train_idx], seed=seed)
@@ -296,22 +299,43 @@ def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
             assert metrics == evaluation._fold_metrics(predicted, y[test_idx])
 
 
-def drawing_depths(X, y, tree_seed, max_depth, criterion):
-    """The depth of every node at which growing the tree drew candidates, seen from the grower."""
-    depths = []
-    candidates = training._candidates
+SIZED_GRID = [
+    *(GridConfig("decision tree", f"tree(depth={d:02d})", {"max_depth": d}) for d in range(1, 11)),
+    GridConfig("decision tree", "tree(default depth)", {}),
+    *(GridConfig("k-nearest neighbours", f"knn(k={k:02d})", {"k": k}) for k in (1, 2, 3, 5, 8, 11)),
+]
 
-    def recorded(n_features, draw):
-        if draw is not None:
-            depths.append(sys._getframe(1).f_locals["depth"])
-        return candidates(n_features, draw)
 
-    training._candidates = recorded
-    try:
-        tree = grow_tree(X, y, tree_seed, max_depth, criterion)
-    finally:
-        training._candidates = candidates
-    return tree, depths
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tree_depths_and_knn_ks_score_like_separate_fits(seed):
+    # tied feature rows: many equal distances and equal split values. Each
+    # family is one group, fitted once per fold, and every member, not only
+    # the best row, must score as its own fit
+    X, y = tied_data(60 + seed, 60)
+    rows = cross_validate(X, y, SIZED_GRID, k_folds=3, seed=seed)
+    assert rows == table_fitting_every_config((X, y), SIZED_GRID, 3, seed)
+    folds = _stratified_folds(y, 3, np.random.default_rng(seed))
+    search = evaluation._Search(X, y, folds, SIZED_GRID, seed, [])
+    for family, (score_group, trainer, sizes) in evaluation._SIZED.items():
+        for group in evaluation._size_groups(SIZED_GRID, family, trainer, sizes):
+            for fold, (train_idx, test_idx) in enumerate(folds):
+                for position, metrics in score_group(search, fold, group):
+                    model = train_config(SIZED_GRID[position], X[train_idx], y[train_idx])
+                    predicted = predict_labels(model, X[test_idx])
+                    assert metrics == evaluation._fold_metrics(predicted, y[test_idx])
+
+
+def test_a_parameter_the_trainer_does_not_take_is_rejected():
+    grid = [GridConfig("random forest", "forest(typo)", {"max_dept": 4})]
+    with pytest.raises(TypeError, match="max_dept"):
+        cross_validate(*random_examples(np.random.default_rng(15), 30), grid, k_folds=3)
+
+
+def grown_to(X, y, tree_seed, limit, criterion):
+    """A forest tree grown directly to `limit`: its bootstrap sample, then `_grow`."""
+    rng = np.random.default_rng(tree_seed)
+    idx = rng.integers(0, len(y), size=len(y))
+    return _grow(X[idx], y[idx], 0, limit, rng, criterion)
 
 
 @settings(deadline=None, max_examples=80)
@@ -320,17 +344,33 @@ def drawing_depths(X, y, tree_seed, max_depth, criterion):
     data_seed=st.integers(0, 2**32 - 1),
     tree_seed=st.integers(0, 2**32 - 1),
     criterion=st.sampled_from(CRITERIA),
-    deepest=st.integers(1, 12),
+    limits=st.sets(st.integers(0, 12), min_size=1),
 )
-def test_a_tree_that_drew_nothing_from_depth_d_down_is_the_tree_grown_to_d(
-    n, data_seed, tree_seed, criterion, deepest
+def test_a_tree_resumed_at_a_shallower_limit_is_the_tree_grown_to_it(
+    n, data_seed, tree_seed, criterion, limits
 ):
     X, y = tied_data(data_seed, n)
-    deep, depths = drawing_depths(X, y, tree_seed, deepest, criterion)
-    drawn = deepest_draw(deep, deepest)
-    assert drawn == max(depths, default=-1)
-    for limit in range(drawn + 1, deepest):
-        assert grow_tree(X, y, tree_seed, limit, criterion) == deep
+    trees = training.grow_tree_depths(X, y, tree_seed, sorted(limits), criterion)
+    assert sorted(trees) == sorted(limits)
+    for limit, tree in trees.items():
+        assert tree == grown_to(X, y, tree_seed, limit, criterion)
+
+
+def test_trees_resume_on_the_numpy_path_and_in_python(monkeypatch):
+    sizes = []
+    resume = training._resume_node
+
+    def counted(node, path, X, y, *rest):
+        sizes.append(len(y))
+        return resume(node, path, X, y, *rest)
+
+    monkeypatch.setattr(training, "_resume_node", counted)
+    X, y = tied_data(5, 150)
+    for tree_seed in range(4):
+        trees = training.grow_tree_depths(X, y, tree_seed, list(range(13)), "entropy")
+        for limit, tree in trees.items():
+            assert tree == grown_to(X, y, tree_seed, limit, "entropy")
+    assert max(sizes) > SMALL_NODE >= min(sizes)
 
 
 @pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])
