@@ -38,7 +38,9 @@ UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 # The module docstring is the --help text, so the split is told here:
 # `analyze` runs without numpy, while evaluation and training load it and
 # are imported only when `train` or `evaluate` runs. No command loads
-# `dataclasses`: every record in the package is a NamedTuple.
+# `dataclasses`: every record in the package is a NamedTuple. Training
+# forks its workers through `parallel.run_tasks`, which loads neither
+# `multiprocessing` nor `concurrent.futures`.
 # Attribute -> module of the names those commands call through this module.
 _TRAINING_NAMES = {
     "load_dataset": "dataset",
@@ -122,21 +124,21 @@ def run_analysis(args) -> list[ResultRow]:
             raise type(exc)(f"{repo}: {exc}") from exc
         message_at = list(map(itemgetter(1), commits)).__getitem__
         for name, positions in groups.items():
-            corpus = list(map(message_at, positions))
-            features = compute_features(corpus, config)
-            if features is None:
-                rows.append(ResultRow(name, len(corpus), None, None, UNKNOWN, None))
-            else:
-                rows.append(
-                    ResultRow(
-                        name=name,
-                        commits=len(corpus),
-                        patterns=features.n_patterns,
-                        dispersion=features.gini,
-                        prediction=forest.predict(model, features),
-                        empties=features.n_empty,
-                    )
+            if len(positions) < config.min_messages:
+                # the test `compute_features` makes first, without the corpus
+                rows.append(ResultRow(name, len(positions), None, None, UNKNOWN, None))
+                continue
+            features = compute_features(list(map(message_at, positions)), config)
+            rows.append(
+                ResultRow(
+                    name=name,
+                    commits=len(positions),
+                    patterns=features.n_patterns,
+                    dispersion=features.gini,
+                    prediction=forest.predict(model, features),
+                    empties=features.n_empty,
                 )
+            )
     if args.only_predicted:
         rows = [row for row in rows if row.prediction != UNKNOWN]
     rows.sort(key=itemgetter(0))

@@ -5,13 +5,14 @@ the split and the folds are index arrays into them, every fit takes
 rows of them, and every score compares the labels that `predict_labels`
 gives with y.
 
-`cross_validate` runs its fits in worker processes, one per CPU this
-process may run on, or in the caller when it may run on one CPU;
-everything else here runs in the caller. The workers are forked, so
-they read X, y, the folds and the grid from the memory they inherit;
-only task descriptions, scores and warnings cross the process
-boundary. Each fit is deterministic given its seed and rows, so the
-scores do not depend on which process computed them.
+`cross_validate` runs its fits through `parallel.run_tasks`: on every
+CPU this process may run on, the caller's among them, or in the caller
+alone when it may run on one CPU; everything else here runs in the
+caller. The workers are forked, so they read X, y, the folds, the grid
+and the task list from the memory they inherit; only scores, warnings
+and exceptions cross the process boundary. Each fit is deterministic
+given its seed and rows, so the scores do not depend on which process
+computed them.
 
 Bot is the positive class for the confusion counts. Weighted averages
 weight each class row by its true-class support, matching the
@@ -19,10 +20,8 @@ classification-report convention.
 """
 
 import inspect
-import multiprocessing
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from operator import and_
 from typing import NamedTuple
 
@@ -32,6 +31,7 @@ from .baselines import cut_tree, train_knn, train_linear_svm, train_logistic, tr
 from .errors import EmptyInput, SingleClassData
 from .features import compute_features  # no caller: kept for bench/tracer.py, which wraps it here
 from .forest import BOT, HUMAN, ForestModel, _vote, is_bot
+from .parallel import run_tasks
 from .training import _check_forest, grow_tree_depths, predict_labels, train_forest, tree_seeds
 
 FAMILY_FOREST = "random forest"
@@ -230,6 +230,15 @@ def train_config(config: GridConfig, X: np.ndarray, y: np.ndarray, seed: int = 0
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
+def _defaults(signature: inspect.Signature) -> dict:
+    """A trainer's parameter defaults, but its seed, which is the search's."""
+    return {
+        name: parameter.default
+        for name, parameter in signature.parameters.items()
+        if parameter.default is not inspect.Parameter.empty and name != "seed"
+    }
+
+
 def _size_groups(grid: list[GridConfig], family: str, trainer, sizes: tuple[str, ...]):
     """The family's configurations, grouped by every parameter but the size parameters.
 
@@ -242,11 +251,7 @@ def _size_groups(grid: list[GridConfig], family: str, trainer, sizes: tuple[str,
     and one kNN group; each is scored per fold from one fit (`_SIZED`).
     """
     signature = inspect.signature(trainer)
-    defaults = {
-        name: parameter.default
-        for name, parameter in signature.parameters.items()
-        if parameter.default is not inspect.Parameter.empty and name != "seed"  # the search's seed
-    }
+    defaults = _defaults(signature)
     groups: dict[tuple, tuple[dict, list[tuple]]] = {}
     for position, config in enumerate(grid):
         if config.family == family:
@@ -395,41 +400,6 @@ def _run_task(search: _Search, task):
     return scored, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-_worker_search: _Search | None = None  # set in each pool worker as it starts, never in the caller
-
-
-def _start_worker(search: _Search):
-    global _worker_search
-    _worker_search = search
-
-
-def _run_in_worker(task):
-    return _run_task(_worker_search, task)
-
-
-def _run_tasks(search: _Search, tasks: list) -> list:
-    """`_run_task` of every task, in task order: in worker processes, or here on one CPU.
-
-    The workers are forked, so they inherit `search` instead of
-    unpickling it. A spawned worker would start an interpreter and
-    import numpy again, about 0.2 s, as much as the pool saves on a
-    search of the benchmark's size; gitbot starts no threads before
-    this, so forking it is safe. A worker's exception is raised here
-    with its type; a worker that dies, say killed for memory, raises
-    `BrokenProcessPool` here, where `multiprocessing.Pool` would wait
-    forever. After an exception the tasks not yet started are dropped;
-    every worker is joined before this returns or raises.
-    """
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers <= 1:
-        return [_run_task(search, task) for task in tasks]
-    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (search,))
-    try:
-        return list(executor.map(_run_in_worker, tasks))
-    finally:
-        executor.shutdown(cancel_futures=True)
-
-
 def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
@@ -441,8 +411,9 @@ def cross_validate(
 
     The best configuration per family is returned, by F1 descending;
     ties break toward higher precision, then the lexicographically
-    smaller name. A kNN configuration whose k exceeds the smallest
-    training fold cannot be fitted on every fold and is left out.
+    smaller name. A kNN configuration whose k, given or `train_knn`'s
+    default, exceeds the smallest training fold cannot be fitted on
+    every fold and is left out.
 
     A family whose configurations differ only in size parameters costs
     one fit per fold and group (`_size_groups`, `_SIZED`), and every
@@ -463,24 +434,26 @@ def cross_validate(
       (`KnnModel.bot_fractions`).
 
     The work is split into tasks, one per fold and unit. A unit is all
-    configurations of the other families, or one group. The tasks
-    run in forked worker processes, one per CPU in
-    `os.sched_getaffinity`, and with one CPU in this process without a
-    pool. Either way each task fits the same rows with the same seed,
-    and its scores are collected in fold order, so every mean, and the
-    ranking, is the same float for float. Warnings a task raises are
-    recorded there and emitted again here, in task order, with their
-    category, message, filename and line; an exception a task raises is
-    raised here.
+    configurations of the other families, or one group. The tasks run
+    through `parallel.run_tasks`: in forked workers and this process,
+    one process per CPU in `os.sched_getaffinity`, and with one CPU in
+    this process alone. Either way each task fits the same rows with the
+    same seed, and its scores are collected in fold order, so every
+    mean, and the ranking, is the same float for float. Warnings a task
+    raises are recorded there and emitted again here, in task order,
+    with their category, message, filename and line; an exception a task
+    raises is raised here with its type, and a worker that dies raises
+    `ChildProcessError`.
     """
     if grid is None:
         grid = default_grid()
     folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
     smallest_fold = min(len(train_idx) for train_idx, _ in folds)
+    knn_defaults = _defaults(inspect.signature(train_knn))
     grid = [
         config
         for config in grid
-        if config.family != FAMILY_KNN or config.params["k"] <= smallest_fold
+        if config.family != FAMILY_KNN or {**knn_defaults, **config.params}["k"] <= smallest_fold
     ]
     if not grid:
         raise ValueError("grid must not be empty")
@@ -497,7 +470,7 @@ def cross_validate(
     scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
     registry: dict = {}  # the default filter shows each warning once per call
     search = _Search(X, y, folds, grid, seed, tree_seeds(seed, n_trees))
-    for scored, caught in _run_tasks(search, tasks):
+    for scored, caught in run_tasks(partial(_run_task, search), tasks):
         for position, metrics in scored:
             scores[position].append(metrics)
         for message, category, filename, lineno in caught:

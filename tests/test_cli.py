@@ -3,18 +3,21 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gitbot import cli, dataset, forest
+from gitbot import cli, dataset, evaluation, forest
 from gitbot.cli import CSV, JSON, TEXT, ResultRow, format_output, main
 from gitbot.dataset import featurize, load_dataset
+from gitbot.errors import UsageError
 from gitbot.evaluation import (
     FAMILY_FOREST,
     FAMILY_KNN,
@@ -24,6 +27,8 @@ from gitbot.evaluation import (
     evaluate_pretrained,
     format_report,
 )
+from gitbot.extractor import RawCommit
+from gitbot.features import compute_features
 from gitbot.model_io import load_model
 from gitbot.synthesis import synthetic_dataset
 
@@ -163,6 +168,53 @@ def test_csv_unknown_rows_are_what_csv_writer_writes(names, commits, verbose):
     for row in rows:
         writer.writerow([row.name, str(row.commits), *[""] * (len(columns) - 3), "unknown"])
     assert format_output(rows, CSV, verbose) == buffer.getvalue()
+
+
+def rows_featurizing_every_identity(commits, config, model):
+    """`run_analysis`'s rows for one repository's commits, each identity featurized."""
+    corpora: dict[str, list[str]] = {}
+    for commit in commits:
+        corpora.setdefault(commit.name, []).append(commit.message)
+    rows = []
+    for name, corpus in corpora.items():
+        features = compute_features(corpus, config)
+        if features is None:
+            rows.append(ResultRow(name, len(corpus), None, None, "unknown", None))
+        else:
+            rows.append(ResultRow(name, len(corpus), features.n_patterns, features.gini,
+                                  forest.predict(model, features), features.n_empty))
+    return sorted(rows, key=lambda row: row.name)
+
+
+_limits = st.one_of(st.none(), st.integers(1, 14))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    commits=st.lists(
+        st.builds(RawCommit, st.sampled_from(["ann", "bob", "cy", "dee"]),
+                  st.sampled_from(["", "fix typo", "fix typos", "bump version to 1.2",
+                                   "bump version to 1.3", "refactor the parser", "merge branch"])),
+        max_size=60,
+    ),
+    min_commits=_limits,
+    max_commits=_limits,
+)
+def test_analysis_rows_equal_featurizing_every_identity(commits, min_commits, max_commits):
+    # identities under --min-commits get their unknown row without features
+    argv = ["analyze", "repo"]
+    for option, value in (("--min-commits", min_commits), ("--max-commits", max_commits)):
+        if value is not None:
+            argv += [option, str(value)]
+    args = cli.build_parser().parse_args(argv)
+    model = cli.load_default_model()
+    try:
+        config = cli._analysis_config(args, model)
+    except UsageError:
+        assume(False)  # a minimum above the maximum, given or the model's
+    with mock.patch.object(cli, "extract_commits", lambda repo, role, start_date: commits):
+        rows = cli.run_analysis(args)
+    assert rows == rows_featurizing_every_identity(commits, config, model)
 
 
 def test_analysis_makes_no_reference_cycles(cli_fixture_repo, tmp_path):
@@ -333,7 +385,8 @@ def test_mapping_merges_aliases_in_walk_order(capsys, monkeypatch, tmp_path):
     add_commit(repo, "alias-east", "sent at ten east", date="2021-01-01T10:00:00+05:00")
     mapping = tmp_path / "mapping.csv"
     mapping.write_text("alias-utc,merged\nalias-east,merged\n", encoding="utf-8")
-    argv = ["analyze", "--json", "--mapping", str(mapping), str(repo)]
+    # --min-commits 1: a corpus is built only for an identity that is featurized
+    argv = ["analyze", "--json", "--min-commits", "1", "--mapping", str(mapping), str(repo)]
     assert analyze_rows(capsys, argv).keys() == {"merged"}
     assert analyzed_corpora(capsys, monkeypatch, argv) == [
         ["sent at ten east\n", "sent at six utc\n"]
@@ -355,8 +408,9 @@ def test_merged_and_unmerged_names_keep_the_same_newest_commits(capsys, monkeypa
     mapping = tmp_path / "mapping.csv"
     mapping.write_text("alice,alice\nalias,alice\n", encoding="utf-8")
 
-    merged = analyzed_corpora(capsys, monkeypatch, ["analyze", "--mapping", str(mapping), str(repo)])
-    alone = analyzed_corpora(capsys, monkeypatch, ["analyze", str(repo), "--include", "alice"])
+    featurized = ["analyze", "--min-commits", "1"]
+    merged = analyzed_corpora(capsys, monkeypatch, [*featurized, "--mapping", str(mapping), str(repo)])
+    alone = analyzed_corpora(capsys, monkeypatch, [*featurized, str(repo), "--include", "alice"])
     assert merged == [in_log_order]
     assert alone == [[message for message in in_log_order if message != "m4\n"]]
 
@@ -450,6 +504,8 @@ def test_train_min_messages_above_the_cap_fails_before_reading(capsys, caplog, d
 
 
 def test_train_featurizes_every_loaded_corpus_once(capsys, monkeypatch, dataset_csv, tmp_path):
+    # on one CPU, so that every call is made, and recorded, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     original = dataset.compute_features
     featurized = []
 
@@ -462,6 +518,27 @@ def test_train_featurizes_every_loaded_corpus_once(capsys, monkeypatch, dataset_
     assert main(argv) == 0
     loaded = [tuple(entry.corpus) for entry in load_dataset(dataset_csv).entries]
     assert featurized == loaded
+
+
+def test_a_worker_killed_mid_search_ends_train_with_an_error(capsys, monkeypatch, dataset_csv, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    caller, original = os.getpid(), evaluation._fold_metrics
+
+    def killed_in_a_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_fold_metrics", killed_in_a_worker)  # every scorer calls it
+    output = tmp_path / "model.json"
+    assert main(["train", str(dataset_csv), "-o", str(output), "--folds", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: worker process ")
+    assert "killed by signal 9" in captured.err
+    assert not output.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker reaped
 
 
 def test_train_fraction_leaving_no_test_corpus_fails_before_the_grid(capsys, tmp_path):
@@ -545,7 +622,8 @@ def test_analyze_never_imports_numpy(cli_fixture_repo):
 
 def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):
     # runs `python -m gitbot train` on one CPU, so that every fit runs in this
-    # interpreter, then inspects it; np.unique would load numpy.ma (about 40 ms)
+    # interpreter, then inspects it; np.unique would load numpy.ma (about 40 ms),
+    # and an executor multiprocessing and concurrent.futures (about 9 ms)
     script = (
         "import os, runpy, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -555,7 +633,8 @@ def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):
         "except SystemExit as exc:\n"
         "    if exc.code != 0:\n"
         "        raise\n"
-        "loaded = sorted({'dataclasses', 'numpy.ma'} & set(sys.modules))\n"
+        "loaded = sorted({'dataclasses', 'numpy.ma', 'multiprocessing', 'concurrent.futures'}\n"
+        "                & set(sys.modules))\n"
         "if loaded:\n"
         "    sys.exit(f'train imported {loaded}')\n"
     )

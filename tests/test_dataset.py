@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gitbot.dataset import LabeledDataset, featurize, load_dataset
 from gitbot.errors import MalformedDataset
 from gitbot.features import FEATURE_NAMES, FeatureConfig, compute_features
+from gitbot.synthesis import synthetic_dataset
 
 
 def write_csv(tmp_path, rows, header=True, name="dataset.csv"):
@@ -186,3 +188,18 @@ class TestFeaturize:
         small = entries[1]._replace(corpus=["m"] * 9)
         with pytest.raises(MalformedDataset, match="'tiny' has fewer than 10 messages"):
             featurize(LabeledDataset(entries=[entries[0], small]), FeatureConfig())
+
+    @pytest.mark.parametrize("available", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
+    def test_rows_and_the_first_small_corpus_in_dataset_order_on_any_cpus(self, monkeypatch, available):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(available))
+        dataset = synthetic_dataset(n_bots=20, n_humans=20, seed=9, max_messages=30)
+        X, y = featurize(dataset)
+        for row, entry in zip(X.tolist(), dataset.entries):
+            assert tuple(row) == compute_features(entry.corpus)
+        entries = list(dataset.entries)
+        for position in (31, 17, 38):  # the second is the first in dataset order
+            entries[position] = entries[position]._replace(corpus=["m"] * 9)
+        with pytest.raises(MalformedDataset, match=f"^{entries[17].contributor!r} has fewer"):
+            featurize(LabeledDataset(entries=entries))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no worker left

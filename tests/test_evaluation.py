@@ -1,8 +1,6 @@
-import multiprocessing
 import os
 import signal
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -256,6 +254,11 @@ def cpus(monkeypatch, available):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(available))
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 DEPTH_GRID = [
     GridConfig("random forest", "forest(depth=02)", {"max_depth": 2, "n_estimators": 8}),
     GridConfig("random forest", "forest(depth=04,small)", {"max_depth": 4, "n_estimators": 3}),
@@ -331,6 +334,28 @@ def test_a_parameter_the_trainer_does_not_take_is_rejected():
         cross_validate(*random_examples(np.random.default_rng(15), 30), grid, k_folds=3)
 
 
+KNN_DEFAULT_K = GridConfig("k-nearest neighbours", "knn(default k)", {})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_knn_configuration_without_k_scores_like_k_5(seed):
+    data = random_examples(np.random.default_rng(70 + seed), 45, separable=False)
+    five = KNN_DEFAULT_K._replace(params={"k": 5})
+    (row,) = cross_validate(*data, [KNN_DEFAULT_K], k_folds=3, seed=seed)
+    assert row == cross_validate(*data, [five], k_folds=3, seed=seed)[0]._replace(config=KNN_DEFAULT_K)
+
+
+def test_a_knn_configuration_without_k_is_left_out_when_5_exceeds_a_training_fold():
+    # three bots and three humans in three folds: every training fold holds 4
+    X = np.array([[10.0, 0.0, p, 0.1] for p in (1, 2, 3, 40, 50, 60)])
+    y = np.array([1, 1, 1, 0, 0, 0])
+    rows = cross_validate(X, y, [KNN_DEFAULT_K, GRID[2]], k_folds=3, seed=0)
+    assert [row.config for row in rows] == [GRID[2]]
+    four = KNN_DEFAULT_K._replace(params={"k": 4})
+    assert {row.config.family for row in cross_validate(X, y, [four, GRID[2]], k_folds=3)} == {
+        "k-nearest neighbours", "decision tree"}
+
+
 def grown_to(X, y, tree_seed, limit, criterion):
     """A forest tree grown directly to `limit`: its bootstrap sample, then `_grow`."""
     rng = np.random.default_rng(tree_seed)
@@ -380,7 +405,7 @@ def test_a_tasks_warnings_are_emitted_again_with_their_origin(monkeypatch, avail
     with pytest.warns(UserWarning, match="hit the iteration cap") as caught:
         cross_validate(*data, [CAPPED_LOGISTIC, GRID[0]], k_folds=3, seed=0)
     assert {os.path.basename(w.filename) for w in caught} == {"baselines.py"}
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])
@@ -390,23 +415,25 @@ def test_a_tasks_exception_reaches_the_caller_with_its_type(monkeypatch, availab
     grid = [*GRID[:3], GridConfig("perceptron", "perceptron(a)", {})]
     with pytest.raises(ValueError, match="unknown classifier family 'perceptron'"):
         cross_validate(*data, grid, k_folds=3, seed=0)
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 def test_a_worker_that_dies_fails_the_search_instead_of_hanging(monkeypatch):
     cpus(monkeypatch, THREE_CPUS)
-    caller, original = os.getpid(), evaluation.train_config
+    caller, original = os.getpid(), evaluation._fold_metrics
 
     def killed_in_a_worker(*args, **kwargs):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "train_config", killed_in_a_worker)
+    # every scorer calls it, so a worker dies in whichever task it takes; the
+    # caller runs tasks too, and might take every task that calls train_config
+    monkeypatch.setattr(evaluation, "_fold_metrics", killed_in_a_worker)
     data = random_examples(np.random.default_rng(14), 30, separable=False)
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(ChildProcessError, match="killed by signal 9"):
         cross_validate(*data, GRID, k_folds=3, seed=0)
-    assert not multiprocessing.active_children()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -422,7 +449,7 @@ def test_one_cpu_and_the_pool_give_the_same_rows_and_warnings(monkeypatch, seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = cross_validate(*data, grid, k_folds=3, seed=seed)
-        assert not multiprocessing.active_children()
+        assert_no_child_left()
         runs.append((rows, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) == 3  # the one-step fit warns on every fold
