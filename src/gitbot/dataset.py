@@ -24,6 +24,7 @@ one float64 feature row per corpus and its int64 label, bot 1.
 import csv
 import json
 import logging
+import sys
 from functools import partial
 from typing import NamedTuple
 
@@ -49,11 +50,6 @@ class DatasetEntry(NamedTuple):
 class LabeledDataset(NamedTuple):
     entries: list[DatasetEntry]
     n_excluded: int = 0  # corpora dropped for having too few messages
-
-    def __len__(self) -> int:
-        # the entries, not the fields; `_make` and `_replace` check len
-        # against the field count, so they do not apply to this class
-        return len(self.entries)
 
 
 def _build_dataset(rows, min_messages: int) -> LabeledDataset:
@@ -104,15 +100,20 @@ def _check_label(token: str, where: str) -> str:
 
 
 def _csv_rows(handle):
-    for row_number, row in enumerate(csv.reader(handle), start=1):
-        if not row:
-            continue
-        if row_number == 1 and row == _HEADER:
-            continue
-        if len(row) != 4:
-            raise MalformedDataset(f"row {row_number}: expected 4 fields, got {len(row)}")
-        contributor, repository, label, message = row
-        yield contributor, repository, _check_label(label, f"row {row_number}"), message
+    csv.field_size_limit(sys.maxsize)  # a message is a whole commit body, of any length
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(handle), start=1):
+            if not row:
+                continue
+            if row_number == 1 and row == _HEADER:
+                continue
+            if len(row) != 4:
+                raise MalformedDataset(f"row {row_number}: expected 4 fields, got {len(row)}")
+            contributor, repository, label, message = row
+            yield contributor, repository, _check_label(label, f"row {row_number}"), message
+    except csv.Error as exc:
+        raise MalformedDataset(f"row {row_number + 1}: {exc}") from exc
 
 
 def _json_lines_rows(handle):
@@ -126,7 +127,7 @@ def _json_lines_rows(handle):
             repository = record["repository"]
             message = record["message"]
             is_bot = record["bot"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedDataset(f"line {line_number}: {exc}") from exc
         if not isinstance(is_bot, bool):
             raise MalformedDataset(f"line {line_number}: 'bot' must be a boolean")
@@ -145,6 +146,8 @@ def _is_json_lines(handle) -> bool:
         return isinstance(json.loads(first), dict)
     except json.JSONDecodeError:
         return False
+    except RecursionError as exc:
+        raise MalformedDataset(f"first non-blank line: {exc}") from exc
 
 
 def load_dataset(path, min_messages: int = 10) -> LabeledDataset:

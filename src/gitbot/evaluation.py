@@ -5,14 +5,17 @@ the split and the folds are index arrays into them, every fit takes
 rows of them, and every score compares the labels that `predict_labels`
 gives with y.
 
-`cross_validate` runs its fits through `parallel.run_tasks`: on every
-CPU this process may run on, the caller's among them, or in the caller
-alone when it may run on one CPU; everything else here runs in the
-caller. The workers are forked, so they read X, y, the folds, the grid
-and the task list from the memory they inherit; only scores, warnings
-and exceptions cross the process boundary. Each fit is deterministic
-given its seed and rows, so the scores do not depend on which process
-computed them.
+`cross_validate` has one shape of task, (family, fold, group): a group
+is the configurations of one family that differ only in the family's
+size parameters, and the family's entry in `_FAMILIES` gives the test
+labels of every member. The tasks run through `parallel.run_tasks`: on
+every CPU this process may run on, the caller's among them, or in the
+caller alone when it may run on one CPU; everything else here runs in
+the caller. The workers are forked, so they read each fold's rows,
+sliced once before the fork, the grid and the task list from the
+memory they inherit; only scores, warnings and exceptions cross the
+process boundary. Each fit is deterministic given its seed and rows,
+so the scores do not depend on which process computed them.
 
 Bot is the positive class for the confusion counts. Weighted averages
 weight each class row by its true-class support, matching the
@@ -239,38 +242,130 @@ def _defaults(signature: inspect.Signature) -> dict:
     }
 
 
-def _size_groups(grid: list[GridConfig], family: str, trainer, sizes: tuple[str, ...]):
-    """The family's configurations, grouped by every parameter but the size parameters.
+class _Fold(NamedTuple):
+    """One fold's rows, built once before any task runs."""
 
-    A group is (parameters, members): the parameters its configurations
-    share, and each member's (position, *sizes). A parameter a
-    configuration omits takes the trainer's default, so configurations
-    that spell the same model differently share a group; a parameter
-    the trainer does not take raises TypeError here. The default grid
-    has two forest groups, one per criterion, one decision-tree group
-    and one kNN group; each is scored per fold from one fit (`_SIZED`).
-    """
-    signature = inspect.signature(trainer)
-    defaults = _defaults(signature)
-    groups: dict[tuple, tuple[dict, list[tuple]]] = {}
-    for position, config in enumerate(grid):
-        if config.family == family:
-            signature.bind(None, None, **config.params)  # (X, y, **params)
-            params = {**defaults, **config.params}
-            member = (position, *(params.pop(size) for size in sizes))
-            groups.setdefault(tuple(sorted(params.items())), (params, []))[1].append(member)
-    return list(groups.values())
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    actual: list[int]  # the test labels
 
 
 class _Search(NamedTuple):
     """What every task of one `cross_validate` call reads."""
 
-    X: np.ndarray
-    y: np.ndarray
-    folds: list[tuple[np.ndarray, np.ndarray]]
+    folds: list[_Fold]
     grid: list[GridConfig]
     seed: int
     tree_seeds: list  # `training.tree_seeds` of the seed, as many as any forest has trees
+
+
+def _fitted_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
+    """Each member's test labels, from its own `train_config` fit."""
+    X, y, seed = fold.X_train, fold.y_train, search.seed
+    fits = (train_config(search.grid[position], X, y, seed=seed) for position, _ in members)
+    return [predict_labels(model, fold.X_test) for model in fits]
+
+
+def _forest_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
+    """Each member's test labels, from one growth per tree of the group.
+
+    The group's N trees, N its largest n_estimators, are each grown
+    once by `training.grow_tree_depths`: at the group's deepest limit D,
+    and resumed at each shallower limit d from the generator state saved
+    just before D's growth first drew at depth d; with no draw at depth
+    d, the tree at d is D's tree. A member is the first n trees at its
+    limit: each tree votes once per test row, and member n's bot
+    fraction is the sum of the first n trees' integer votes divided by
+    n, the float that `bot_fraction` of the n-tree forest computes.
+    """
+    limits = sorted({depth for _, _, depth in members})
+    _check_forest(fold.y_train, min(n for _, n, _ in members), params["criterion"])
+    rows = fold.X_test.tolist()
+    tree_votes: dict[int, list[list[int]]] = {limit: [] for limit in limits}
+    for tree_seed in search.tree_seeds[: max(n for _, n, _ in members)]:
+        trees = grow_tree_depths(fold.X_train, fold.y_train, tree_seed, limits, params["criterion"])
+        deep = trees[limits[-1]]
+        deep_votes = [_vote(deep, row) for row in rows]
+        for limit, tree in trees.items():
+            votes = deep_votes if tree is deep else [_vote(tree, row) for row in rows]
+            tree_votes[limit].append(votes)
+    return [
+        [is_bot(votes / n) for votes in map(sum, zip(*tree_votes[depth][:n]))]
+        for _, n, depth in members
+    ]
+
+
+def _tree_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
+    """Each member's test labels, from one tree.
+
+    The tree is grown once at the group's deepest max_depth, and each
+    member's tree is that tree cut at its depth (`baselines.cut_tree`).
+    A one-tree forest's bot fraction is its tree's vote.
+    """
+    depth = max(d for _, d in members)
+    deep = train_single_tree(fold.X_train, fold.y_train, max_depth=depth, **params)
+    rows = fold.X_test.tolist()
+    cut = [cut_tree(deep, depth).trees[0] for _, depth in members]
+    return [[_vote(tree, row) for row in rows] for tree in cut]
+
+
+def _knn_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
+    """Each member's test labels, from one neighbour order.
+
+    One model is fitted with the group's largest k, and
+    `KnnModel.bot_fractions` reads every member's k from one stable
+    order of each test row's neighbours.
+    """
+    ks = [k for _, k in members]
+    model = train_knn(fold.X_train, fold.y_train, k=max(ks), **params)
+    return [is_bot(fraction) for fraction in model.bot_fractions(fold.X_test, ks)]
+
+
+# family -> (the function that gives each group member's test labels, the
+# trainer whose signature fills in and checks a configuration's parameters,
+# the parameters in which the members of a group differ). The trainers are
+# called by their names in this module, not from here. Each fold's tasks run
+# in this order: the families fitted member by member, then the forests, so
+# that the short tree and kNN tasks are taken last and the processes finish
+# close together.
+_FAMILIES = {
+    FAMILY_LOGISTIC: (_fitted_labels, train_logistic, ("l2",)),
+    FAMILY_SVM: (_fitted_labels, train_linear_svm, ("l2",)),
+    FAMILY_FOREST: (_forest_labels, train_forest, ("n_estimators", "max_depth")),
+    FAMILY_TREE: (_tree_labels, train_single_tree, ("max_depth",)),
+    FAMILY_KNN: (_knn_labels, train_knn, ("k",)),
+}
+
+
+def _groups(grid: list[GridConfig]) -> list[tuple[str, dict, list[tuple]]]:
+    """The configurations, grouped by family and by every parameter but the family's sizes.
+
+    A group is (family, parameters, members): the parameters its
+    configurations share, and each member's (position, *sizes). A
+    parameter a configuration omits takes the trainer's default, so
+    configurations that spell the same model differently share a group.
+    A parameter the trainer does not take, or the seed, which is the
+    search's, raises TypeError, and a family not in `_FAMILIES` raises
+    ValueError. The groups come family by family in `_FAMILIES` order,
+    and a family's groups in grid order. The default grid has six: one
+    per forest criterion, and one for each other family.
+    """
+    defaults = {family: _defaults(inspect.signature(trainer))
+                for family, (_, trainer, _) in _FAMILIES.items()}
+    groups: dict[tuple, tuple[str, dict, list[tuple]]] = {}
+    for position, config in enumerate(grid):
+        if config.family not in _FAMILIES:
+            raise ValueError(f"unknown classifier family {config.family!r}")
+        unknown = sorted(config.params.keys() - defaults[config.family])
+        if unknown:
+            raise TypeError(f"{config.name}: {config.family} takes no parameter {unknown[0]!r}")
+        params = {**defaults[config.family], **config.params}
+        member = (position, *(params.pop(size) for size in _FAMILIES[config.family][2]))
+        key = (config.family, *sorted(params.items()))
+        groups.setdefault(key, (config.family, params, []))[2].append(member)
+    order = list(_FAMILIES)
+    return sorted(groups.values(), key=lambda group: order.index(group[0]))
 
 
 def _fold_metrics(predicted, actual) -> tuple[float, ...]:
@@ -282,121 +377,19 @@ def _fold_metrics(predicted, actual) -> tuple[float, ...]:
     )
 
 
-def _fit_each(search: _Search, fold: int, positions: list[int]):
-    """(position, metrics) of each configuration at `positions`, fitted on the fold."""
-    train_idx, test_idx = search.folds[fold]
-    X_train, y_train = search.X[train_idx], search.y[train_idx]
-    X_test, y_test = search.X[test_idx], search.y[test_idx]
-    scored = []
-    for position in positions:
-        model = train_config(search.grid[position], X_train, y_train, seed=search.seed)
-        scored.append((position, _fold_metrics(predict_labels(model, X_test), y_test)))
-    return scored
-
-
-def _score_group(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int, int]]]):
-    """(position, metrics) of each member of a forest group, from one growth per tree.
-
-    The group's N trees, N its largest n_estimators, are each grown
-    once by `training.grow_tree_depths`: at the group's deepest limit D,
-    and resumed at each shallower limit d from the generator state saved
-    just before D's growth first drew at depth d; with no draw at depth
-    d, the tree at d is D's tree. A member is the first n trees at its
-    limit: each tree votes once per test row, and member n's bot
-    fraction is the sum of the first n trees' integer votes divided by
-    n, the float that `bot_fraction` of the n-tree forest computes.
-    """
-    params, members = group
-    train_idx, test_idx = search.folds[fold]
-    X, y = search.X[train_idx], search.y[train_idx]
-    n_trees = max(n for _, n, _ in members)
-    limits = sorted({depth for _, _, depth in members})
-    _check_forest(y, min(n for _, n, _ in members), params["criterion"])
-    rows = search.X[test_idx].tolist()
-    actual = search.y[test_idx].tolist()
-
-    def votes_of(tree):
-        return [_vote(tree, row) for row in rows]
-
-    tree_votes: dict[int, list[list[int]]] = {limit: [] for limit in limits}
-    for tree_seed in search.tree_seeds[:n_trees]:
-        trees = grow_tree_depths(X, y, tree_seed, limits, params["criterion"])
-        deep = trees[limits[-1]]
-        deep_votes = votes_of(deep)
-        for limit in limits:
-            tree_votes[limit].append(deep_votes if trees[limit] is deep else votes_of(trees[limit]))
-    scored = []
-    for limit in limits:
-        votes = [0] * len(rows)
-        voted = 0  # trees whose votes are in `votes`
-        at_limit = sorted((n, position) for position, n, depth in members if depth == limit)
-        for n, position in at_limit:
-            for each in tree_votes[limit][voted:n]:
-                votes = [v + t for v, t in zip(votes, each)]
-            voted = n
-            scored.append((position, _fold_metrics([is_bot(v / n) for v in votes], actual)))
-    return scored
-
-
-def _score_trees(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int]]]):
-    """(position, metrics) of each member of a decision-tree group, from one tree.
-
-    The tree is grown once at the group's deepest max_depth, and each
-    member's tree is that tree cut at its depth (`baselines.cut_tree`).
-    A one-tree forest's bot fraction is its tree's vote.
-    """
-    params, members = group
-    train_idx, test_idx = search.folds[fold]
-    deep = train_single_tree(
-        search.X[train_idx], search.y[train_idx], max_depth=max(d for _, d in members), **params
-    )
-    rows = search.X[test_idx].tolist()
-    actual = search.y[test_idx].tolist()
-    scored = []
-    for position, depth in members:
-        (tree,) = cut_tree(deep, depth).trees
-        scored.append((position, _fold_metrics([_vote(tree, row) for row in rows], actual)))
-    return scored
-
-
-def _score_knn(search: _Search, fold: int, group: tuple[dict, list[tuple[int, int]]]):
-    """(position, metrics) of each member of a kNN group, from one neighbour order.
-
-    One model is fitted with the group's largest k, and
-    `KnnModel.bot_fractions` reads every member's k from one stable
-    order of each test row's neighbours.
-    """
-    params, members = group
-    train_idx, test_idx = search.folds[fold]
-    ks = [k for _, k in members]
-    model = train_knn(search.X[train_idx], search.y[train_idx], k=max(ks), **params)
-    fractions = model.bot_fractions(search.X[test_idx], ks)
-    actual = search.y[test_idx].tolist()
-    return [
-        (position, _fold_metrics(is_bot(fraction), actual))
-        for (position, _), fraction in zip(members, fractions)
-    ]
-
-
-# family -> (its group scorer, the trainer whose defaults fill omitted
-# parameters, the size parameters in which the group's configurations differ)
-_SIZED = {
-    FAMILY_FOREST: (_score_group, train_forest, ("n_estimators", "max_depth")),
-    FAMILY_TREE: (_score_trees, train_single_tree, ("max_depth",)),
-    FAMILY_KNN: (_score_knn, train_knn, ("k",)),
-}
-
-
 def _run_task(search: _Search, task):
-    """Run one (scorer, fold, members) task: its (position, metrics) and its warnings.
+    """Run one (family, fold, group) task: each member's (position, metrics), and the warnings.
 
     A warning is returned as (message, category, filename, lineno), for
     the caller to emit again.
     """
-    score_unit, fold, members = task
+    family, fold, (params, members) = task
+    data = search.folds[fold]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scored = score_unit(search, fold, members)
+        labels = _FAMILIES[family][0](search, data, params, members)
+    scored = [(member[0], _fold_metrics(predicted, data.actual))
+              for member, predicted in zip(members, labels)]
     return scored, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -415,61 +408,57 @@ def cross_validate(
     default, exceeds the smallest training fold cannot be fitted on
     every fold and is left out.
 
-    A family whose configurations differ only in size parameters costs
-    one fit per fold and group (`_size_groups`, `_SIZED`), and every
-    score is exactly the one a separate fit gives:
+    Every task is one (family, fold, group), and the family's entry in
+    `_FAMILIES` gives the test labels of all of the group's members
+    (`_groups`), each exactly the labels of a separate `train_config` fit:
     - Forests that differ only in n_estimators and max_depth share one
-      growth per tree, of the largest n_estimators. `train_forest` draws
-      tree i from a stream that depends only on (seed, i), so an n-tree
-      forest is the first n trees of any larger one. Each tree is grown
-      at the deepest max_depth D and resumed at each shallower limit d:
-      it draws its nodes' candidates in preorder from its stream, so the
-      grower limited to d makes D's draws up to the first node at depth
-      d that draws in D's growth, makes a leaf there, and grows the rest
-      of the preorder from the stream state saved just before that draw
-      (`training.grow_tree_depths`).
+      growth per tree (`_forest_labels`). Tree i's stream depends only
+      on (seed, i), so an n-tree forest is the first n trees of any
+      larger one, and a tree resumed at a shallower limit from a saved
+      stream state is the tree grown to it (`training.grow_tree_depths`).
     - Decision trees draw nothing, so the tree at each max_depth is the
       deepest one cut there (`baselines.cut_tree`).
     - kNN configurations share one stable neighbour order per test row
       (`KnnModel.bot_fractions`).
+    - Logistic regression and SVM members, which differ in l2, are each
+      fitted alone.
 
-    The work is split into tasks, one per fold and unit. A unit is all
-    configurations of the other families, or one group. The tasks run
-    through `parallel.run_tasks`: in forked workers and this process,
-    one process per CPU in `os.sched_getaffinity`, and with one CPU in
-    this process alone. Either way each task fits the same rows with the
-    same seed, and its scores are collected in fold order, so every
-    mean, and the ranking, is the same float for float. Warnings a task
-    raises are recorded there and emitted again here, in task order,
-    with their category, message, filename and line; an exception a task
-    raises is raised here with its type, and a worker that dies raises
-    `ChildProcessError`.
+    Each fold's rows are sliced once, and an unknown family or a
+    parameter its trainer does not take is rejected, before any task
+    runs. The tasks run through `parallel.run_tasks`: in forked workers
+    and this process, one process per CPU in `os.sched_getaffinity`, and
+    with one CPU in this process alone. Either way each task fits the
+    same rows with the same seed, and its scores are collected in fold
+    order, so every mean, and the ranking, is the same float for float.
+    Warnings a task raises are recorded there and emitted again here, in
+    task order, with their category, message, filename and line; an
+    exception a task raises is raised here with its type, and a worker
+    that dies raises `ChildProcessError`.
     """
     if grid is None:
         grid = default_grid()
-    folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
-    smallest_fold = min(len(train_idx) for train_idx, _ in folds)
-    knn_defaults = _defaults(inspect.signature(train_knn))
-    grid = [
-        config
-        for config in grid
-        if config.family != FAMILY_KNN or {**knn_defaults, **config.params}["k"] <= smallest_fold
+    folds = [
+        _Fold(X[train_idx], y[train_idx], X[test_idx], y[test_idx].tolist())
+        for train_idx, test_idx in _stratified_folds(y, k_folds, np.random.default_rng(seed))
     ]
-    if not grid:
+    smallest_fold = min(len(fold.y_train) for fold in folds)
+    units = []
+    for family, params, members in _groups(grid):
+        if family == FAMILY_KNN:
+            members = [member for member in members if member[1] <= smallest_fold]
+        if members:
+            units.append((family, (params, members)))
+    if not units:
         raise ValueError("grid must not be empty")
 
-    others = [position for position, config in enumerate(grid) if config.family not in _SIZED]
-    units = [(_fit_each, others)] if others else []
-    groups = {family: _size_groups(grid, family, trainer, sizes)
-              for family, (_, trainer, sizes) in _SIZED.items()}
-    units += [(_SIZED[family][0], group) for family in _SIZED for group in groups[family]]
-    n_trees = max((n for _, members in groups[FAMILY_FOREST] for _, n, _ in members), default=0)
-    tasks = [(score_unit, fold, members) for fold in range(k_folds) for score_unit, members in units]
+    forests = [n for family, (_, members) in units if family == FAMILY_FOREST
+               for _, n, _ in members]
+    tasks = [(family, fold, group) for fold in range(k_folds) for family, group in units]
     # per configuration, per fold: the metrics of a FamilyResult row, in its
     # field order (tuples, not reports: all configurations' folds are held)
     scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
     registry: dict = {}  # the default filter shows each warning once per call
-    search = _Search(X, y, folds, grid, seed, tree_seeds(seed, n_trees))
+    search = _Search(folds, grid, seed, tree_seeds(seed, max(forests, default=0)))
     for scored, caught in run_tasks(partial(_run_task, search), tasks):
         for position, metrics in scored:
             scores[position].append(metrics)
@@ -480,6 +469,7 @@ def cross_validate(
         (
             FamilyResult(config, *(float(np.mean(m)) for m in zip(*config_scores)))
             for config, config_scores in zip(grid, scores)
+            if config_scores  # a kNN configuration left out has none
         ),
         key=lambda r: (-r.f1, -r.precision, r.config.name),
     )

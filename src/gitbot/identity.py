@@ -11,6 +11,7 @@ chosen as an unmerged name's are.
 """
 
 import csv
+import sys
 from itertools import chain
 from typing import NamedTuple
 
@@ -29,24 +30,27 @@ class IdentityMapping(NamedTuple):
 def load_mapping(path) -> IdentityMapping:
     """Parse a two-column CSV of (name, identity) rows."""
     entries: dict[str, str] = {}
+    csv.field_size_limit(sys.maxsize)  # a name may be of any length
+    row_number = 0
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for row_number, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if row_number == 1 and row == ["name", "identity"]:
-                continue
-            if len(row) != 2:
-                raise MalformedMapping(
-                    f"row {row_number}: expected 2 fields, got {len(row)}"
-                )
-            name, identity = row
-            if not identity:
-                raise MalformedMapping(f"row {row_number}: empty identity")
-            if name in entries and entries[name] != identity:
-                raise DuplicateName(
-                    f"{name!r} mapped to both {entries[name]!r} and {identity!r}"
-                )
-            entries[name] = identity
+        try:
+            for row_number, row in enumerate(csv.reader(handle), start=1):
+                if not row:
+                    continue
+                if row_number == 1 and row == ["name", "identity"]:
+                    continue
+                if len(row) != 2:
+                    raise MalformedMapping(f"row {row_number}: expected 2 fields, got {len(row)}")
+                name, identity = row
+                if not identity:
+                    raise MalformedMapping(f"row {row_number}: empty identity")
+                if name in entries and entries[name] != identity:
+                    raise DuplicateName(
+                        f"{name!r} mapped to both {entries[name]!r} and {identity!r}"
+                    )
+                entries[name] = identity
+        except csv.Error as exc:
+            raise MalformedMapping(f"row {row_number + 1}: {exc}") from exc
     return IdentityMapping(entries=entries)
 
 

@@ -90,6 +90,8 @@ def model_from_json(text: str) -> ForestModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UnreadableModel(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UnreadableModel(f"nested too deeply to read: {exc}") from exc
     if not isinstance(doc, dict) or "format" not in doc:
         raise UnreadableModel("missing format marker")
     if doc["format"] != MODEL_FORMAT:
@@ -118,7 +120,7 @@ def model_from_json(text: str) -> ForestModel:
         )
     except UnreadableModel:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UnreadableModel(f"malformed model document: {exc}") from exc
     _check_hyperparameters(model, n_estimators)
     if len(model.trees) != n_estimators:

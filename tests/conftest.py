@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 
@@ -112,3 +113,11 @@ def cli_fixture_repo(tmp_path_factory):
         add_commit(repo, "dave", f"work in progress {i}",
                    date=f"2021-03-03T10:{i:02d}:00+00:00")
     return repo
+
+
+@pytest.fixture
+def default_field_limit():
+    """csv's default field size limit, for one test: the loaders raise it for the process."""
+    previous = csv.field_size_limit(131_072)
+    yield
+    csv.field_size_limit(previous)

@@ -348,6 +348,40 @@ def test_model_without_trees_exits_2(capsys, cli_fixture_repo, tmp_path):
     assert "Traceback" not in captured.err
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_model_nested_too_deeply_exits_2(capsys, cli_fixture_repo, tmp_path):
+    # a left spine of 5,000 splits: json.loads alone would raise RecursionError
+    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    doc = json.loads(shipped.read_text("utf-8"))
+    doc["trees"][0] = "TREE"
+    split = '{"feature": 0, "threshold": 1.0, "right": {"counts": [0, 1]}, "left": '
+    tree = split * 5000 + '{"counts": [1, 0]}' + "}" * 5000
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc).replace('"TREE"', tree), encoding="utf-8")
+    assert main(["analyze", "--model", str(model), str(cli_fixture_repo)]) == 2
+    assert "nested too deeply" in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("deep_line", [1, 2], ids=["first line", "later line"])
+def test_json_lines_dataset_nested_too_deeply_exits_2(capsys, tmp_path, deep_line):
+    records = ['{"name": "a", "repository": "r", "bot": true, "message": "m"}'] * 2
+    records[deep_line - 1] = records[0].replace('"a"', "[" * 5000 + "]" * 5000)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    assert main(["train", str(path), "-o", str(tmp_path / "model.json")]) == 2
+    err = assert_one_error_line(capsys)
+    assert "recursion" in err
+    assert ("line 2:" in err) == (deep_line == 2)
+    assert not (tmp_path / "model.json").exists()
+
+
 def analyze_rows(capsys, argv):
     assert main(argv) == 0
     return {row["name"]: row for row in json.loads(capsys.readouterr().out)}

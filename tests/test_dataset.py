@@ -29,14 +29,14 @@ class TestLoadDataset:
     def test_two_contributors(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("b", "r1", "human", 12)
         dataset = load_dataset(write_csv(tmp_path, rows))
-        assert len(dataset) == 2
+        assert len(dataset.entries) == 2
         assert [entry.label for entry in dataset.entries] == ["bot", "human"]
         assert len(dataset.entries[0].corpus) == 12
 
     def test_small_corpus_excluded_and_counted(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("tiny", "r1", "human", 9)
         dataset = load_dataset(write_csv(tmp_path, rows))
-        assert len(dataset) == 1
+        assert len(dataset.entries) == 1
         assert dataset.n_excluded == 1
 
     def test_unknown_label_token(self, tmp_path):
@@ -53,12 +53,32 @@ class TestLoadDataset:
     def test_no_header_accepted(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12)
         dataset = load_dataset(write_csv(tmp_path, rows, header=False))
-        assert len(dataset) == 1
+        assert len(dataset.entries) == 1
 
     def test_multiline_quoted_messages(self, tmp_path):
         rows = [["a", "r1", "bot", f"line one {i}\nline two, with comma"] for i in range(12)]
         dataset = load_dataset(write_csv(tmp_path, rows))
         assert "\n" in dataset.entries[0].corpus[0]
+
+    def test_a_message_beyond_the_csv_field_limit_is_read_whole(self, tmp_path,
+                                                                default_field_limit):
+        # a whole commit body of 200,000 characters, over csv's default 131,072
+        body = ("Release notes\n\n" + "- fix a thing\n" * 14_285)[:200_000]
+        rows = [["a", "r1", "bot", body], *contributor_rows("a", "r1", "bot", 11),
+                *contributor_rows("b", "r1", "human", 12)]
+        dataset = load_dataset(write_csv(tmp_path, rows))
+        assert dataset.entries[0].corpus[0] == body
+        X, _ = featurize(dataset)
+        assert X[0].tolist() == list(compute_features(dataset.entries[0].corpus))
+
+    def test_a_reader_error_is_malformed_naming_its_row(self, tmp_path, monkeypatch):
+        # strict quoting makes a character after a closing quote a csv.Error
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda handle: reader(handle, strict=True))
+        path = tmp_path / "bad.csv"
+        path.write_text('a,r1,bot,fine\na,r1,bot,"quoted"tail\n', encoding="utf-8")
+        with pytest.raises(MalformedDataset, match="row 2: ',' expected after '\"'"):
+            load_dataset(path)
 
     def test_conflicting_labels_rejected(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 6) + contributor_rows("a", "r1", "human", 6)
@@ -68,7 +88,7 @@ class TestLoadDataset:
     def test_same_name_in_two_repositories_is_two_entries(self, tmp_path):
         rows = contributor_rows("a", "r1", "bot", 12) + contributor_rows("a", "r2", "bot", 12)
         dataset = load_dataset(write_csv(tmp_path, rows))
-        assert len(dataset) == 2
+        assert len(dataset.entries) == 2
 
     def test_headerless_csv_starting_with_a_brace_is_csv(self, tmp_path):
         rows = contributor_rows("{curly}", "r1", "bot", 12)
@@ -96,7 +116,7 @@ class TestLoadDataset:
         marked.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_dataset(marked) == load_dataset(path)
-        assert len(load_dataset(marked)) == 2
+        assert len(load_dataset(marked).entries) == 2
 
 
 class TestArchive:
@@ -142,7 +162,7 @@ class TestArchive:
         with_header = load_dataset(write_csv(tmp_path, rows))
         headerless = load_dataset(write_csv(tmp_path, rows, header=False, name="plain.csv"))
         assert with_header == headerless == load_dataset(json_lines)
-        assert len(with_header) == 3 and with_header.n_excluded == 1
+        assert len(with_header.entries) == 3 and with_header.n_excluded == 1
 
     def test_non_boolean_bot_field(self, tmp_path):
         records = [{"name": "x", "repository": "r", "bot": "yes", "message": "m"}]

@@ -266,7 +266,33 @@ DEPTH_GRID = [
     GridConfig("random forest", "forest(default depth)", {"n_estimators": 5}),
     GridConfig("random forest", "forest(depth=12)", {"max_depth": 12, "n_estimators": 8}),
 ]
-FOREST_SIZES = ("n_estimators", "max_depth")
+
+
+def assert_every_member_scores_as_its_own_fit(X, y, grid, k_folds, seed):
+    """Every member of every group, not only each family's best row, on every fold.
+
+    The labels that the member's family in `_FAMILIES` gives, and the
+    metrics that its task scores, are those of its own `train_config` fit.
+    """
+    folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
+    rows = [evaluation._Fold(X[tr], y[tr], X[te], y[te].tolist()) for tr, te in folds]
+    search = evaluation._Search(rows, grid, seed, training.tree_seeds(seed, 50))
+    checked = 0
+    for family, params, members in evaluation._groups(grid):
+        labels_of = evaluation._FAMILIES[family][0]
+        for fold, (train_idx, test_idx) in enumerate(folds):
+            labels = labels_of(search, rows[fold], params, members)
+            scored, _ = evaluation._run_task(search, (family, fold, (params, members)))
+            for (position, *_), member_labels, (scored_position, metrics) in zip(
+                members, labels, scored, strict=True
+            ):
+                model = train_config(grid[position], X[train_idx], y[train_idx], seed=seed)
+                predicted = predict_labels(model, X[test_idx])
+                assert np.asarray(member_labels, dtype=np.int64).tolist() == predicted.tolist()
+                assert scored_position == position
+                assert metrics == evaluation._fold_metrics(predicted, y[test_idx])
+                checked += 1
+    assert checked == len(grid) * k_folds
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -290,16 +316,7 @@ def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
     assert rows == table_fitting_every_config(data, DEPTH_GRID, 3, seed)
     assert 0 < len(resumed) < 3 * 3 * 8  # of 3 folds x 3 shallower depths x 8 trees
 
-    # every member, not only the best row, scores as its own fit
-    X, y = data
-    folds = _stratified_folds(y, 3, np.random.default_rng(seed))
-    search = evaluation._Search(X, y, folds, DEPTH_GRID, seed, training.tree_seeds(seed, 8))
-    (group,) = evaluation._size_groups(DEPTH_GRID, "random forest", train_forest, FOREST_SIZES)
-    for fold, (train_idx, test_idx) in enumerate(folds):
-        for position, metrics in evaluation._score_group(search, fold, group):
-            model = train_config(DEPTH_GRID[position], X[train_idx], y[train_idx], seed=seed)
-            predicted = predict_labels(model, X[test_idx])
-            assert metrics == evaluation._fold_metrics(predicted, y[test_idx])
+    assert_every_member_scores_as_its_own_fit(*data, DEPTH_GRID, 3, seed)
 
 
 SIZED_GRID = [
@@ -317,21 +334,28 @@ def test_tree_depths_and_knn_ks_score_like_separate_fits(seed):
     X, y = tied_data(60 + seed, 60)
     rows = cross_validate(X, y, SIZED_GRID, k_folds=3, seed=seed)
     assert rows == table_fitting_every_config((X, y), SIZED_GRID, 3, seed)
-    folds = _stratified_folds(y, 3, np.random.default_rng(seed))
-    search = evaluation._Search(X, y, folds, SIZED_GRID, seed, [])
-    for family, (score_group, trainer, sizes) in evaluation._SIZED.items():
-        for group in evaluation._size_groups(SIZED_GRID, family, trainer, sizes):
-            for fold, (train_idx, test_idx) in enumerate(folds):
-                for position, metrics in score_group(search, fold, group):
-                    model = train_config(SIZED_GRID[position], X[train_idx], y[train_idx])
-                    predicted = predict_labels(model, X[test_idx])
-                    assert metrics == evaluation._fold_metrics(predicted, y[test_idx])
+    assert_every_member_scores_as_its_own_fit(X, y, SIZED_GRID, 3, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_default_configuration_scores_like_its_own_fit(seed):
+    # all 51: forest prefixes and depths, cut trees, one kNN order, and the
+    # logistic and SVM groups whose members differ in l2, on tied rows
+    X, y = tied_data(80 + seed, 60)
+    grid = evaluation.default_grid()
+    assert len(grid) == 51
+    assert_every_member_scores_as_its_own_fit(X, y, grid, 3, seed)
 
 
 def test_a_parameter_the_trainer_does_not_take_is_rejected():
+    data = random_examples(np.random.default_rng(15), 30)
     grid = [GridConfig("random forest", "forest(typo)", {"max_dept": 4})]
     with pytest.raises(TypeError, match="max_dept"):
-        cross_validate(*random_examples(np.random.default_rng(15), 30), grid, k_folds=3)
+        cross_validate(*data, grid, k_folds=3)
+    # the seed is the search's, so a configuration may not set it
+    grid = [GridConfig("random forest", "forest(seeded)", {"seed": 3})]
+    with pytest.raises(TypeError, match="'seed'"):
+        cross_validate(*data, grid, k_folds=3)
 
 
 KNN_DEFAULT_K = GridConfig("k-nearest neighbours", "knn(default k)", {})
@@ -412,10 +436,23 @@ def test_a_tasks_warnings_are_emitted_again_with_their_origin(monkeypatch, avail
 def test_a_tasks_exception_reaches_the_caller_with_its_type(monkeypatch, available):
     cpus(monkeypatch, available)
     data = random_examples(np.random.default_rng(13), 30, separable=False)
-    grid = [*GRID[:3], GridConfig("perceptron", "perceptron(a)", {})]
-    with pytest.raises(ValueError, match="unknown classifier family 'perceptron'"):
+    grid = [*GRID[:3], GridConfig("random forest", "forest(bad)", {"criterion": "gimi"})]
+    with pytest.raises(ValueError, match="criterion must be one of"):
         cross_validate(*data, grid, k_folds=3, seed=0)
     assert_no_child_left()
+
+
+def test_an_unknown_family_is_rejected_before_any_fork(monkeypatch):
+    cpus(monkeypatch, THREE_CPUS)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    data = random_examples(np.random.default_rng(13), 30, separable=False)
+    grid = [*GRID, GridConfig("perceptron", "perceptron(a)", {})]
+    with pytest.raises(ValueError, match="unknown classifier family 'perceptron'"):
+        cross_validate(*data, grid, k_folds=3, seed=0)
 
 
 def test_a_worker_that_dies_fails_the_search_instead_of_hanging(monkeypatch):
@@ -427,7 +464,7 @@ def test_a_worker_that_dies_fails_the_search_instead_of_hanging(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    # every scorer calls it, so a worker dies in whichever task it takes; the
+    # every task calls it, so a worker dies in whichever task it takes; the
     # caller runs tasks too, and might take every task that calls train_config
     monkeypatch.setattr(evaluation, "_fold_metrics", killed_in_a_worker)
     data = random_examples(np.random.default_rng(14), 30, separable=False)

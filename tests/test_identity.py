@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +62,19 @@ class TestLoadMapping:
     def test_duplicate_consistent_is_fine(self, tmp_path):
         path = write_mapping(tmp_path, "x,a\nx,a\n")
         assert load_mapping(path).entries == {"x": "a"}
+
+    def test_a_name_beyond_the_csv_field_limit_is_read(self, tmp_path, default_field_limit):
+        name = "n" * 200_000  # over csv's default limit of 131,072 characters
+        path = write_mapping(tmp_path, f"{name},alice\n")
+        assert load_mapping(path).entries == {name: "alice"}
+
+    def test_a_reader_error_is_malformed_naming_its_row(self, tmp_path, monkeypatch):
+        # strict quoting makes a character after a closing quote a csv.Error
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda handle: reader(handle, strict=True))
+        path = write_mapping(tmp_path, 'x,a\n"y"z,b\n')
+        with pytest.raises(MalformedMapping, match="row 2: ',' expected after '\"'"):
+            load_mapping(path)
 
 
 class TestApplyMapping:

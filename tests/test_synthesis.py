@@ -9,7 +9,7 @@ def test_same_seed_gives_equal_corpora():
     first = synthetic_dataset(n_bots=6, n_humans=6, seed=3)
     second = synthetic_dataset(n_bots=6, n_humans=6, seed=3)
     assert first == second
-    assert len(first) == 12
+    assert len(first.entries) == 12
 
 
 def test_different_seeds_give_different_corpora():
