@@ -17,6 +17,7 @@ import sys
 from datetime import date
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from math import copysign
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -151,99 +152,90 @@ def _columns(verbose: bool) -> list[str]:
     return ["name", "commits", "patterns", "dispersion", "prediction"]
 
 
-def _cell(row: ResultRow, column: str) -> object:
+def _tail_cell(row: ResultRow, column: str) -> object:
+    """A cell after name and commits, as JSON holds it: dispersion rounded."""
     value = getattr(row, column)
     if column == "dispersion" and value is not None:
         return round(value, 3)
     return value
 
 
-def _text_cell(row: ResultRow, column: str) -> str:
-    """A result cell as CSV and text spell it."""
-    value = _cell(row, column)
-    return "" if value is None else _format_number(value)
+def _text_cell(value: object) -> str:
+    """A tail cell as CSV and text spell it."""
+    if value is None:
+        return ""
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
 
 
 def format_output(rows: list[ResultRow], output_format: str, verbose: bool = False) -> str:
-    """Render rows as aligned text, CSV (header + rows), or a JSON array."""
+    """Render rows as aligned text, CSV (header + rows), or a JSON array.
+
+    Every row is its name and commits followed by its tail, the text of
+    its other cells. The tail depends only on row[2:], so each distinct
+    one is rendered once per call and every row looks its tail up. On
+    analyze-history, 19,843 of 19,845 rows share one tail.
+    """
     columns = _columns(verbose)
-    # Every column after name and commits of an unknown row (no features,
-    # prediction "unknown") is the same, so that text is rendered once per
-    # call. The fast path is keyed on the whole shape; any other row is
-    # rendered cell by cell. On analyze-history, 19,843 of 19,845 rows are
-    # unknown: their JSON took 0.048-0.056 s of CPU cell by cell, and
-    # takes 0.011-0.022 s this way (2-CPU shared machine).
-    unknown = ResultRow("", 0, None, None, UNKNOWN, None)
-    unknown_shape = unknown[2:]
+    # 0.0 == -0.0, yet they are spelled apart: a dispersion's sign is keyed too
+    shapes = [row[2:] if row[3] is None else (row[2:], copysign(1.0, row[3])) for row in rows]
+    # one row per distinct tail, picked without rendering any row
+    tail_cells = {shape: [_tail_cell(row, c) for c in columns[2:]]
+                  for shape, row in dict(zip(shapes, rows)).items()}
     if output_format == JSON:
         # The text of `json.dumps(payload, indent=2)`, laid out here: with
         # `indent` set, json falls back to its pure-Python encoder, which
-        # took 0.142 s for 19,845 rows against 0.048 s without `indent`.
+        # took 0.142 s for the 19,845 analyze-history rows; this takes
+        # 0.029-0.040 s of CPU (2-CPU shared machine).
         if not rows:
             return "[]\n"
         keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
         name_key, commits_key = keys[:2]
-        unknown_rest = "".join(
-            f",\n{key}{_json_scalar(_cell(unknown, c))}" for key, c in zip(keys[2:], columns[2:])
-        )
+        tails = {shape: "".join([f",\n{key}{_json_scalar(v)}" for key, v in zip(keys[2:], cells)])
+                 for shape, cells in tail_cells.items()}
         objects = [
-            f"{name_key}{encode_basestring_ascii(row[0])},\n{commits_key}{row[1]}{unknown_rest}"
-            if row[2:] == unknown_shape
-            else ",\n".join([key + _json_scalar(_cell(row, c)) for key, c in zip(keys, columns)])
-            for row in rows
+            f"{name_key}{encode_basestring_ascii(row[0])},\n{commits_key}{row[1]}{tails[shape]}"
+            for row, shape in zip(rows, shapes)
         ]
         return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
-    unknown_rest = [_text_cell(unknown, c) for c in columns[2:]]
+    texts = {shape: list(map(_text_cell, cells)) for shape, cells in tail_cells.items()}
     if output_format == CSV:
-        # An unknown row whose name csv would not quote is written from the
-        # tail rendered once; every other row goes through csv.writer.
+        # Tail cells are counts, `.3f` numbers, blanks and predictions, and
+        # none holds a character of _CSV_QUOTED; only a name that holds one
+        # is written by csv.writer.
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
 
-        def csv_line(cells):
+        def csv_name(name):
             buffer.seek(0)
             buffer.truncate()
-            writer.writerow(cells)
-            return buffer.getvalue()
+            writer.writerow([name])
+            return buffer.getvalue()[:-1]
 
-        tail = csv_line(unknown_rest)
         quoted = re.compile(_CSV_QUOTED).search  # compiled here: most runs write no CSV
+        tails = {shape: ",".join(cells) for shape, cells in texts.items()}
         lines = [
-            f"{row[0]},{row[1]},{tail}"
-            if row[2:] == unknown_shape and not quoted(row[0])
-            else csv_line([_text_cell(row, c) for c in columns])
-            for row in rows
+            f"{csv_name(row[0]) if quoted(row[0]) else row[0]},{row[1]},{tails[shape]}\n"
+            for row, shape in zip(rows, shapes)
         ]
-        return csv_line(columns) + "".join(lines)
-    # text: whitespace-aligned columns. Each width is found once: names and
-    # commits from every row (commits are counts, so the largest is the
-    # longest), the other columns from the header, the known rows and, if
-    # any row is unknown, the unknown tail. That tail ends in the
-    # prediction, so it is never blank, and it is padded once per call.
-    cells = [None if row[2:] == unknown_shape else [_text_cell(row, c) for c in columns]
-             for row in rows]
-    shown = [columns, *(line for line in cells if line is not None)]
-    if None in cells:
-        shown.append(["", "", *unknown_rest])
-    widths = [max(len(line[i]) for line in shown) for i in range(len(columns))]
-    if rows:
-        widths[0] = max(widths[0], max(map(len, map(itemgetter(0), rows))))
-        widths[1] = max(widths[1], len(str(max(map(itemgetter(1), rows)))))
+        return ",".join(columns) + "\n" + "".join(lines)
+    # text: whitespace-aligned columns, each as wide as its widest cell.
+    # Commits are counts, so the largest is the longest.
+    widths = [
+        max(map(len, [columns[0], *map(itemgetter(0), rows)])),
+        max(len(columns[1]), len(str(max(map(itemgetter(1), rows), default=0)))),
+        *(max(map(len, cells)) for cells in zip(columns[2:], *texts.values())),
+    ]
 
-    def render(line):
-        return "  ".join([cell.ljust(width) for cell, width in zip(line, widths)]).rstrip()
+    def pad(cells, widths):
+        return "  ".join([cell.ljust(width) for cell, width in zip(cells, widths)]).rstrip()
 
     name_width, commits_width = widths[:2]
-    tail = "  ".join(
-        [cell.ljust(width) for cell, width in zip(unknown_rest, widths[2:])]
-    ).rstrip()
-    lines = [render(columns)]
-    lines += [
-        f"{row[0].ljust(name_width)}  {str(row[1]).ljust(commits_width)}  {tail}"
-        if line is None
-        else render(line)
-        for row, line in zip(rows, cells)
-    ]
+    # A tail ends in the prediction, so it is never blank, and stripping
+    # it strips the whole line.
+    tails = {shape: pad(cells, widths[2:]) for shape, cells in texts.items()}
+    lines = [pad(columns, widths)]
+    lines += [f"{row[0].ljust(name_width)}  {str(row[1]).ljust(commits_width)}  {tails[shape]}"
+              for row, shape in zip(rows, shapes)]
     return "\n".join(lines) + "\n"
 
 
@@ -256,12 +248,6 @@ def _json_scalar(value: object) -> str:
     if type(value) is int:
         return repr(value)
     return json.dumps(value)  # the few floats: NaN and infinities have JSON names
-
-
-def _format_number(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
 
 
 def run_train(args) -> int:
@@ -401,18 +387,19 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "analyze":
-            # Analysis makes a tracked object per commit and per contributor
-            # but no reference cycles, so the cyclic collector only costs
-            # time there: 0.05 s of CPU on 100,000 commits, most of it while
-            # the parser shares git's CPU.
+            # Analysis makes a tracked object per commit and per contributor,
+            # and formatting one per row, but neither makes reference
+            # cycles, so the cyclic collector only costs time there: 0.05 s
+            # of CPU on 100,000 commits, most of it while the parser shares
+            # git's CPU, and 5-7 ms on 19,845 rows.
             collecting = gc.isenabled()
             gc.disable()
             try:
-                rows = run_analysis(args)
+                output = format_output(run_analysis(args), args.output_format, args.verbose)
             finally:
                 if collecting:
                     gc.enable()
-            sys.stdout.write(format_output(rows, args.output_format, args.verbose))
+            sys.stdout.write(output)
             return 0
         if args.command == "train":
             return run_train(args)

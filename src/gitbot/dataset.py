@@ -54,36 +54,21 @@ class LabeledDataset(NamedTuple):
 
 def _build_dataset(rows, min_messages: int) -> LabeledDataset:
     """rows: iterable of (contributor, repository, label, message)."""
-    order: list[tuple[str, str]] = []
-    messages: dict[tuple[str, str], list[str]] = {}
-    labels: dict[tuple[str, str], str] = {}
+    corpora: dict[tuple[str, str], tuple[str, list[str]]] = {}  # in first-seen order
     for contributor, repository, label, message in rows:
-        key = (contributor, repository)
-        if key not in messages:
-            order.append(key)
-            messages[key] = []
-            labels[key] = label
-        elif labels[key] != label:
+        first_label, messages = corpora.setdefault((contributor, repository), (label, []))
+        if first_label != label:
             raise MalformedDataset(
                 f"conflicting labels for {contributor!r} in {repository!r}"
             )
-        messages[key].append(message)
+        messages.append(message)
 
-    entries = []
-    n_excluded = 0
-    for key in order:
-        if len(messages[key]) < min_messages:
-            n_excluded += 1
-            continue
-        contributor, repository = key
-        entries.append(
-            DatasetEntry(
-                contributor=contributor,
-                repository=repository,
-                corpus=messages[key],
-                label=labels[key],
-            )
-        )
+    entries = [
+        DatasetEntry(contributor, repository, messages, label)
+        for (contributor, repository), (label, messages) in corpora.items()
+        if len(messages) >= min_messages
+    ]
+    n_excluded = len(corpora) - len(entries)
     if n_excluded:
         logger.warning(
             "excluded %d contributor-repository pairs with fewer than %d messages",
@@ -127,7 +112,7 @@ def _json_lines_rows(handle):
             repository = record["repository"]
             message = record["message"]
             is_bot = record["bot"]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MalformedDataset(f"line {line_number}: {exc}") from exc
         if not isinstance(is_bot, bool):
             raise MalformedDataset(f"line {line_number}: 'bot' must be a boolean")
@@ -146,7 +131,7 @@ def _is_json_lines(handle) -> bool:
         return isinstance(json.loads(first), dict)
     except json.JSONDecodeError:
         return False
-    except RecursionError as exc:
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, or deep nesting
         raise MalformedDataset(f"first non-blank line: {exc}") from exc
 
 

@@ -88,10 +88,10 @@ def save_model(model: ForestModel, path) -> None:
 def model_from_json(text: str) -> ForestModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UnreadableModel(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise UnreadableModel(f"nested too deeply to read: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise UnreadableModel(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "format" not in doc:
         raise UnreadableModel("missing format marker")
     if doc["format"] != MODEL_FORMAT:

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gitbot import cli, dataset, evaluation, forest
@@ -98,13 +98,43 @@ _rows = st.one_of(
         prediction=st.sampled_from(["bot", "human", "unknown"]),
         empties=_counts,
     ),
-    # the unknown row, which format_output writes from text built once per
-    # call, and its near misses, which must go cell by cell
     st.builds(ResultRow, _names, _commits, st.none(), st.none(), st.just("unknown"), st.none()),
     st.builds(ResultRow, _names, _commits, st.none(), st.none(), st.just("unknown"),
               st.integers(min_value=0, max_value=10**6)),
     st.builds(ResultRow, _names, _commits, st.none(), _dispersions, st.just("bot"), _counts),
 )
+
+# format_output renders each distinct tail (the cells after name and
+# commits) once per call, so tables also draw many rows from a few tails,
+# known and unknown. Their cells come from small pools, so that tails
+# near each other are drawn: one NaN object that several tails share,
+# distinct NaN objects, which compare unequal, and 0.0 beside -0.0, which
+# compare equal but are spelled apart.
+_SHARED_NAN = float("nan")
+_tail_counts = st.sampled_from([None, 0, 1, 12])
+_tails = st.tuples(
+    _tail_counts,
+    st.one_of(st.sampled_from([None, 0.0, -0.0, 0.0625, 1 / 3, float("inf"), _SHARED_NAN]),
+              st.builds(float, st.just("nan")), st.floats()),
+    st.sampled_from(["bot", "human", "unknown"]),
+    _tail_counts,
+)
+_UNKNOWN_TAIL = (None, None, "unknown", None)
+
+
+def _tables(names=_names):
+    """Lists of rows: independent rows, or rows that share a few drawn tails."""
+    shared = st.lists(st.one_of(st.just(_UNKNOWN_TAIL), _tails), min_size=1, max_size=4).flatmap(
+        lambda tails: st.lists(
+            st.builds(lambda name, commits, tail: ResultRow(name, commits, *tail),
+                      names, _commits, st.sampled_from(tails)),
+            max_size=12,
+        )
+    )
+    return st.one_of(st.lists(_rows, max_size=5), shared)
+
+
+_SIGNED_ZEROS = [ResultRow("a", 1, 1, 0.0, "bot", 1), ResultRow("b", 2, 1, -0.0, "bot", 1)]
 
 
 def _payload(rows, verbose):
@@ -120,25 +150,36 @@ def _payload(rows, verbose):
     return columns, payload
 
 
+def _table(rows, verbose):
+    """The header and every row, each cell spelled as CSV and text spell it."""
+    columns, payload = _payload(rows, verbose)
+    return [columns] + [
+        ["" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
+         for v in cells.values()]
+        for cells in payload
+    ]
+
+
+def _csv_writer_text(table):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(table)
+    return buffer.getvalue()
+
+
 @settings(max_examples=300)
-@given(rows=st.lists(_rows, max_size=5), verbose=st.booleans())
+@given(rows=_tables(), verbose=st.booleans())
+@example(rows=_SIGNED_ZEROS, verbose=False)
 def test_json_output_is_the_text_of_json_dumps_with_indent(rows, verbose):
     _, payload = _payload(rows, verbose)
     assert format_output(rows, JSON, verbose) == json.dumps(payload, indent=2) + "\n"
 
 
 @settings(max_examples=300)
-@given(rows=st.lists(_rows, max_size=5), verbose=st.booleans())
+@given(rows=_tables(), verbose=st.booleans())
+@example(rows=_SIGNED_ZEROS, verbose=False)
 def test_csv_and_text_output_spell_every_cell(rows, verbose):
-    columns, payload = _payload(rows, verbose)
-    table = [columns] + [
-        ["" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v)
-         for v in cells.values()]
-        for cells in payload
-    ]
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(table)
-    assert format_output(rows, CSV, verbose) == buffer.getvalue()
+    table = _table(rows, verbose)
+    assert format_output(rows, CSV, verbose) == _csv_writer_text(table)
     widths = [max(map(len, column)) for column in zip(*table)]
     text = "".join(
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() + "\n"
@@ -147,9 +188,9 @@ def test_csv_and_text_output_spell_every_cell(rows, verbose):
     assert format_output(rows, TEXT, verbose) == text
 
 
-# names of unknown rows, which CSV writes from a tail rendered once unless
-# csv.writer would quote the name: commas, quotes, line breaks, leading and
-# trailing spaces, non-ASCII text and lone surrogates
+# names that csv.writer may quote, which CSV writes through it, and names
+# that it leaves alone, which CSV writes as they are: commas, quotes, line
+# breaks, leading and trailing spaces, non-ASCII text and lone surrogates
 _csv_names = st.tuples(
     st.sampled_from(["", " ", "  "]),
     st.lists(st.sampled_from([",", '"', " ", "\r", "\n", "\u00e9", "\u4e2d", "\U0001f600",
@@ -158,16 +199,9 @@ _csv_names = st.tuples(
 
 
 @settings(max_examples=300)
-@given(names=st.lists(_csv_names, max_size=8), commits=_commits, verbose=st.booleans())
-def test_csv_unknown_rows_are_what_csv_writer_writes(names, commits, verbose):
-    rows = [ResultRow(name, commits + i, None, None, "unknown", None) for i, name in enumerate(names)]
-    columns, _ = _payload(rows, verbose)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.name, str(row.commits), *[""] * (len(columns) - 3), "unknown"])
-    assert format_output(rows, CSV, verbose) == buffer.getvalue()
+@given(rows=_tables(_csv_names), verbose=st.booleans())
+def test_csv_rows_are_what_csv_writer_writes(rows, verbose):
+    assert format_output(rows, CSV, verbose) == _csv_writer_text(_table(rows, verbose))
 
 
 def rows_featurizing_every_identity(commits, config, model):
@@ -227,7 +261,8 @@ def test_analysis_makes_no_reference_cycles(cli_fixture_repo, tmp_path):
     gc.disable()
     try:
         rows = cli.run_analysis(args)
-        format_output(rows, JSON, verbose=True)
+        for output_format in (JSON, CSV, TEXT):
+            format_output(rows, output_format, verbose=True)
         del rows
         assert gc.collect() == 0  # nothing for the collector that main pauses
     finally:
@@ -239,13 +274,18 @@ def test_main_pauses_cycle_collection_only_during_analysis(
     capsys, monkeypatch, cli_fixture_repo, tmp_path, collecting
 ):
     seen = []
-    original = cli.compute_features
+    original_features, original_format = cli.compute_features, cli.format_output
 
     def recording(corpus, config):
         seen.append(gc.isenabled())
-        return original(corpus, config)
+        return original_features(corpus, config)
+
+    def formatting(rows, output_format, verbose):
+        seen.append(gc.isenabled())
+        return original_format(rows, output_format, verbose)
 
     monkeypatch.setattr(cli, "compute_features", recording)
+    monkeypatch.setattr(cli, "format_output", formatting)
     (gc.enable if collecting else gc.disable)()
     try:
         assert main(["analyze", str(cli_fixture_repo)]) == 0
@@ -379,6 +419,31 @@ def test_json_lines_dataset_nested_too_deeply_exits_2(capsys, tmp_path, deep_lin
     err = assert_one_error_line(capsys)
     assert "recursion" in err
     assert ("line 2:" in err) == (deep_line == 2)
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_model_with_an_integer_too_long_to_read_exits_2(capsys, cli_fixture_repo, tmp_path):
+    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    doc = json.loads(shipped.read_text("utf-8"))
+    doc["seed"] = "SEED"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc).replace('"SEED"', "9" * 5000), encoding="utf-8")
+    assert main(["analyze", "--model", str(model), str(cli_fixture_repo)]) == 2
+    err = assert_one_error_line(capsys)
+    assert "not valid JSON" in err
+    assert "Exceeds the limit" in err
+
+
+@pytest.mark.parametrize("long_line", [1, 2], ids=["first line", "later line"])
+def test_json_lines_dataset_with_an_integer_too_long_to_read_exits_2(capsys, tmp_path, long_line):
+    records = ['{"name": "a", "repository": "r", "bot": true, "message": "m"}'] * 2
+    records[long_line - 1] = records[0].replace("true", "9" * 5000)
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    assert main(["train", str(path), "-o", str(tmp_path / "model.json")]) == 2
+    err = assert_one_error_line(capsys)
+    assert "Exceeds the limit" in err
+    assert ("line 2:" if long_line == 2 else "first non-blank line:") in err
     assert not (tmp_path / "model.json").exists()
 
 
