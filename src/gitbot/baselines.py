@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forest import ForestModel, Leaf, Split
-from .training import _check_two_classes, _grow
+from .training import _check_two_classes, _grow_node
 
 
 class Standardizer(NamedTuple):
@@ -250,7 +250,7 @@ def train_linear_svm(
 def train_single_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 8) -> ForestModel:
     """One entropy tree on the full data, all four features eligible per node."""
     _check_two_classes(y)
-    tree = _grow(X, y, 0, max_depth, None, "entropy")
+    tree = _grow_node(X, y, 0, max_depth, None, "entropy")
     return ForestModel(trees=[tree], max_depth=max_depth, criterion="entropy", seed=0)
 
 

@@ -1,9 +1,9 @@
 """Labeled dataset files for training and evaluating classifiers.
 
 One reader, `load_dataset`, takes either layout and tells them apart
-by the file's first non-blank line: if that line parses as a JSON
-object, the file is read as JSON lines, and otherwise as CSV. A UTF-8
-byte-order mark at the start of either layout is skipped.
+by the file's first non-blank line: if it starts with "{" and parses
+as a JSON object, the file is read as JSON lines, and otherwise as CSV.
+A UTF-8 byte-order mark at the start of either layout is skipped.
 
 - CSV, the canonical layout: one message per row and four columns
   (contributor_id, repository_id, label, message), label in
@@ -124,11 +124,11 @@ def _json_lines_rows(handle):
 
 
 def _is_json_lines(handle) -> bool:
-    """Whether the first non-blank line is a JSON object; rewinds the handle."""
+    """Whether the first non-blank line starts with "{" and is a JSON object; rewinds the handle."""
     first = next((line for line in handle if line.strip()), "")
     handle.seek(0)
     try:
-        return isinstance(json.loads(first), dict)
+        return first.lstrip().startswith("{") and isinstance(json.loads(first), dict)
     except json.JSONDecodeError:
         return False
     except (ValueError, RecursionError) as exc:  # an integer too long to convert, or deep nesting

@@ -8,21 +8,22 @@ gives with y.
 `cross_validate` has one shape of task, (family, fold, group): a group
 is the configurations of one family that differ only in the family's
 size parameters, and the family's entry in `_FAMILIES` gives the test
-labels of every member. The tasks run through `parallel.run_tasks`: on
-every CPU this process may run on, the caller's among them, or in the
-caller alone when it may run on one CPU; everything else here runs in
-the caller. The workers are forked, so they read each fold's rows,
-sliced once before the fork, the grid and the task list from the
-memory they inherit; only scores, warnings and exceptions cross the
-process boundary. Each fit is deterministic given its seed and rows,
-so the scores do not depend on which process computed them.
+labels of every member. A configuration is read as written: it spells
+each parameter that `default_grid` spells for its family. The tasks
+run through `parallel.run_tasks`: on every CPU this process may run
+on, the caller's among them, or in the caller alone when it may run on
+one CPU; everything else here runs in the caller. The workers are
+forked, so they read each fold's rows, sliced once before the fork,
+the grid and the task list from the memory they inherit; only scores,
+warnings and exceptions cross the process boundary. Each fit is
+deterministic given its seed and rows, so the scores do not depend on
+which process computed them.
 
 Bot is the positive class for the confusion counts. Weighted averages
 weight each class row by its true-class support, matching the
 classification-report convention.
 """
 
-import inspect
 import warnings
 from functools import partial
 from operator import and_
@@ -49,10 +50,6 @@ class ConfusionCounts(NamedTuple):
     fn: int  # bots classified as humans
     fp: int  # humans classified as bots
     tn: int  # humans classified as humans
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.fp + self.tn
 
 
 class ClassMetrics(NamedTuple):
@@ -233,15 +230,6 @@ def train_config(config: GridConfig, X: np.ndarray, y: np.ndarray, seed: int = 0
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
-def _defaults(signature: inspect.Signature) -> dict:
-    """A trainer's parameter defaults, but its seed, which is the search's."""
-    return {
-        name: parameter.default
-        for name, parameter in signature.parameters.items()
-        if parameter.default is not inspect.Parameter.empty and name != "seed"
-    }
-
-
 class _Fold(NamedTuple):
     """One fold's rows, built once before any task runs."""
 
@@ -280,7 +268,7 @@ def _forest_labels(search: _Search, fold: _Fold, params: dict, members: list[tup
     n, the float that `bot_fraction` of the n-tree forest computes.
     """
     limits = sorted({depth for _, _, depth in members})
-    _check_forest(fold.y_train, min(n for _, n, _ in members), params["criterion"])
+    _check_forest(fold.y_train, min(n for _, n, _ in members), **params)
     rows = fold.X_test.tolist()
     tree_votes: dict[int, list[list[int]]] = {limit: [] for limit in limits}
     for tree_seed in search.tree_seeds[: max(n for _, n, _ in members)]:
@@ -323,18 +311,16 @@ def _knn_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]
 
 
 # family -> (the function that gives each group member's test labels, the
-# trainer whose signature fills in and checks a configuration's parameters,
-# the parameters in which the members of a group differ). The trainers are
-# called by their names in this module, not from here. Each fold's tasks run
+# parameters in which the members of a group differ). Each fold's tasks run
 # in this order: the families fitted member by member, then the forests, so
 # that the short tree and kNN tasks are taken last and the processes finish
 # close together.
 _FAMILIES = {
-    FAMILY_LOGISTIC: (_fitted_labels, train_logistic, ("l2",)),
-    FAMILY_SVM: (_fitted_labels, train_linear_svm, ("l2",)),
-    FAMILY_FOREST: (_forest_labels, train_forest, ("n_estimators", "max_depth")),
-    FAMILY_TREE: (_tree_labels, train_single_tree, ("max_depth",)),
-    FAMILY_KNN: (_knn_labels, train_knn, ("k",)),
+    FAMILY_LOGISTIC: (_fitted_labels, ("l2",)),
+    FAMILY_SVM: (_fitted_labels, ("l2",)),
+    FAMILY_FOREST: (_forest_labels, ("n_estimators", "max_depth")),
+    FAMILY_TREE: (_tree_labels, ("max_depth",)),
+    FAMILY_KNN: (_knn_labels, ("k",)),
 }
 
 
@@ -342,26 +328,21 @@ def _groups(grid: list[GridConfig]) -> list[tuple[str, dict, list[tuple]]]:
     """The configurations, grouped by family and by every parameter but the family's sizes.
 
     A group is (family, parameters, members): the parameters its
-    configurations share, and each member's (position, *sizes). A
-    parameter a configuration omits takes the trainer's default, so
-    configurations that spell the same model differently share a group.
-    A parameter the trainer does not take, or the seed, which is the
-    search's, raises TypeError, and a family not in `_FAMILIES` raises
-    ValueError. The groups come family by family in `_FAMILIES` order,
-    and a family's groups in grid order. The default grid has six: one
-    per forest criterion, and one for each other family.
+    configurations share, and each member's (position, *sizes). Nothing
+    is filled in from a trainer's defaults, so a grid spells every
+    parameter: a family not in `_FAMILIES` raises ValueError and an
+    omitted size KeyError naming it, here; a parameter the family does
+    not take raises TypeError in the task. The groups come family by
+    family in `_FAMILIES` order, and a family's groups in grid order.
+    The default grid has six: one per forest criterion, and one for
+    each other family.
     """
-    defaults = {family: _defaults(inspect.signature(trainer))
-                for family, (_, trainer, _) in _FAMILIES.items()}
     groups: dict[tuple, tuple[str, dict, list[tuple]]] = {}
     for position, config in enumerate(grid):
         if config.family not in _FAMILIES:
             raise ValueError(f"unknown classifier family {config.family!r}")
-        unknown = sorted(config.params.keys() - defaults[config.family])
-        if unknown:
-            raise TypeError(f"{config.name}: {config.family} takes no parameter {unknown[0]!r}")
-        params = {**defaults[config.family], **config.params}
-        member = (position, *(params.pop(size) for size in _FAMILIES[config.family][2]))
+        params = dict(config.params)
+        member = (position, *(params.pop(size) for size in _FAMILIES[config.family][1]))
         key = (config.family, *sorted(params.items()))
         groups.setdefault(key, (config.family, params, []))[2].append(member)
     order = list(_FAMILIES)
@@ -404,9 +385,13 @@ def cross_validate(
 
     The best configuration per family is returned, by F1 descending;
     ties break toward higher precision, then the lexicographically
-    smaller name. A kNN configuration whose k, given or `train_knn`'s
-    default, exceeds the smallest training fold cannot be fitted on
-    every fold and is left out.
+    smaller name. A kNN configuration whose k exceeds the smallest
+    training fold cannot be fitted on every fold and is left out.
+
+    A configuration spells each parameter that `default_grid` spells
+    for its family. An unknown family raises ValueError and an omitted
+    size KeyError, before any task runs; a parameter the family does
+    not take, a forest's seed among them, raises TypeError in the task.
 
     Every task is one (family, fold, group), and the family's entry in
     `_FAMILIES` gives the test labels of all of the group's members
@@ -423,11 +408,10 @@ def cross_validate(
     - Logistic regression and SVM members, which differ in l2, are each
       fitted alone.
 
-    Each fold's rows are sliced once, and an unknown family or a
-    parameter its trainer does not take is rejected, before any task
-    runs. The tasks run through `parallel.run_tasks`: in forked workers
-    and this process, one process per CPU in `os.sched_getaffinity`, and
-    with one CPU in this process alone. Either way each task fits the
+    Each fold's rows are sliced once before any task runs. The tasks
+    run through `parallel.run_tasks`: in forked workers and this
+    process, one process per CPU in `os.sched_getaffinity`, and with one
+    CPU in this process alone. Either way each task fits the
     same rows with the same seed, and its scores are collected in fold
     order, so every mean, and the ranking, is the same float for float.
     Warnings a task raises are recorded there and emitted again here, in

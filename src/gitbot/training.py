@@ -6,11 +6,11 @@ human 0. Trees split greedily on information gain (entropy criterion
 by default, gini available for grid search) with candidate thresholds
 at midpoints between consecutive distinct feature values. Each tree of
 a forest trains on a bootstrap sample. The grower decides each node's
-candidate features: given a tree's rng, it draws `FEATURE_SUBSET_SIZE`
-of them at every node that is neither pure nor at the depth limit,
-before the node's scan, in preorder; given no rng, as for the single
-tree of `baselines`, every feature is a candidate and nothing is
-drawn. Training is fully deterministic given a seed.
+candidate features: given a tree's `_FeatureDraw`, it draws
+`FEATURE_SUBSET_SIZE` of them at every node that is neither pure nor
+at the depth limit, before the node's scan, in preorder; given None,
+as for the single tree of `baselines`, every feature is a candidate
+and nothing is drawn. Training is fully deterministic given a seed.
 
 The draw is `rng.choice(n, k, replace=False)` without its per-call
 cost: `_FeatureDraw` runs numpy's own algorithm for it on the
@@ -174,12 +174,11 @@ class _FeatureDraw:
     - Floyd's loop picks the k values, then a Fisher-Yates pass from
       the last position down to the second one shuffles them.
     One `random_raw` call per 64 bits replaces numpy's per-call setup.
-    The buffered half is written back by `close`.
+    `state` gives the generator's state with the buffered half.
 
     Given depths to save, `_candidates` saves in `saved`, just before the
-    first draw at a node of each such depth, the generator state that
-    `close` would leave at that point; setting a generator to it resumes
-    the draws from there.
+    first draw at a node of each such depth, the `state` at that point;
+    setting a generator to it resumes the draws from there.
     """
 
     def __init__(self, rng, save_depths=()):
@@ -226,10 +225,6 @@ class _FeatureDraw:
         state["uinteger"] = self._half
         return state
 
-    def close(self):
-        """Leave the generator's buffered half as `rng.choice` would have."""
-        self._bit_generator.state = self.state()
-
 
 def _candidates(n_features: int, draw, depth: int):
     """A node's candidate features: `FEATURE_SUBSET_SIZE` drawn, or all without a draw."""
@@ -264,7 +259,7 @@ def _grow_small(cols, labels, rows, depth, max_depth, draw, criterion):
 
 
 def _grow_node(X, y, depth, max_depth, draw, criterion) -> TreeNode:
-    """`_grow` with rng's `_FeatureDraw`, or None to take every feature."""
+    """The subtree of a node: draw picks each node's candidates, or None takes every feature."""
     if len(y) <= SMALL_NODE:
         return _grow_small(
             X.T.tolist(), y.tolist(), range(len(y)), depth, max_depth, draw, criterion
@@ -281,19 +276,6 @@ def _grow_node(X, y, depth, max_depth, draw, criterion) -> TreeNode:
     left = _grow_node(X[mask], y[mask], depth + 1, max_depth, draw, criterion)
     right = _grow_node(X[~mask], y[~mask], depth + 1, max_depth, draw, criterion)
     return Split(feature=f, threshold=threshold, left=left, right=right)
-
-
-def _grow(X, y, depth, max_depth, rng, criterion) -> TreeNode:
-    """The subtree of a node; rng draws each node's candidates, or None takes every feature.
-
-    rng is left in the state that drawing with `rng.choice` leaves.
-    """
-    if rng is None:
-        return _grow_node(X, y, depth, max_depth, None, criterion)
-    draw = _FeatureDraw(rng)
-    tree = _grow_node(X, y, depth, max_depth, draw, criterion)
-    draw.close()
-    return tree
 
 
 def _first_draw_path(node: TreeNode, depth: int, limit: int):

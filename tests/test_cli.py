@@ -689,6 +689,23 @@ def test_json_lines_dataset_reports_as_its_csv_does(capsys, dataset_csv, tmp_pat
     assert runs[0] == runs[1]
 
 
+def test_csv_dataset_whose_first_field_is_a_number_too_long_for_json(capsys, dataset_csv, tmp_path):
+    # no header, and the first contributor id is 5,000 nines: the first line
+    # does not start with "{", so it is read as CSV, never parsed as JSON
+    with open(dataset_csv, newline="", encoding="utf-8") as source:
+        rows = list(csv.reader(source))[1:]
+    first = rows[0][0]
+    path = tmp_path / "dataset.csv"
+    with open(path, "w", newline="", encoding="utf-8") as target:
+        csv.writer(target).writerows([["9" * 5000 if row[0] == first else row[0], *row[1:]]
+                                      for row in rows])
+    runs = []
+    for dataset in (dataset_csv, path):
+        assert main(["evaluate", str(dataset)]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[1] == runs[0]
+
+
 def test_importing_the_cli_loads_neither_numpy_nor_dataclasses():
     script = "import sys, gitbot.cli; print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

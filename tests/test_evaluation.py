@@ -24,7 +24,7 @@ from gitbot.evaluation import (
 )
 from gitbot.features import FeatureVector
 from gitbot.forest import BOT, CRITERIA, HUMAN, predict
-from gitbot.training import SMALL_NODE, _grow, predict_labels, train_forest
+from gitbot.training import SMALL_NODE, _FeatureDraw, _grow_node, predict_labels, train_forest
 
 from .test_forest import random_examples, tied_data
 
@@ -117,7 +117,7 @@ class TestReportFromCounts:
             assert metrics.f1 == (pytest.approx(2 * p * r / (p + r)) if p + r else 0.0)
         assert report.bot.support == counts.tp + counts.fn
         assert report.human.support == counts.fp + counts.tn
-        total = counts.total
+        total = sum(counts)
         for weighted, per_class in (
             (report.weighted_precision, "precision"),
             (report.weighted_recall, "recall"),
@@ -138,8 +138,8 @@ class TestReportFromCounts:
 
 
 GRID = [
-    GridConfig("random forest", "forest(a)", {"n_estimators": 5, "max_depth": 3}),
-    GridConfig("random forest", "forest(b)", {"n_estimators": 5, "max_depth": 1}),
+    GridConfig("random forest", "forest(a)", {"criterion": "entropy", "n_estimators": 5, "max_depth": 3}),
+    GridConfig("random forest", "forest(b)", {"criterion": "entropy", "n_estimators": 5, "max_depth": 1}),
     GridConfig("decision tree", "tree(a)", {"max_depth": 1}),
     GridConfig("decision tree", "tree(b)", {"max_depth": 4}),
     GridConfig("k-nearest neighbours", "knn(a)", {"k": 1}),
@@ -198,8 +198,8 @@ PREFIX_GRID = [
     GridConfig("random forest", "forest(gini,3,small)", {"criterion": "gini", "max_depth": 3, "n_estimators": 4}),
     GridConfig("random forest", "forest(gini,3,large)", {"criterion": "gini", "max_depth": 3, "n_estimators": 9}),
     GridConfig("random forest", "forest(entropy,3)", {"criterion": "entropy", "max_depth": 3, "n_estimators": 5}),
-    GridConfig("random forest", "forest(defaults)", {}),
-    GridConfig("random forest", "forest(defaults,small)", {"n_estimators": 6}),
+    GridConfig("random forest", "forest(entropy,8)", {"criterion": "entropy", "max_depth": 8, "n_estimators": 20}),
+    GridConfig("random forest", "forest(entropy,8,small)", {"criterion": "entropy", "max_depth": 8, "n_estimators": 6}),
     GridConfig("decision tree", "tree(a)", {"max_depth": 2}),
     GridConfig("support vector machine", "svm(a)", {"l2": 1e-2}),
 ]
@@ -238,8 +238,8 @@ def table_fitting_every_config(data, grid, k_folds, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forest_prefixes_score_like_separate_fits(seed):
     # two forests share (criterion, depth) at different sizes, a third differs
-    # from them only in criterion, and two take train_forest's defaults for
-    # what they omit: each pair is one grown forest
+    # from them only in criterion, and two more share another depth: each
+    # pair is one grown forest
     data = random_examples(np.random.default_rng(30 + seed), 45, separable=False)
     rows = cross_validate(*data, PREFIX_GRID, k_folds=3, seed=seed)
     assert rows == table_fitting_every_config(data, PREFIX_GRID, 3, seed)
@@ -260,11 +260,9 @@ def assert_no_child_left():
 
 
 DEPTH_GRID = [
-    GridConfig("random forest", "forest(depth=02)", {"max_depth": 2, "n_estimators": 8}),
-    GridConfig("random forest", "forest(depth=04,small)", {"max_depth": 4, "n_estimators": 3}),
-    GridConfig("random forest", "forest(depth=04)", {"max_depth": 4, "n_estimators": 8}),
-    GridConfig("random forest", "forest(default depth)", {"n_estimators": 5}),
-    GridConfig("random forest", "forest(depth=12)", {"max_depth": 12, "n_estimators": 8}),
+    GridConfig("random forest", f"forest(depth={depth:02d}{suffix})",
+               {"criterion": "entropy", "max_depth": depth, "n_estimators": n})
+    for depth, n, suffix in ((2, 8, ""), (4, 3, ",small"), (4, 8, ""), (8, 5, ""), (12, 8, ""))
 ]
 
 
@@ -297,8 +295,8 @@ def assert_every_member_scores_as_its_own_fit(X, y, grid, k_folds, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
-    # forests that differ only in depth, one of them by omitting it: one group,
-    # grown at depth 12; of its trees at depths 2, 4 and 8, some are the deep
+    # forests that differ only in depth and size: one group, grown at depth
+    # 12; of its trees at depths 2, 4 and 8, some are the deep
     # trees and some are resumed from a saved generator state
     cpus(monkeypatch, ONE_CPU)  # so that the resumed trees are counted here
     resumed = []
@@ -321,7 +319,7 @@ def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
 
 SIZED_GRID = [
     *(GridConfig("decision tree", f"tree(depth={d:02d})", {"max_depth": d}) for d in range(1, 11)),
-    GridConfig("decision tree", "tree(default depth)", {}),
+    GridConfig("decision tree", "tree(depth=08,again)", {"max_depth": 8}),
     *(GridConfig("k-nearest neighbours", f"knn(k={k:02d})", {"k": k}) for k in (1, 2, 3, 5, 8, 11)),
 ]
 
@@ -347,44 +345,92 @@ def test_every_default_configuration_scores_like_its_own_fit(seed):
     assert_every_member_scores_as_its_own_fit(X, y, grid, 3, seed)
 
 
-def test_a_parameter_the_trainer_does_not_take_is_rejected():
+# (the parameter the family does not take, a configuration that spells it)
+STRAY_PARAMETERS = [
+    ("seed", GridConfig("random forest", "forest(seeded)",
+                        {"criterion": "entropy", "n_estimators": 5, "max_depth": 3, "seed": 3})),
+    ("max_dept", GridConfig("random forest", "forest(typo)",
+                            {"criterion": "entropy", "n_estimators": 5, "max_depth": 3, "max_dept": 4})),
+    ("max_dept", GridConfig("decision tree", "tree(typo)", {"max_depth": 3, "max_dept": 4})),
+    ("max_dept", GridConfig("k-nearest neighbours", "knn(typo)", {"k": 3, "max_dept": 4})),
+    ("max_dept", GridConfig("logistic regression", "logistic(typo)", {"l2": 1.0, "max_dept": 4})),
+    ("max_dept", GridConfig("support vector machine", "svm(typo)", {"l2": 1.0, "max_dept": 4})),
+]
+
+
+def test_a_parameter_the_trainer_does_not_take_is_rejected(monkeypatch):
+    # a misspelled parameter, or a forest's seed, which is the search's, fails
+    # at the call that would receive it, in the task, whichever process runs it
     data = random_examples(np.random.default_rng(15), 30)
-    grid = [GridConfig("random forest", "forest(typo)", {"max_dept": 4})]
-    with pytest.raises(TypeError, match="max_dept"):
-        cross_validate(*data, grid, k_folds=3)
-    # the seed is the search's, so a configuration may not set it
-    grid = [GridConfig("random forest", "forest(seeded)", {"seed": 3})]
-    with pytest.raises(TypeError, match="'seed'"):
-        cross_validate(*data, grid, k_folds=3)
+    for available in (ONE_CPU, THREE_CPUS):
+        cpus(monkeypatch, available)
+        for stray, config in STRAY_PARAMETERS:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{stray}'"):
+                cross_validate(*data, [*GRID[2:4], config], k_folds=3)
+            assert_no_child_left()
 
 
-KNN_DEFAULT_K = GridConfig("k-nearest neighbours", "knn(default k)", {})
+def no_fork():
+    raise AssertionError("forked")
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_a_knn_configuration_without_k_scores_like_k_5(seed):
-    data = random_examples(np.random.default_rng(70 + seed), 45, separable=False)
-    five = KNN_DEFAULT_K._replace(params={"k": 5})
-    (row,) = cross_validate(*data, [KNN_DEFAULT_K], k_folds=3, seed=seed)
-    assert row == cross_validate(*data, [five], k_folds=3, seed=seed)[0]._replace(config=KNN_DEFAULT_K)
+@pytest.mark.parametrize("config,size", [
+    (GridConfig("random forest", "forest(no depth)", {"criterion": "entropy", "n_estimators": 5}),
+     "max_depth"),
+    (GridConfig("random forest", "forest(no size)", {"criterion": "gini", "max_depth": 3}),
+     "n_estimators"),
+    (GridConfig("decision tree", "tree(no depth)", {}), "max_depth"),
+    (GridConfig("k-nearest neighbours", "knn(no k)", {}), "k"),
+    (GridConfig("logistic regression", "logistic(no l2)", {"max_iter": 3}), "l2"),
+    (GridConfig("support vector machine", "svm(no l2)", {}), "l2"),
+], ids=lambda value: value.name if isinstance(value, GridConfig) else None)
+def test_an_omitted_size_is_rejected_before_any_fork(monkeypatch, config, size):
+    cpus(monkeypatch, THREE_CPUS)
+    monkeypatch.setattr(os, "fork", no_fork)
+    data = random_examples(np.random.default_rng(16), 30, separable=False)
+    with pytest.raises(KeyError, match=f"^'{size}'$"):
+        cross_validate(*data, [*GRID, config], k_folds=3, seed=0)
 
 
-def test_a_knn_configuration_without_k_is_left_out_when_5_exceeds_a_training_fold():
+def test_a_knn_configuration_is_left_out_when_its_k_exceeds_a_training_fold():
     # three bots and three humans in three folds: every training fold holds 4
     X = np.array([[10.0, 0.0, p, 0.1] for p in (1, 2, 3, 40, 50, 60)])
     y = np.array([1, 1, 1, 0, 0, 0])
-    rows = cross_validate(X, y, [KNN_DEFAULT_K, GRID[2]], k_folds=3, seed=0)
+    five = GridConfig("k-nearest neighbours", "knn(k=05)", {"k": 5})
+    rows = cross_validate(X, y, [five, GRID[2]], k_folds=3, seed=0)
     assert [row.config for row in rows] == [GRID[2]]
-    four = KNN_DEFAULT_K._replace(params={"k": 4})
+    four = five._replace(params={"k": 4})
     assert {row.config.family for row in cross_validate(X, y, [four, GRID[2]], k_folds=3)} == {
         "k-nearest neighbours", "decision tree"}
 
 
+def test_the_default_grid_is_six_groups_that_rebuild_every_configuration():
+    grid = evaluation.default_grid()
+    groups = evaluation._groups(grid)
+    shapes = [(family, params.get("criterion"), len(members)) for family, params, members in groups]
+    assert shapes == [
+        ("logistic regression", None, 9),
+        ("support vector machine", None, 9),
+        ("random forest", "entropy", 9),
+        ("random forest", "gini", 9),
+        ("decision tree", None, 9),
+        ("k-nearest neighbours", None, 6),
+    ]
+    # a member's shared parameters and its sizes are its configuration's parameters
+    rebuilt = {}
+    for family, params, members in groups:
+        names = evaluation._FAMILIES[family][1]
+        for position, *sizes in members:
+            rebuilt[position] = {**params, **dict(zip(names, sizes, strict=True))}
+    assert sorted(rebuilt) == list(range(51))
+    assert all(rebuilt[position] == config.params for position, config in enumerate(grid))
+
+
 def grown_to(X, y, tree_seed, limit, criterion):
-    """A forest tree grown directly to `limit`: its bootstrap sample, then `_grow`."""
+    """A forest tree grown directly to `limit`: its bootstrap sample, then `_grow_node`."""
     rng = np.random.default_rng(tree_seed)
     idx = rng.integers(0, len(y), size=len(y))
-    return _grow(X[idx], y[idx], 0, limit, rng, criterion)
+    return _grow_node(X[idx], y[idx], 0, limit, _FeatureDraw(rng), criterion)
 
 
 @settings(deadline=None, max_examples=80)
@@ -436,7 +482,8 @@ def test_a_tasks_warnings_are_emitted_again_with_their_origin(monkeypatch, avail
 def test_a_tasks_exception_reaches_the_caller_with_its_type(monkeypatch, available):
     cpus(monkeypatch, available)
     data = random_examples(np.random.default_rng(13), 30, separable=False)
-    grid = [*GRID[:3], GridConfig("random forest", "forest(bad)", {"criterion": "gimi"})]
+    bad = {"criterion": "gimi", "n_estimators": 5, "max_depth": 3}
+    grid = [*GRID[:3], GridConfig("random forest", "forest(bad)", bad)]
     with pytest.raises(ValueError, match="criterion must be one of"):
         cross_validate(*data, grid, k_folds=3, seed=0)
     assert_no_child_left()
@@ -444,10 +491,6 @@ def test_a_tasks_exception_reaches_the_caller_with_its_type(monkeypatch, availab
 
 def test_an_unknown_family_is_rejected_before_any_fork(monkeypatch):
     cpus(monkeypatch, THREE_CPUS)
-
-    def no_fork():
-        raise AssertionError("forked")
-
     monkeypatch.setattr(os, "fork", no_fork)
     data = random_examples(np.random.default_rng(13), 30, separable=False)
     grid = [*GRID, GridConfig("perceptron", "perceptron(a)", {})]
@@ -478,7 +521,7 @@ def test_one_cpu_and_the_pool_give_the_same_rows_and_warnings(monkeypatch, seed)
     # forest prefix groups, a kNN k above the smallest training fold (left
     # out) and a fit that warns: the pool must match the in-process run
     grid = [*PREFIX_GRID, *GRID[4:6], GridConfig("k-nearest neighbours", "knn(c)", {"k": 40}),
-            GridConfig("logistic regression", "logistic(one step)", {"max_iter": 1})]
+            GridConfig("logistic regression", "logistic(one step)", {"l2": 1e-3, "max_iter": 1})]
     data = random_examples(np.random.default_rng(40 + seed), 45, separable=False)
     runs = []
     for available in (ONE_CPU, THREE_CPUS):

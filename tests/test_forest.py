@@ -25,7 +25,7 @@ from gitbot.training import (
     IMPURITY,
     SMALL_NODE,
     _FeatureDraw,
-    _grow,
+    _grow_node,
     _impurity,
     best_split,
     best_split_small,
@@ -45,7 +45,7 @@ def entropy(class_counts) -> float:
 def train_tree(data, max_depth, criterion="entropy"):
     """Grow one decision tree on all of `data`, an (X, y) pair, without bootstrap or rng."""
     X, y = data
-    return _grow(X, y, 0, max_depth, None, criterion)
+    return _grow_node(X, y, 0, max_depth, None, criterion)
 
 
 def tree_depth(node) -> int:
@@ -256,8 +256,7 @@ class TestFeatureDraw:
         draw = _FeatureDraw(rng)
         for n, k in sizes:
             assert draw.choice(n, k) == reference.choice(n, k, replace=False).tolist()
-        draw.close()
-        assert rng.bit_generator.state == reference.bit_generator.state
+        assert draw.state() == reference.bit_generator.state
 
     def test_a_biased_product_is_rejected(self):
         # no seed reaches this in practice: the low half 0 times span 3 leaves
@@ -272,16 +271,15 @@ class TestFeatureDraw:
         rng = type("Rng", (), {"bit_generator": Scripted()})()
         draw = _FeatureDraw(rng)
         assert draw.choice(3, 1) == [high * 3 >> 32]
-        draw.close()
-        assert Scripted.state == {"has_uint32": 0, "uinteger": high}
+        assert draw.state() == {"has_uint32": 0, "uinteger": high}
 
 
 class TestGrowAcrossTheSwitch:
-    """`_grow` grows the tree, and draws the random stream, of the all-numpy grower.
+    """`_grow_node` grows the tree, and draws the random stream, of the all-numpy grower.
 
-    With a forest's rng it draws `FEATURE_SUBSET_SIZE` candidates per node,
-    as the reference does; with None it takes all four, as the reference
-    does when it draws four of four.
+    With a forest's `_FeatureDraw` it draws `FEATURE_SUBSET_SIZE`
+    candidates per node, as the reference does; with None it takes all
+    four, as the reference does when it draws four of four.
     """
 
     @settings(deadline=None, max_examples=60)
@@ -296,16 +294,12 @@ class TestGrowAcrossTheSwitch:
     def test_same_tree_as_numpy_grower(self, n, data_seed, seed, criterion, max_depth, forest_draws):
         X, y = tied_data(data_seed, n)
         reference_rng = np.random.default_rng(seed)
-        if forest_draws:
-            rng = np.random.default_rng(seed)
-            tree = _grow(X, y, 0, max_depth, rng, criterion)
-            k = FEATURE_SUBSET_SIZE
-        else:
-            tree = _grow(X, y, 0, max_depth, None, criterion)
-            k = X.shape[1]
+        draw = _FeatureDraw(np.random.default_rng(seed)) if forest_draws else None
+        tree = _grow_node(X, y, 0, max_depth, draw, criterion)
+        k = FEATURE_SUBSET_SIZE if forest_draws else X.shape[1]
         assert tree == numpy_grow(X, y, 0, max_depth, k, reference_rng, criterion)
         if forest_draws:
-            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            assert draw.state() == reference_rng.bit_generator.state
 
     def test_large_nodes_split_in_numpy_and_small_ones_in_python(self, monkeypatch):
         sizes = {"numpy": [], "python": []}
@@ -320,7 +314,7 @@ class TestGrowAcrossTheSwitch:
         monkeypatch.setattr(training, "best_split", counted("numpy", best_split))
         monkeypatch.setattr(training, "best_split_small", counted("python", best_split_small))
         X, y = tied_data(3, 200)
-        tree = _grow(X, y, 0, 12, None, "entropy")
+        tree = _grow_node(X, y, 0, 12, None, "entropy")
         assert tree == numpy_grow(X, y, 0, 12, 4, np.random.default_rng(0), "entropy")
         assert sizes["numpy"] and min(sizes["numpy"]) > SMALL_NODE
         assert sizes["python"] and max(sizes["python"]) <= SMALL_NODE
