@@ -4,6 +4,9 @@
 (analyze is the implied subcommand). Result rows go to stdout in text,
 CSV, or JSON; errors go to stderr. Exit codes: 0 success, 1 usage
 error, 2 analysis/training error.
+
+Names are written as git gave them: CSV and text write their bytes,
+even bytes that are not UTF-8, which JSON escapes as \\udcXX.
 """
 
 import argparse
@@ -12,7 +15,6 @@ import gc
 import importlib
 import io
 import json
-import re
 import sys
 from datetime import date
 from importlib import resources
@@ -30,10 +32,6 @@ from .identity import IdentityMapping, apply_mapping, load_mapping
 from .model_io import load_model, model_from_json, save_model
 
 TEXT, CSV, JSON = "text", "csv", "json"
-# characters that can make csv.writer quote a cell: its delimiter, its quote
-# character and line breaks. A name holding one is written by csv.writer
-# itself, so a character listed here needlessly costs only time.
-_CSV_QUOTED = '[,"\r\n]'
 UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 
 # The module docstring is the --help text, so the split is told here:
@@ -190,7 +188,7 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
             return "[]\n"
         keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
         name_key, commits_key = keys[:2]
-        tails = {shape: "".join([f",\n{key}{_json_scalar(v)}" for key, v in zip(keys[2:], cells)])
+        tails = {shape: "".join([f",\n{key}{json.dumps(v)}" for key, v in zip(keys[2:], cells)])
                  for shape, cells in tail_cells.items()}
         objects = [
             f"{name_key}{encode_basestring_ascii(row[0])},\n{commits_key}{row[1]}{tails[shape]}"
@@ -199,25 +197,11 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
         return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
     texts = {shape: list(map(_text_cell, cells)) for shape, cells in tail_cells.items()}
     if output_format == CSV:
-        # Tail cells are counts, `.3f` numbers, blanks and predictions, and
-        # none holds a character of _CSV_QUOTED; only a name that holds one
-        # is written by csv.writer.
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-
-        def csv_name(name):
-            buffer.seek(0)
-            buffer.truncate()
-            writer.writerow([name])
-            return buffer.getvalue()[:-1]
-
-        quoted = re.compile(_CSV_QUOTED).search  # compiled here: most runs write no CSV
-        tails = {shape: ",".join(cells) for shape, cells in texts.items()}
-        lines = [
-            f"{csv_name(row[0]) if quoted(row[0]) else row[0]},{row[1]},{tails[shape]}\n"
-            for row, shape in zip(rows, shapes)
-        ]
-        return ",".join(columns) + "\n" + "".join(lines)
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [columns, *([row[0], row[1], *texts[shape]] for row, shape in zip(rows, shapes))]
+        )
+        return buffer.getvalue()
     # text: whitespace-aligned columns, each as wide as its widest cell.
     # Commits are counts, so the largest is the longest.
     widths = [
@@ -237,17 +221,6 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
     lines += [f"{row[0].ljust(name_width)}  {str(row[1]).ljust(commits_width)}  {tails[shape]}"
               for row, shape in zip(rows, shapes)]
     return "\n".join(lines) + "\n"
-
-
-def _json_scalar(value: object) -> str:
-    """A result cell as `json.dumps` spells it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if type(value) is int:
-        return repr(value)
-    return json.dumps(value)  # the few floats: NaN and infinities have JSON names
 
 
 def run_train(args) -> int:
@@ -399,6 +372,8 @@ def main(argv=None) -> int:
             finally:
                 if collecting:
                     gc.enable()
+            if hasattr(sys.stdout, "reconfigure"):  # not an in-memory stdout
+                sys.stdout.reconfigure(errors="surrogateescape")  # as git's names were read
             sys.stdout.write(output)
             return 0
         if args.command == "train":

@@ -3,7 +3,9 @@
 One reader, `load_dataset`, takes either layout and tells them apart
 by the file's first non-blank line: if it starts with "{" and parses
 as a JSON object, the file is read as JSON lines, and otherwise as CSV.
-A UTF-8 byte-order mark at the start of either layout is skipped.
+A UTF-8 byte-order mark at the start of either layout is skipped, and
+a byte that is not UTF-8 is read as the extractor reads git's text
+(surrogateescape), so a message keeps the bytes git gave.
 
 - CSV, the canonical layout: one message per row and four columns
   (contributor_id, repository_id, label, message), label in
@@ -137,7 +139,7 @@ def _is_json_lines(handle) -> bool:
 
 def load_dataset(path, min_messages: int = 10) -> LabeledDataset:
     """Read a labeled dataset in the CSV or the JSON-lines layout."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         rows = _json_lines_rows(handle) if _is_json_lines(handle) else _csv_rows(handle)
         return _build_dataset(rows, min_messages=min_messages)
 

@@ -20,10 +20,6 @@ class GitUnavailable(GitbotError):
 class ExtractionFailed(GitbotError):
     """git exited with a nonzero status while extracting commits."""
 
-    def __init__(self, message, stderr=""):
-        super().__init__(message)
-        self.stderr = stderr
-
 
 class MalformedMapping(GitbotError):
     """An identity mapping row does not have exactly two fields."""

@@ -176,9 +176,7 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
         if "does not have any commits" in low or "bad default revision" in low:
             return []  # freshly initialized repository
         detail = stderr.strip().splitlines()[0] if stderr.strip() else ""
-        raise ExtractionFailed(
-            f"git log failed with exit code {proc.returncode}: {detail}", stderr=stderr
-        )
+        raise ExtractionFailed(f"git log failed with exit code {proc.returncode}: {detail}")
     return parser.close()
 
 

@@ -2,8 +2,11 @@
 
 The mapping file has two columns, name and identity, with no header
 required (a literal "name,identity" header row is tolerated). Mapping
-a name to the reserved identity "IGNORE" drops that name entirely. A
-UTF-8 byte-order mark, which spreadsheet exports write, is skipped.
+a name to the reserved identity "IGNORE" drops that name entirely; a
+name the mapping does not list is kept, even one spelled IGNORE. The
+file is UTF-8, and a byte that is not UTF-8 is read as the extractor
+reads git's (surrogateescape), so a row can name any author git gave.
+A UTF-8 byte-order mark, which spreadsheet exports write, is skipped.
 
 Identities hold positions in the extracted commit list, not messages.
 A merged identity keeps git's walk order, so its newest commits are
@@ -32,7 +35,7 @@ def load_mapping(path) -> IdentityMapping:
     entries: dict[str, str] = {}
     csv.field_size_limit(sys.maxsize)  # a name may be of any length
     row_number = 0
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         try:
             for row_number, row in enumerate(csv.reader(handle), start=1):
                 if not row:
@@ -57,7 +60,7 @@ def load_mapping(path) -> IdentityMapping:
 def apply_mapping(
     groups: dict[str, list[int]], mapping: IdentityMapping
 ) -> dict[str, list[int]]:
-    """Rekey each name's commit positions by identity, dropping IGNORE.
+    """Rekey each name's commit positions by identity, dropping the names mapped to IGNORE.
 
     groups maps names to ascending positions in one commit list, as
     extractor.group_messages returns them. A name that is its identity's
@@ -68,8 +71,9 @@ def apply_mapping(
     buckets: dict[str, list[list[int]]] = {}
     for name, positions in groups.items():
         identity = mapping.resolve(name)
-        if identity != IGNORE_IDENTITY:
-            buckets.setdefault(identity, []).append(positions)
+        if identity == IGNORE_IDENTITY and name in mapping.entries:
+            continue
+        buckets.setdefault(identity, []).append(positions)
     return {
         identity: sources[0] if len(sources) == 1 else sorted(chain.from_iterable(sources))
         for identity, sources in buckets.items()

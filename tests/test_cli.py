@@ -32,7 +32,7 @@ from gitbot.features import compute_features
 from gitbot.model_io import load_model
 from gitbot.synthesis import synthetic_dataset
 
-from .conftest import add_commit, init_repo
+from .conftest import CAROL_MESSAGES, add_commit, init_repo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -760,3 +760,76 @@ def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "model written to" in proc.stdout
+
+
+# Names that git holds as bytes that are not UTF-8: the extractor reads
+# them with surrogateescape, so b"Bad\xffName" is the name "Bad\udcffName".
+BAD_NAME = b"Bad\xffName"
+ALIAS_NAME = b"B\xe4d"  # Latin-1 "Bäd": 0xe4 alone is not UTF-8 either
+
+
+@pytest.fixture(scope="session")
+def byte_named_repo(tmp_path_factory):
+    """A repository made by `git fast-import`, whose authors git holds as raw bytes.
+
+    Bad\\xffName: 12 commits; B\\xe4d: 3; IGNORE: 11; alice: 4. mapping.csv
+    merges B\\xe4d into Bad\\xffName and maps IGNORE to IGNORE.
+    """
+    root = tmp_path_factory.mktemp("byte_names")
+    repo = init_repo(root / "repo")
+    authors = [BAD_NAME] * 12 + [ALIAS_NAME] * 3 + [b"IGNORE"] * 11 + [b"alice"] * 4
+    stream = b"".join(
+        b"commit refs/heads/main\n"
+        + b"author %s <a@example.com> %d +0000\n" % (name, 1_600_000_000 + i)
+        + b"committer ci <ci@example.com> %d +0000\n" % (1_600_000_000 + i)
+        + b"data %d\n%s\n" % (len(message), message)
+        for i, (name, message) in enumerate(zip(authors, map(str.encode, CAROL_MESSAGES)))
+    )
+    subprocess.run(["git", "-C", str(repo), "fast-import", "--quiet"], input=stream, check=True,
+                   capture_output=True)
+    (root / "mapping.csv").write_bytes(ALIAS_NAME + b"," + BAD_NAME + b"\nIGNORE,IGNORE\n")
+    return repo
+
+
+def analyze_bytes(*args):
+    """stdout bytes of `python -m gitbot analyze ARGS` on a strict UTF-8 stdout; it must exit 0."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gitbot", "analyze", *map(os.fsencode, args)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("output_format", ["--csv", "--text"])
+def test_csv_and_text_write_a_name_as_gits_bytes(byte_named_repo, output_format):
+    out = analyze_bytes(output_format, byte_named_repo)
+    # the header and four authors in name order: "\udcff" and "\udce4" sort after "a"
+    _, bad, alias, *others = out.splitlines()
+    separator = b"," if output_format == "--csv" else b" "
+    assert [line.split(separator)[0] for line in [bad, alias, *others]] == [
+        BAD_NAME, ALIAS_NAME, b"IGNORE", b"alice"]
+    assert bad.replace(b",", b" ").split()[:2] == [BAD_NAME, b"12"]
+
+
+def test_json_escapes_a_name_that_a_mapping_merges(byte_named_repo):
+    # the mapping also drops IGNORE, which it lists
+    mapping = byte_named_repo.parent / "mapping.csv"
+    out = analyze_bytes("--json", "--mapping", mapping, byte_named_repo)
+    assert b'"name": "Bad\\udcffName",' in out
+    rows = {row["name"]: row["commits"] for row in json.loads(out)}
+    assert rows == {"Bad\udcffName": 15, "alice": 4}
+
+
+def test_include_selects_a_name_by_gits_bytes(byte_named_repo):
+    out = analyze_bytes("--text", "--include", BAD_NAME, "--", byte_named_repo)
+    assert [line.split()[:2] for line in out.splitlines()[1:]] == [[BAD_NAME, b"12"]]
+
+
+def test_a_contributor_named_ignore_is_kept_unless_the_mapping_lists_it(byte_named_repo, tmp_path):
+    out = analyze_bytes("--json", byte_named_repo)
+    assert {row["name"]: row["commits"] for row in json.loads(out)}["IGNORE"] == 11
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("alice,IGNORE\n", encoding="utf-8")
+    out = analyze_bytes("--json", "--mapping", mapping, byte_named_repo)
+    assert {row["name"] for row in json.loads(out)} == {"Bad\udcffName", "B\udce4d", "IGNORE"}

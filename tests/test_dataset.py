@@ -198,6 +198,25 @@ class TestFeaturize:
         for row, entry in zip(X.tolist(), dataset.entries):
             assert tuple(row) == compute_features(entry.corpus, FeatureConfig())
 
+    @pytest.mark.parametrize("layout", ["csv", "json lines"])
+    def test_a_message_that_is_not_utf8_loads_and_featurizes(self, tmp_path, layout):
+        # git keeps a message's bytes, and so does a dataset exported from it
+        rows = contributor_rows("a", "r1", "bot", 12, prefix="bump caf\xe9")
+        text = write_csv(tmp_path, rows).read_text(encoding="utf-8")
+        if layout == "json lines":
+            text = "".join(json.dumps({"name": name, "repository": repo, "bot": True,
+                                       "message": message}, ensure_ascii=False) + "\n"
+                           for name, repo, _, message in rows)
+        path = tmp_path / "latin1"
+        path.write_bytes(text.encode("latin-1"))
+        assert b"caf\xe9 0" in path.read_bytes()  # 0xe9 alone is not UTF-8
+        dataset = load_dataset(path)
+        corpus = [f"bump caf\udce9 {i}" for i in range(12)]
+        assert [entry.corpus for entry in dataset.entries] == [corpus]
+        X, y = featurize(dataset, FeatureConfig())
+        assert tuple(X[0]) == compute_features(corpus, FeatureConfig())
+        assert y.tolist() == [1]
+
     def test_empty_dataset_gives_empty_arrays(self):
         X, y = featurize(LabeledDataset(entries=[]))
         assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (0, 4), np.int64, (0,))

@@ -309,7 +309,7 @@ class TestExtractCommits:
         fake_git(tmp_path, monkeypatch, f"sys.stderr.write({chatter!r})\nsys.exit(128)")
         with pytest.raises(ExtractionFailed, match="exit code 128: fatal: chatty") as info:
             extract_commits(tmp_path)
-        assert info.value.stderr == chatter
+        assert str(info.value) == "git log failed with exit code 128: fatal: chatty"
 
     def test_malformed_output_kills_and_reaps_git(self, tmp_path, monkeypatch, alarm):
         pid_file = tmp_path / "git.pid"

@@ -40,6 +40,12 @@ class TestLoadMapping:
         path.write_text(header + "alice,Alice\nbob,Alice\n", encoding="utf-8-sig")
         assert load_mapping(path).entries == {"alice": "Alice", "bob": "Alice"}
 
+    def test_a_name_that_is_not_utf8_is_read_as_git_names_are(self, tmp_path):
+        # the extractor decodes git's names with surrogateescape; so does the mapping
+        path = tmp_path / "mapping.csv"
+        path.write_bytes(b"Bad\xffName,Bad\nB\xe4d,Bad\n")
+        assert load_mapping(path).entries == {"Bad\udcffName": "Bad", "B\udce4d": "Bad"}
+
     def test_quoted_fields(self, tmp_path):
         path = write_mapping(tmp_path, '"Smith, Jane",jane\n')
         assert load_mapping(path).entries == {"Smith, Jane": "jane"}
@@ -88,6 +94,14 @@ class TestApplyMapping:
         groups = {"ci-runner": list(range(30))}
         merged = apply_mapping(groups, IdentityMapping({"ci-runner": IGNORE_IDENTITY}))
         assert merged == {}
+
+    @pytest.mark.parametrize("mapping", [IdentityMapping(), IdentityMapping({"a": "b"})],
+                             ids=["no mapping", "unlisted"])
+    def test_a_name_spelled_ignore_is_kept_unless_the_mapping_lists_it(self, mapping):
+        groups = {IGNORE_IDENTITY: [0, 2], "alice": [1]}
+        assert apply_mapping(groups, mapping) == groups
+        listed = IdentityMapping({**mapping.entries, IGNORE_IDENTITY: IGNORE_IDENTITY})
+        assert apply_mapping(groups, listed) == {"alice": [1]}
 
     def test_empty_mapping_is_identity(self):
         groups = {"alice": [0], "bob": [1, 2]}
