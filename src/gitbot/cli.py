@@ -121,13 +121,12 @@ def run_analysis(args) -> list[ResultRow]:
             groups = apply_mapping(groups, mapping)
         except GitbotError as exc:
             raise type(exc)(f"{repo}: {exc}") from exc
-        message_at = list(map(itemgetter(1), commits)).__getitem__
         for name, positions in groups.items():
             if len(positions) < config.min_messages:
                 # the test `compute_features` makes first, without the corpus
                 rows.append(ResultRow(name, len(positions), None, None, UNKNOWN, None))
                 continue
-            features = compute_features(list(map(message_at, positions)), config)
+            features = compute_features([commits[p].message for p in positions], config)
             rows.append(
                 ResultRow(
                     name=name,

@@ -10,7 +10,8 @@ a byte that is not UTF-8 is read as the extractor reads git's text
 - CSV, the canonical layout: one message per row and four columns
   (contributor_id, repository_id, label, message), label in
   {bot, human}, messages quoted so they may contain commas and
-  newlines. The header row is optional.
+  newlines. The header row is optional. Rows are read by
+  `identity.csv_rows`, the reader of mapping files.
 - JSON lines, the public ground-truth commit dump: one object per line
   with "name", "repository", "message" and a boolean "bot".
 
@@ -23,10 +24,8 @@ split, the cross-validation folds, every trainer and every score index:
 one float64 feature row per corpus and its int64 label, bot 1.
 """
 
-import csv
 import json
 import logging
-import sys
 from functools import partial
 from typing import NamedTuple
 
@@ -35,6 +34,7 @@ import numpy as np
 from .errors import MalformedDataset
 from .features import FEATURE_NAMES, FeatureConfig, compute_features
 from .forest import BOT, HUMAN, LABEL_IDS
+from .identity import csv_rows
 from .parallel import run_tasks
 
 logger = logging.getLogger(__name__)
@@ -80,27 +80,11 @@ def _build_dataset(rows, min_messages: int) -> LabeledDataset:
     return LabeledDataset(entries=entries, n_excluded=n_excluded)
 
 
-def _check_label(token: str, where: str) -> str:
-    if token not in (BOT, HUMAN):
-        raise MalformedDataset(f"{where}: unknown label {token!r}")
-    return token
-
-
 def _csv_rows(handle):
-    csv.field_size_limit(sys.maxsize)  # a message is a whole commit body, of any length
-    row_number = 0
-    try:
-        for row_number, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if row_number == 1 and row == _HEADER:
-                continue
-            if len(row) != 4:
-                raise MalformedDataset(f"row {row_number}: expected 4 fields, got {len(row)}")
-            contributor, repository, label, message = row
-            yield contributor, repository, _check_label(label, f"row {row_number}"), message
-    except csv.Error as exc:
-        raise MalformedDataset(f"row {row_number + 1}: {exc}") from exc
+    for row_number, row in csv_rows(handle, _HEADER, MalformedDataset):
+        if row[2] not in (BOT, HUMAN):
+            raise MalformedDataset(f"row {row_number}: unknown label {row[2]!r}")
+        yield row
 
 
 def _json_lines_rows(handle):

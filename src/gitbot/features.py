@@ -69,9 +69,9 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     same partition as comparing every pair, and the same first-occurrence
     labels:
 
-    - Identical messages are at distance 0 <= eps. Each copy is hung
-      under the first occurrence of its text, and only distinct texts
-      are compared.
+    - Identical messages are at distance 0 <= eps. The union-find runs
+      over the distinct texts, only they are compared, and each message
+      takes its text's pattern.
     - Only texts that share a token are compared when eps <= 0.5, found
       by OR-ing per-token bitmasks of distinct-text positions (the
       candidate filter of all-pairs similarity search; Bayardo, Ma and
@@ -84,8 +84,10 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
       empty token, which split() never returns: it makes them candidates
       of each other and leaves every Jaccard value unchanged. With
       eps > 0.5 every later text is a candidate.
-    - A candidate pair whose two texts are already in one component is
-      skipped: linking it could not change any component.
+    - Each component's root keeps a bitmask of its texts. A text's walk
+      over later candidates drops its own component's texts first, and a
+      linked component's after each link, so it never visits a text
+      already in its pattern: linking it could not change any component.
     - A pair is rejected without an edit distance when a lower bound on
       its distance exceeds eps. The bound is the compound distance with
       the edit distance d replaced by |la - lb| <= d, evaluated by the
@@ -106,20 +108,18 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
     Every other pair is decided by one call of
     similarity.compound_similarity.
     """
-    n = len(messages)
-    if n == 0:
+    if not messages:
         raise ValueError("cluster_patterns needs at least one message")
     if not eps >= 0.0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
 
-    first: dict[str, int] = {}
-    parent = [first.setdefault(text, i) for i, text in enumerate(messages)]
+    position: dict[str, int] = {}  # per distinct text, its place in first-occurrence order
+    text_of = [position.setdefault(text, len(position)) for text in messages]
 
     token_ids: dict[str, int] = {}
-    holders: list[int] = []  # per token id, a bitmask of the positions in distinct
-    distinct = []  # (index of first occurrence, text, length, token mask, char counts)
-    token_lists = []  # per position in distinct, the token ids of its text
-    for k, (text, i) in enumerate(first.items()):
+    holders: list[int] = []  # per token id, a bitmask of the positions of its texts
+    distinct = []  # per position: (text, length, token ids, token mask, char counts)
+    for k, text in enumerate(position):
         ids = [token_ids.setdefault(token, len(token_ids)) for token in text.split() or [""]]
         mask = 0
         for t in ids:
@@ -127,10 +127,12 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
                 holders.append(0)
             holders[t] |= 1 << k
             mask |= 1 << t
-        distinct.append((i, text, len(text), mask, Counter(text)))
-        token_lists.append(ids)
+        distinct.append((text, len(text), ids, mask, Counter(text)))
+    n = len(distinct)
     every_later = eps > 0.5
-    everyone = (1 << len(distinct)) - 1
+    everyone = (1 << n) - 1
+    parent = list(range(n))
+    members = [1 << k for k in range(n)]  # per root, a bitmask of its component's positions
 
     def find(x):
         root = x
@@ -140,25 +142,20 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
             parent[x], x = root, parent[x]
         return root
 
-    for k, (i, text_i, len_i, mask_i, counts_i) in enumerate(distinct):
-        # every link below hangs a root under ri, so ri stays i's root
-        ri = find(i)
+    for k, (text_i, len_i, ids_i, mask_i, counts_i) in enumerate(distinct):
+        # every link below hangs a root under ri, so ri stays k's root
+        ri = find(k)
         if every_later:
             candidates = everyone
         else:
             candidates = 0
-            for t in token_lists[k]:
+            for t in ids_i:
                 candidates |= holders[t]
-        candidates >>= k + 1
-        j = k
+        candidates &= ~members[ri] & -(1 << (k + 1))
         while candidates:
-            step = (candidates & -candidates).bit_length()  # to the next set bit
-            candidates >>= step
-            j += step
-            first_j, text_j, len_j, mask_j, counts_j = distinct[j]
-            rj = find(first_j)
-            if rj == ri:
-                continue
+            j = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            text_j, len_j, _, mask_j, counts_j = distinct[j]
             jac = (mask_i & mask_j).bit_count() / (mask_i | mask_j).bit_count()
             longest = max(len_i, len_j)
             if 1.0 - 0.5 * (jac + (1.0 - abs(len_i - len_j) / longest)) > eps:
@@ -171,15 +168,14 @@ def cluster_patterns(messages: list[str], eps: float) -> PatternAssignment:
             if 1.0 - 0.5 * (jac + (1.0 - (longest - common) / longest)) > eps:
                 continue
             if 1.0 - similarity.compound_similarity(text_i, text_j) <= eps:
+                rj = find(j)
                 parent[rj] = ri
+                members[ri] |= members[rj]
+                candidates &= ~members[rj]
 
     pattern_of_root: dict[int, int] = {}
-    labels = []
-    for i in range(n):
-        root = find(i)
-        if root not in pattern_of_root:
-            pattern_of_root[root] = len(pattern_of_root)
-        labels.append(pattern_of_root[root])
+    pattern_of_text = [pattern_of_root.setdefault(find(k), len(pattern_of_root)) for k in range(n)]
+    labels = [pattern_of_text[k] for k in text_of]
     sizes = [0] * len(pattern_of_root)
     for lab in labels:
         sizes[lab] += 1

@@ -7,6 +7,8 @@ name the mapping does not list is kept, even one spelled IGNORE. The
 file is UTF-8, and a byte that is not UTF-8 is read as the extractor
 reads git's (surrogateescape), so a row can name any author git gave.
 A UTF-8 byte-order mark, which spreadsheet exports write, is skipped.
+`csv_rows`, the CSV reader that `dataset` shares, lives here because
+`analyze` imports this module without numpy.
 
 Identities hold positions in the extracted commit list, not messages.
 A merged identity keeps git's walk order, so its newest commits are
@@ -21,6 +23,7 @@ from typing import NamedTuple
 from .errors import DuplicateName, MalformedMapping
 
 IGNORE_IDENTITY = "IGNORE"
+_HEADER = ["name", "identity"]
 
 
 class IdentityMapping(NamedTuple):
@@ -30,30 +33,35 @@ class IdentityMapping(NamedTuple):
         return self.entries.get(name, name)
 
 
+def csv_rows(handle, header: list[str], error: type[Exception]):
+    """(row number, row) per CSV row of len(header) fields.
+
+    Blank rows are skipped, and so is a row 1 equal to header. A row of
+    another width, or one that csv cannot parse, raises error naming it.
+    """
+    csv.field_size_limit(sys.maxsize)  # a name or a commit message may be of any length
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.reader(handle), start=1):
+            if not row or (row_number == 1 and row == header):
+                continue
+            if len(row) != len(header):
+                raise error(f"row {row_number}: expected {len(header)} fields, got {len(row)}")
+            yield row_number, row
+    except csv.Error as exc:
+        raise error(f"row {row_number + 1}: {exc}") from exc
+
+
 def load_mapping(path) -> IdentityMapping:
     """Parse a two-column CSV of (name, identity) rows."""
     entries: dict[str, str] = {}
-    csv.field_size_limit(sys.maxsize)  # a name may be of any length
-    row_number = 0
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        try:
-            for row_number, row in enumerate(csv.reader(handle), start=1):
-                if not row:
-                    continue
-                if row_number == 1 and row == ["name", "identity"]:
-                    continue
-                if len(row) != 2:
-                    raise MalformedMapping(f"row {row_number}: expected 2 fields, got {len(row)}")
-                name, identity = row
-                if not identity:
-                    raise MalformedMapping(f"row {row_number}: empty identity")
-                if name in entries and entries[name] != identity:
-                    raise DuplicateName(
-                        f"{name!r} mapped to both {entries[name]!r} and {identity!r}"
-                    )
-                entries[name] = identity
-        except csv.Error as exc:
-            raise MalformedMapping(f"row {row_number + 1}: {exc}") from exc
+        for row_number, (name, identity) in csv_rows(handle, _HEADER, MalformedMapping):
+            if not identity:
+                raise MalformedMapping(f"row {row_number}: empty identity")
+            if name in entries and entries[name] != identity:
+                raise DuplicateName(f"{name!r} mapped to both {entries[name]!r} and {identity!r}")
+            entries[name] = identity
     return IdentityMapping(entries=entries)
 
 

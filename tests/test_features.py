@@ -14,6 +14,7 @@ from gitbot.features import (
     gini_coefficient,
 )
 from gitbot.similarity import compound_similarity
+from gitbot.synthesis import synthetic_dataset
 
 from .test_similarity import random_corpus
 
@@ -113,6 +114,19 @@ thresholds = st.one_of(boundary_thresholds, st.floats(0.0, 1.0))
 UNCAPPED = FeatureConfig(min_messages=1, max_messages=100)
 
 
+@pytest.fixture
+def compared(monkeypatch):
+    """The pairs cluster_patterns hands to similarity.compound_similarity, in call order."""
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compound_similarity(a, b)
+
+    monkeypatch.setattr(similarity, "compound_similarity", counting)
+    return calls
+
+
 def oracle_gini(sizes):
     """Direct double sum over all ordered pairs."""
     n = len(sizes)
@@ -178,14 +192,8 @@ class TestClusterPatterns:
     def test_matches_all_pairs_oracle_around_the_token_rule(self, corpus, eps):
         assert cluster_patterns(corpus, eps).labels == oracle_clusters(corpus, eps)
 
-    def test_token_disjoint_texts_are_compared_only_above_one_half(self, monkeypatch):
-        calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return compound_similarity(a, b)
-
-        monkeypatch.setattr(similarity, "compound_similarity", counting)
+    def test_token_disjoint_texts_are_compared_only_above_one_half(self, compared):
+        calls = compared
         # no shared token, bag distance 0: both bounds pass at any eps >= 0.5
         assert cluster_patterns(["abcd", "dcba"], 0.5).labels == [0, 1]
         assert calls == []
@@ -194,20 +202,29 @@ class TestClusterPatterns:
         # at distance 0.75, "a" and "aa" link without sharing a token
         assert cluster_patterns(["a", "aa"], 0.75).labels == [0, 0]
 
-    def test_bag_bound_rejects_disjoint_letters_and_computes_anagrams(self, monkeypatch):
-        calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return compound_similarity(a, b)
-
-        monkeypatch.setattr(similarity, "compound_similarity", counting)
+    def test_bag_bound_rejects_disjoint_letters_and_computes_anagrams(self, compared):
+        calls = compared
         # equal lengths, one shared token of three: the length bound reads 1/3 <= eps
         assert cluster_patterns(["x abcd", "x efgh"], 0.5).labels == [0, 1]
         assert calls == []
         # bag distance 0, edit distance 4
         assert cluster_patterns(["x abcd", "x dcba"], 0.5).labels == [0, 1]
         assert calls == [("x abcd", "x dcba")]
+
+    def test_a_text_linked_through_the_first_is_not_compared_with_the_second(self, compared):
+        messages = ["bump lodash to 1.0.1", "bump lodash to 1.0.2", "bump lodash to 1.0.3"]
+        assert cluster_patterns(messages, 0.5).labels == [0, 0, 0]
+        assert compared == [(messages[0], messages[1]), (messages[0], messages[2])]
+
+    # The number of pairs decided by an edit distance: a change to the walk
+    # or to the bounds that computes one pair more or fewer changes a count.
+    @pytest.mark.parametrize(
+        "eps, pairs", [(0.0, 0), (0.3, 2476), (0.5, 1380), (0.75, 39188), (1.0, 3428)]
+    )
+    def test_computed_pairs_on_synthetic_corpora(self, compared, eps, pairs):
+        for entry in synthetic_dataset(40, 40, seed=3).entries:
+            cluster_patterns(entry.corpus, eps)
+        assert len(compared) == pairs
 
     @pytest.mark.parametrize("eps", [-0.1, float("nan")])
     def test_negative_or_nan_eps_rejected(self, eps):
