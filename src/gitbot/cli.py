@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import forest
 from .errors import GitbotError, UsageError
-from .extractor import Role, extract_commits, group_messages
+from .extractor import extract_commits, group_messages
 from .features import FeatureConfig, compute_features
 from .forest import ForestModel
 from .identity import IdentityMapping, apply_mapping, load_mapping
@@ -105,7 +105,6 @@ def run_analysis(args) -> list[ResultRow]:
     else:
         model = load_default_model()
     config = _analysis_config(args, model)
-    role = Role.COMMITTER if args.committer else Role.AUTHOR
     mapping = IdentityMapping()
     if args.mapping is not None:
         mapping = load_mapping(args.mapping)
@@ -113,7 +112,7 @@ def run_analysis(args) -> list[ResultRow]:
     rows = []
     for repo in args.repositories:
         try:
-            commits = extract_commits(repo, role=role, start_date=args.start_date)
+            commits = extract_commits(repo, committer=args.committer, start_date=args.start_date)
             groups = group_messages(commits)
             if args.include is not None:
                 wanted = set(args.include)

@@ -256,13 +256,13 @@ def _fitted_labels(search: _Search, fold: _Fold, params: dict, members: list[tup
 
 
 def _forest_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
-    """Each member's test labels, from one growth per tree of the group.
+    """Each member's test labels, from one `grow_tree_depths` call per tree of the group.
 
-    The group's N trees, N its largest n_estimators, are each grown
-    once by `training.grow_tree_depths`: at the group's deepest limit D,
-    and resumed at each shallower limit d from the generator state saved
-    just before D's growth first drew at depth d; with no draw at depth
-    d, the tree at d is D's tree. A member is the first n trees at its
+    The group's N trees, N its largest n_estimators, are each grown by
+    `training.grow_tree_depths`: at the group's deepest limit D, and
+    again at each shallower limit d, taking D's recorded splits up to
+    D's first node at depth d that searched; with no search at depth d,
+    the tree at d is D's tree. A member is the first n trees at its
     limit: each tree votes once per test row, and member n's bot
     fraction is the sum of the first n trees' integer votes divided by
     n, the float that `bot_fraction` of the n-tree forest computes.
@@ -399,8 +399,9 @@ def cross_validate(
     - Forests that differ only in n_estimators and max_depth share one
       growth per tree (`_forest_labels`). Tree i's stream depends only
       on (seed, i), so an n-tree forest is the first n trees of any
-      larger one, and a tree resumed at a shallower limit from a saved
-      stream state is the tree grown to it (`training.grow_tree_depths`).
+      larger one, and a tree grown again at a shallower limit from the
+      deepest growth's recorded picks and splits is the tree grown to it
+      (`training.grow_tree_depths`).
     - Decision trees draw nothing, so the tree at each max_depth is the
       deepest one cut there (`baselines.cut_tree`).
     - kNN configurations share one stable neighbour order per test row

@@ -31,7 +31,6 @@ every step the parser spends on a commit adds to the wall time.
 """
 
 import calendar
-import enum
 import os
 import subprocess
 import tempfile
@@ -42,13 +41,6 @@ from typing import NamedTuple
 from .errors import ExtractionFailed, GitUnavailable, NotAGitRepository
 
 
-class Role(enum.Enum):
-    """Which commit participant a contributor name is taken from."""
-
-    AUTHOR = "author"
-    COMMITTER = "committer"
-
-
 class RawCommit(NamedTuple):
     name: str  # author or committer name, per the extracted role
     message: str
@@ -57,8 +49,8 @@ class RawCommit(NamedTuple):
 _BLOCK_BYTES = 1 << 18  # the most one read of git's stdout returns
 
 
-def _pretty_format(role: Role, timed: bool) -> str:
-    name, stamp = ("%an", "%at") if role is Role.AUTHOR else ("%cn", "%ct")
+def _pretty_format(committer: bool, timed: bool) -> str:
+    name, stamp = ("%cn", "%ct") if committer else ("%an", "%at")
     fields = f"{name}%x00{stamp}" if timed else name
     return f"--pretty=tformat:{fields}%x00%B%x00"  # -z adds the terminating NUL
 
@@ -121,8 +113,8 @@ class _LogParser:
         return self._commits
 
 
-def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> list[RawCommit]:
-    """All commits reachable from HEAD, newest first, named by `role`.
+def extract_commits(repo_path, committer=False, start_date=None) -> list[RawCommit]:
+    """All commits reachable from HEAD, newest first, named by author, or by committer.
 
     When start_date (a datetime.date) is given, only commits whose
     time for the selected role falls on or after UTC midnight of that
@@ -145,7 +137,7 @@ def extract_commits(repo_path, role: Role = Role.AUTHOR, start_date=None) -> lis
         cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
     cmd = [
         "git", "-C", str(repo_path), "log", "-z", "--encoding=UTF-8",
-        _pretty_format(role, timed=cutoff is not None),
+        _pretty_format(committer, timed=cutoff is not None),
     ]
     parser = _LogParser(cutoff)
     with tempfile.TemporaryFile() as errors:

@@ -6,7 +6,7 @@ human 0. Trees split greedily on information gain (entropy criterion
 by default, gini available for grid search) with candidate thresholds
 at midpoints between consecutive distinct feature values. Each tree of
 a forest trains on a bootstrap sample. The grower decides each node's
-candidate features: given a tree's `_FeatureDraw`, it draws
+candidate features: given a tree's `_FeatureDraw`, it takes a pick of
 `FEATURE_SUBSET_SIZE` of them at every node that is neither pure nor
 at the depth limit, before the node's scan, in preorder; given None,
 as for the single tree of `baselines`, every feature is a candidate
@@ -14,14 +14,16 @@ and nothing is drawn. Training is fully deterministic given a seed.
 
 The draw is `rng.choice(n, k, replace=False)` without its per-call
 cost: `_FeatureDraw` runs numpy's own algorithm for it on the
-generator's raw 64-bit stream, so it gives the same candidates and
-leaves the same generator state. The algorithm is numpy's, not part of
+generator's raw 64-bit stream, so it gives the same candidates, and
+so does every later draw. The algorithm is numpy's, not part of
 its documented interface; the tests compare the two on the installed
 numpy, and the shipped-model rebuild test fails if they part.
-Because each tree draws in preorder from one stream, the tree grown to
-a shallower limit is a prefix of the deeper tree's growth:
-`grow_tree_depths` grows a tree once and resumes it at each shallower
-limit from the generator state saved on the way.
+Because each tree's nodes take their picks in preorder from one
+stream, the tree grown to a shallower limit is the deeper tree's growth
+up to its first node at that depth that searched: `grow_tree_depths`
+grows the deepest tree once, recording each searching node's pick and
+split, and grows each shallower tree again from the root, taking the
+recorded splits up to that node and the stream's picks after it.
 
 A node's split search takes one of two paths, chosen by its row count:
 - A node of more than `SMALL_NODE` rows is searched by `best_split`,
@@ -163,10 +165,11 @@ def best_split_small(cols, labels, rows, feature_indices, criterion: str = "entr
 
 
 class _FeatureDraw:
-    """`rng.choice(n, k, replace=False)`, computed from rng's raw stream.
+    """A forest tree's candidate features at each node, and the record that regrows it.
 
-    This is numpy's own algorithm for a population of at most 10,000,
-    so every draw and the generator's final state are the same:
+    `choice` is `rng.choice(n, k, replace=False)`, computed from rng's
+    raw stream. This is numpy's own algorithm for a population of at
+    most 10,000, so every draw is the same, and so is every later one:
     - the stream is cut into 32-bit halves, low half first, with the
       high half buffered in the generator's `has_uint32`/`uinteger`;
     - each value in [0, j] is Lemire's bounded integer over those
@@ -174,21 +177,30 @@ class _FeatureDraw:
     - Floyd's loop picks the k values, then a Fisher-Yates pass from
       the last position down to the second one shuffles them.
     One `random_raw` call per 64 bits replaces numpy's per-call setup.
-    `state` gives the generator's state with the buffered half.
 
-    Given depths to save, `_candidates` saves in `saved`, just before the
-    first draw at a node of each such depth, the `state` at that point;
-    setting a generator to it resumes the draws from there.
+    The nodes that search are numbered in preorder from `node`, and
+    node i searches `picks[i]`, the stream's i-th pick, drawn when first
+    needed. A tree's first growth records each node's split in `splits`
+    and, per depth, the number of its first searching node there in
+    `first`. `rewind(limit)` starts a growth of the same rows to a
+    shallower limit, whose nodes before `first[limit]` take their
+    recorded splits (see `grow_tree_depths`).
     """
 
-    def __init__(self, rng, save_depths=()):
-        self._bit_generator = rng.bit_generator
-        self._next_raw = self._bit_generator.random_raw
-        state = self._bit_generator.state
+    def __init__(self, rng):
+        self._next_raw = rng.bit_generator.random_raw
+        state = rng.bit_generator.state
         self._buffered = state["has_uint32"]
         self._half = state["uinteger"]  # kept after use, as numpy keeps it
-        self.unsaved = set(save_depths)  # depths whose first draw is still to come
-        self.saved: dict[int, dict] = {}  # depth -> state just before its first draw
+        self.picks: list[list[int]] = []
+        self.splits: list = []  # best_split's result at each node of the first growth
+        self.first: list[int] = []  # depth -> the first growth's first node there
+        self.node = 0  # the number of the next node that searches
+        self.reused = 0  # nodes before this number take their recorded split
+
+    def rewind(self, limit: int):
+        self.node = 0
+        self.reused = self.first[limit]
 
     def _bounded(self, high: int) -> int:
         """A value in [0, high], for 0 < high < 2**32 - 1."""
@@ -218,22 +230,31 @@ class _FeatureDraw:
             picked[i], picked[j] = picked[j], picked[i]
         return picked
 
-    def state(self) -> dict:
-        """The generator state that `rng.choice` would have left by now."""
-        state = self._bit_generator.state
-        state["has_uint32"] = self._buffered
-        state["uinteger"] = self._half
-        return state
 
+def _split(search, data, n_features: int, draw, depth: int, criterion: str):
+    """A node's split, `search(*data, candidates, criterion)`, or its recorded split.
 
-def _candidates(n_features: int, draw, depth: int):
-    """A node's candidate features: `FEATURE_SUBSET_SIZE` drawn, or all without a draw."""
+    With no draw every feature is a candidate. With a forest's draw the
+    node is the draw's next node i: before `draw.reused` it takes its
+    recorded split, else it searches pick i, `FEATURE_SUBSET_SIZE`
+    features.
+    """
     if draw is None:
-        return range(n_features)
-    if depth in draw.unsaved:
-        draw.unsaved.discard(depth)
-        draw.saved[depth] = draw.state()
-    return draw.choice(n_features, min(FEATURE_SUBSET_SIZE, n_features))
+        return search(*data, range(n_features), criterion)
+    i = draw.node
+    draw.node = i + 1
+    if i < draw.reused:
+        return draw.splits[i]
+    if i == len(draw.picks):
+        draw.picks.append(draw.choice(n_features, min(FEATURE_SUBSET_SIZE, n_features)))
+    found = search(*data, draw.picks[i], criterion)
+    # only the first growth records: a later one reuses at least the root's
+    # split, since first[limit] is 0 only at limit 0, where the root is a leaf
+    if not draw.reused:
+        if depth == len(draw.first):
+            draw.first.append(i)
+        draw.splits.append(found)
+    return found
 
 
 def _grow_small(cols, labels, rows, depth, max_depth, draw, criterion):
@@ -242,7 +263,7 @@ def _grow_small(cols, labels, rows, depth, max_depth, draw, criterion):
     counts = (len(rows) - bots, bots)
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    found = best_split_small(cols, labels, rows, _candidates(len(cols), draw, depth), criterion)
+    found = _split(best_split_small, (cols, labels, rows), len(cols), draw, depth, criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
@@ -268,7 +289,7 @@ def _grow_node(X, y, depth, max_depth, draw, criterion) -> TreeNode:
     counts = (int(counts_arr[0]), int(counts_arr[1]))
     if depth >= max_depth or counts[0] == 0 or counts[1] == 0:
         return Leaf(counts)
-    found = best_split(X, y, _candidates(X.shape[1], draw, depth), criterion)
+    found = _split(best_split, (X, y), X.shape[1], draw, depth, criterion)
     if found is None:
         return Leaf(counts)
     f, threshold, _ = found
@@ -276,65 +297,6 @@ def _grow_node(X, y, depth, max_depth, draw, criterion) -> TreeNode:
     left = _grow_node(X[mask], y[mask], depth + 1, max_depth, draw, criterion)
     right = _grow_node(X[~mask], y[~mask], depth + 1, max_depth, draw, criterion)
     return Split(feature=f, threshold=threshold, left=left, right=right)
-
-
-def _first_draw_path(node: TreeNode, depth: int, limit: int):
-    """Turns (0 left, 1 right) from node to the first node in preorder at depth `limit` that drew.
-
-    node is of a tree grown deeper than `limit`, where a node drew when
-    it was neither pure nor at that tree's limit: a `Split`, or an
-    impure `Leaf`, where no split gained. None if no node there drew.
-    """
-    if depth == limit:
-        return [] if isinstance(node, Split) or min(node.counts) > 0 else None
-    if isinstance(node, Split):
-        for turn in (0, 1):
-            path = _first_draw_path(node[2 + turn], depth + 1, limit)
-            if path is not None:
-                return [turn, *path]
-    return None
-
-
-def _resume_small(node, path, cols, labels, rows, depth, limit, draw, criterion):
-    """`_resume_node` on lists: node has at most `SMALL_NODE` rows."""
-    if not path:  # at depth `limit`: the grower limited to it makes a leaf of the rows
-        return _grow_small(cols, labels, rows, depth, limit, draw, criterion)
-    f, threshold, left, right = node
-    col = cols[f]
-    right_rows = [i for i in rows if not col[i] <= threshold]
-    grow = (depth + 1, limit, draw, criterion)
-    if path[0]:
-        right = _resume_small(right, path[1:], cols, labels, right_rows, *grow)
-    else:
-        left_rows = [i for i in rows if col[i] <= threshold]
-        left = _resume_small(left, path[1:], cols, labels, left_rows, *grow)
-        right = _grow_small(cols, labels, right_rows, *grow)
-    return Split(f, threshold, left, right)
-
-
-def _resume_node(node, path, X, y, depth, limit, draw, criterion) -> TreeNode:
-    """The subtree that `_grow_node` grows at `limit`, from node, grown deeper, and its rows.
-
-    path leads from node to the first node at depth `limit` that drew,
-    and draw resumes from just before that draw. What precedes that node
-    in preorder is kept, that node becomes a leaf, and every subtree
-    after it is grown with draw.
-    """
-    if len(y) <= SMALL_NODE:
-        return _resume_small(
-            node, path, X.T.tolist(), y.tolist(), range(len(y)), depth, limit, draw, criterion
-        )
-    if not path:
-        return _grow_node(X, y, depth, limit, draw, criterion)
-    f, threshold, left, right = node
-    mask = X[:, f] <= threshold
-    grow = (depth + 1, limit, draw, criterion)
-    if path[0]:
-        right = _resume_node(right, path[1:], X[~mask], y[~mask], *grow)
-    else:
-        left = _resume_node(left, path[1:], X[mask], y[mask], *grow)
-        right = _grow_node(X[~mask], y[~mask], *grow)
-    return Split(f, threshold, left, right)
 
 
 def _check_forest(y: np.ndarray, n_estimators: int, criterion: str):
@@ -361,38 +323,33 @@ def tree_seeds(seed: int, n_estimators: int) -> list[np.random.SeedSequence]:
 
 
 def grow_tree_depths(X: np.ndarray, y: np.ndarray, tree_seed, limits, criterion: str) -> dict:
-    """`grow_tree` at each depth limit in limits, by limit, from one growth.
+    """One forest tree at each depth limit in limits, by limit.
 
-    The tree is grown once, at the deepest limit D. Each tree draws its
-    nodes' candidates in preorder from one stream, so the grower limited
-    to d < D makes the same draws at the same nodes up to the first node
-    at depth d that draws in D's growth: there it makes a leaf instead,
-    and draws nothing. So the tree at d is D's preorder up to that node,
-    the node as a `Leaf` of its rows, and the rest of the preorder grown
-    to d from the state the generator had just before that node's draw,
-    which D's growth saves. Where no node at depth d drew, the tree at d
-    is D's tree itself, the same object.
+    A tree is a bootstrap sample of (X, y), then its nodes, grown with
+    candidates drawn from one stream. It is grown at the deepest limit
+    D first. The grower limited to d < D makes the same nodes, with the
+    same rows and picks, up to D's first searching node at depth d:
+    there it makes a leaf instead, and takes no pick. So the tree at d
+    is grown again from the root with D's `_FeatureDraw` rewound: each
+    node before that one takes D's recorded split without a search, and
+    each node after it searches the next pick of the same stream, read
+    from the picks drawn so far and drawn only past them. Where no node
+    at depth d searched, the tree at d is D's tree itself, the same
+    object.
     """
     rng = np.random.default_rng(tree_seed)
     idx = rng.integers(0, len(y), size=len(y))
     X, y = X[idx], y[idx]
-    draw = _FeatureDraw(rng, limits)  # D's growth never draws at depth D
+    draw = _FeatureDraw(rng)
     deep = _grow_node(X, y, 0, max(limits), draw, criterion)
     trees = {}
     for limit in limits:
-        state = draw.saved.get(limit)
-        if state is None:
+        if limit < len(draw.first):
+            draw.rewind(limit)
+            trees[limit] = _grow_node(X, y, 0, limit, draw, criterion)
+        else:  # no node at this depth searched, as at D itself
             trees[limit] = deep
-        else:
-            rng.bit_generator.state = state
-            path = _first_draw_path(deep, 0, limit)
-            trees[limit] = _resume_node(deep, path, X, y, 0, limit, _FeatureDraw(rng), criterion)
     return trees
-
-
-def grow_tree(X: np.ndarray, y: np.ndarray, tree_seed, max_depth: int, criterion: str) -> TreeNode:
-    """One forest tree: a bootstrap sample of (X, y), then its nodes, all drawn from one stream."""
-    return grow_tree_depths(X, y, tree_seed, [max_depth], criterion)[max_depth]
 
 
 def train_forest(
@@ -407,7 +364,7 @@ def train_forest(
     """Train the forest: bootstrap per tree, random features per node."""
     _check_forest(y, n_estimators, criterion)
     trees = [
-        grow_tree(X, y, tree_seed, max_depth, criterion)
+        grow_tree_depths(X, y, tree_seed, [max_depth], criterion)[max_depth]
         for tree_seed in tree_seeds(seed, n_estimators)
     ]
     return ForestModel(

@@ -246,7 +246,7 @@ def test_analysis_rows_equal_featurizing_every_identity(commits, min_commits, ma
         config = cli._analysis_config(args, model)
     except UsageError:
         assume(False)  # a minimum above the maximum, given or the model's
-    with mock.patch.object(cli, "extract_commits", lambda repo, role, start_date: commits):
+    with mock.patch.object(cli, "extract_commits", lambda repo, committer, start_date: commits):
         rows = cli.run_analysis(args)
     assert rows == rows_featurizing_every_identity(commits, config, model)
 

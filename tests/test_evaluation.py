@@ -1,6 +1,7 @@
 import os
 import signal
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -296,25 +297,29 @@ def assert_every_member_scores_as_its_own_fit(X, y, grid, k_folds, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
     # forests that differ only in depth and size: one group, grown at depth
-    # 12; of its trees at depths 2, 4 and 8, some are the deep
-    # trees and some are resumed from a saved generator state
-    cpus(monkeypatch, ONE_CPU)  # so that the resumed trees are counted here
-    resumed = []
+    # 12; of its trees at depths 2, 4 and 8, some are the deep trees and
+    # some are grown again from the deep growth's record. The 200 rows
+    # make training folds of about 134 rows, so nodes search on both
+    # sides of SMALL_NODE
+    cpus(monkeypatch, ONE_CPU)  # so that the regrown trees are counted here
+    regrown = []
     grow_tree_depths = training.grow_tree_depths
 
     def counted(X, y, tree_seed, limits, criterion):
         trees = grow_tree_depths(X, y, tree_seed, limits, criterion)
         deep = trees[max(limits)]
-        resumed.extend(limit for limit, tree in trees.items() if tree is not deep)
+        regrown.extend(limit for limit, tree in trees.items() if tree is not deep)
         return trees
 
     monkeypatch.setattr(evaluation, "grow_tree_depths", counted)
-    data = random_examples(np.random.default_rng(50 + seed), 45, separable=False)
-    rows = cross_validate(*data, DEPTH_GRID, k_folds=3, seed=seed)
-    assert rows == table_fitting_every_config(data, DEPTH_GRID, 3, seed)
-    assert 0 < len(resumed) < 3 * 3 * 8  # of 3 folds x 3 shallower depths x 8 trees
+    for n in (45, 200):
+        regrown.clear()
+        data = random_examples(np.random.default_rng(50 + seed), n, separable=False)
+        rows = cross_validate(*data, DEPTH_GRID, k_folds=3, seed=seed)
+        assert rows == table_fitting_every_config(data, DEPTH_GRID, 3, seed)
+        assert 0 < len(regrown) < 3 * 3 * 8  # of 3 folds x 3 shallower depths x 8 trees
 
-    assert_every_member_scores_as_its_own_fit(*data, DEPTH_GRID, 3, seed)
+        assert_every_member_scores_as_its_own_fit(*data, DEPTH_GRID, 3, seed)
 
 
 SIZED_GRID = [
@@ -451,21 +456,59 @@ def test_a_tree_resumed_at_a_shallower_limit_is_the_tree_grown_to_it(
         assert tree == grown_to(X, y, tree_seed, limit, criterion)
 
 
+def count_work(monkeypatch):
+    """The rows of each split search, by path, and the number of draws, from now on."""
+    work = {"numpy": [], "python": [], "draws": 0}
+
+    def searched(path, scan):
+        def wrapper(*args):
+            work[path].append(len(args[-3]))  # y for best_split, the row ids for best_split_small
+            return scan(*args)
+        return wrapper
+
+    def drawn(draw, n, k):
+        work["draws"] += 1
+        return choice(draw, n, k)
+
+    choice = _FeatureDraw.choice
+    monkeypatch.setattr(training, "best_split", searched("numpy", training.best_split))
+    monkeypatch.setattr(training, "best_split_small", searched("python", training.best_split_small))
+    monkeypatch.setattr(_FeatureDraw, "choice", drawn)
+    return work
+
+
 def test_trees_resume_on_the_numpy_path_and_in_python(monkeypatch):
-    sizes = []
-    resume = training._resume_node
-
-    def counted(node, path, X, y, *rest):
-        sizes.append(len(y))
-        return resume(node, path, X, y, *rest)
-
-    monkeypatch.setattr(training, "_resume_node", counted)
+    # the shallower trees' own searches, past those of the deep growth
+    # alone, run on both sides of SMALL_NODE
     X, y = tied_data(5, 150)
+    work = count_work(monkeypatch)
     for tree_seed in range(4):
-        trees = training.grow_tree_depths(X, y, tree_seed, list(range(13)), "entropy")
+        training.grow_tree_depths(X, y, tree_seed, [12], "entropy")
+    deep = {path: Counter(work[path]) for path in ("numpy", "python")}
+    for path in deep:
+        work[path].clear()
+    all_trees = [
+        training.grow_tree_depths(X, y, tree_seed, list(range(13)), "entropy")
+        for tree_seed in range(4)
+    ]
+    regrown = {path: Counter(work[path]) - deep[path] for path in deep}
+    assert max(regrown["numpy"]) > SMALL_NODE >= max(regrown["python"])
+    for tree_seed, trees in enumerate(all_trees):
         for limit, tree in trees.items():
             assert tree == grown_to(X, y, tree_seed, limit, "entropy")
-    assert max(sizes) > SMALL_NODE >= min(sizes)
+
+
+def test_regrowth_does_no_extra_work(monkeypatch):
+    # the searches are D's and, in each shallower tree, those after its
+    # first leaf at its limit, where its picks part from D's: a node
+    # before that leaf takes D's recorded split. A pick that D drew is
+    # read, not drawn again, so no search draws more than once
+    X, y = tied_data(5, 150)
+    work = count_work(monkeypatch)
+    for tree_seed in range(4):
+        training.grow_tree_depths(X, y, tree_seed, list(range(13)), "entropy")
+    assert (len(work["numpy"]), len(work["python"])) == (85, 472)
+    assert work["draws"] <= 85 + 472
 
 
 @pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])

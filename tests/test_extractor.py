@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot.errors import ExtractionFailed, GitUnavailable, NotAGitRepository
-from gitbot.extractor import RawCommit, Role, _LogParser, extract_commits, group_messages
+from gitbot.extractor import RawCommit, _LogParser, extract_commits, group_messages
 
 from .conftest import add_commit, init_repo
 
@@ -142,8 +142,8 @@ class TestExtractCommits:
         assert [c.name for c in extract_commits(repo, start_date=date(1970, 1, 2))] == ["alice"]
         assert extract_commits(repo, start_date=date(1970, 1, 3)) == []
 
-    @pytest.mark.parametrize("role", list(Role))
-    def test_start_date_keeps_newer_commits_behind_an_older_dated_one(self, make_repo, role):
+    @pytest.mark.parametrize("committer", [False, True], ids=["author", "committer"])
+    def test_start_date_keeps_newer_commits_behind_an_older_dated_one(self, make_repo, committer):
         # clock skew: a 1990 commit sits between commits of 2021
         history = [
             ("alice", "on the start date", "2021-01-15T10:00:00+00:00"),
@@ -152,10 +152,10 @@ class TestExtractCommits:
             ("dave", "days later", "2021-01-20T00:00:00+00:00"),
         ]
         repo = make_repo(history)  # each commit's author and committer dates agree
-        kept = extract_commits(repo, role=role, start_date=date(2021, 1, 15))
+        kept = extract_commits(repo, committer=committer, start_date=date(2021, 1, 15))
         cutoff = unix("2021-01-15T00:00:00+00:00")
         assert kept == [
-            RawCommit(name if role is Role.AUTHOR else "ci-runner", message + "\n")
+            RawCommit("ci-runner" if committer else name, message + "\n")
             for name, message, iso in reversed(history)
             if unix(iso) >= cutoff
         ]
@@ -172,10 +172,10 @@ class TestExtractCommits:
             committer_date="2021-01-10T00:00:00+00:00",
         )
         start = date(2021, 1, 15)
-        assert extract_commits(repo, role=Role.AUTHOR, start_date=start) == [
+        assert extract_commits(repo, start_date=start) == [
             RawCommit("alice", "rebased onto an older base\n")
         ]
-        assert extract_commits(repo, role=Role.COMMITTER, start_date=start) == []
+        assert extract_commits(repo, committer=True, start_date=start) == []
 
     def test_start_date_monotone(self, make_repo):
         repo = make_repo(THREE_COMMITS)
@@ -273,11 +273,11 @@ class TestExtractCommits:
             committer_date="2021-06-01T00:00:00+00:00",
         )
         start = date(2021, 3, 1)
-        assert extract_commits(repo, role=Role.AUTHOR) == [
+        assert extract_commits(repo) == [
             RawCommit("alice", "authored early, committed late\n")
         ]
-        assert extract_commits(repo, role=Role.AUTHOR, start_date=start) == []
-        assert extract_commits(repo, role=Role.COMMITTER, start_date=start) == [
+        assert extract_commits(repo, start_date=start) == []
+        assert extract_commits(repo, committer=True, start_date=start) == [
             RawCommit("ci-runner", "authored early, committed late\n")
         ]
 
@@ -336,18 +336,18 @@ class TestExtractCommits:
         ))
         assert extract_commits(tmp_path) == [RawCommit("env", f"0 {home}")]
 
-    @pytest.mark.parametrize("role,stamp,other", [
-        (Role.AUTHOR, "%at", "%ct"),
-        (Role.COMMITTER, "%ct", "%at"),
-    ])
-    def test_git_command_line(self, tmp_path, monkeypatch, role, stamp, other):
+    @pytest.mark.parametrize("committer,stamp,other", [
+        (False, "%at", "%ct"),
+        (True, "%ct", "%at"),
+    ], ids=["author", "committer"])
+    def test_git_command_line(self, tmp_path, monkeypatch, committer, stamp, other):
         argv_file = tmp_path / "argv.json"
         fake_git(tmp_path, monkeypatch, (
             f"import json\njson.dump(sys.argv[1:], open({str(argv_file)!r}, 'w'))"
         ))
 
         def git_argv(**options):
-            assert extract_commits(tmp_path, role=role, **options) == []
+            assert extract_commits(tmp_path, committer=committer, **options) == []
             argv = json.loads(argv_file.read_text())
             [pretty] = [arg for arg in argv if arg.startswith("--pretty=")]
             assert "-z" in argv
@@ -372,7 +372,7 @@ class TestGroupMessages:
 
     def test_group_by_committer(self, make_repo):
         repo = make_repo(THREE_COMMITS)
-        groups = group_messages(extract_commits(repo, role=Role.COMMITTER))
+        groups = group_messages(extract_commits(repo, committer=True))
         assert set(groups) == {"ci-runner"}  # conftest commits as ci-runner
         assert len(groups["ci-runner"]) == 3
 

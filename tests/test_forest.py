@@ -254,24 +254,26 @@ class TestFeatureDraw:
             elif start == "half buffered":  # a 32-bit draw keeps the other half of its word
                 generator.random(dtype=np.float32)
         draw = _FeatureDraw(rng)
-        for n, k in sizes:
+        # the pick after the sequence starts from the half of a word it left buffered
+        for n, k in [*sizes, (4, 2)]:
             assert draw.choice(n, k) == reference.choice(n, k, replace=False).tolist()
-        assert draw.state() == reference.bit_generator.state
 
     def test_a_biased_product_is_rejected(self):
         # no seed reaches this in practice: the low half 0 times span 3 leaves
         # 0 in the low 32 bits, below (2**32 - 3) % 3 == 1, so Lemire's method
         # rejects it and multiplies the buffered high half instead
         high = 0x8000_0000
+        # with no half left buffered, the next pick multiplies the next word's low half
+        low = 0xC000_0000
 
         class Scripted:
             state = {"has_uint32": 0, "uinteger": 0}
-            random_raw = iter([high << 32]).__next__
+            random_raw = iter([high << 32, 1 << 32 | low]).__next__
 
         rng = type("Rng", (), {"bit_generator": Scripted()})()
         draw = _FeatureDraw(rng)
         assert draw.choice(3, 1) == [high * 3 >> 32]
-        assert draw.state() == {"has_uint32": 0, "uinteger": high}
+        assert draw.choice(3, 1) == [low * 3 >> 32]
 
 
 class TestGrowAcrossTheSwitch:
@@ -298,8 +300,8 @@ class TestGrowAcrossTheSwitch:
         tree = _grow_node(X, y, 0, max_depth, draw, criterion)
         k = FEATURE_SUBSET_SIZE if forest_draws else X.shape[1]
         assert tree == numpy_grow(X, y, 0, max_depth, k, reference_rng, criterion)
-        if forest_draws:
-            assert draw.state() == reference_rng.bit_generator.state
+        if forest_draws:  # and leaves the stream where the reference leaves it
+            assert draw.choice(4, 2) == reference_rng.choice(4, 2, replace=False).tolist()
 
     def test_large_nodes_split_in_numpy_and_small_ones_in_python(self, monkeypatch):
         sizes = {"numpy": [], "python": []}
