@@ -36,7 +36,7 @@ from .errors import EmptyInput, SingleClassData
 from .features import compute_features  # no caller: kept for bench/tracer.py, which wraps it here
 from .forest import BOT, HUMAN, ForestModel, _vote, is_bot
 from .parallel import run_tasks
-from .training import _check_forest, grow_tree_depths, predict_labels, train_forest, tree_seeds
+from .training import _check_forest, grow_tree_depths, predict_labels, train_forest
 
 FAMILY_FOREST = "random forest"
 FAMILY_TREE = "decision tree"
@@ -139,8 +139,9 @@ def stratified_split(
     return train_idx, test_idx
 
 
-def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator):
+def _stratified_folds(y: np.ndarray, k: int, seed: int):
     """k disjoint test folds, each with both classes in train and test, as sorted index arrays."""
+    rng = np.random.default_rng(seed)
     fold_of = np.zeros(len(y), dtype=np.int64)
     for label_id in (1, 0):  # bot, then human: a fixed order keeps the folds deterministic
         idx = np.nonzero(y == label_id)[0]
@@ -245,7 +246,6 @@ class _Search(NamedTuple):
     folds: list[_Fold]
     grid: list[GridConfig]
     seed: int
-    tree_seeds: list  # `training.tree_seeds` of the seed, as many as any forest has trees
 
 
 def _fitted_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
@@ -258,7 +258,8 @@ def _fitted_labels(search: _Search, fold: _Fold, params: dict, members: list[tup
 def _forest_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
     """Each member's test labels, from one `grow_tree_depths` call per tree of the group.
 
-    The group's N trees, N its largest n_estimators, are each grown by
+    The group's N trees, N its largest n_estimators, are trees 0 to
+    N - 1 of the search's seed, each grown by
     `training.grow_tree_depths`: at the group's deepest limit D, and
     again at each shallower limit d, taking D's recorded splits up to
     D's first node at depth d that searched; with no search at depth d,
@@ -271,8 +272,8 @@ def _forest_labels(search: _Search, fold: _Fold, params: dict, members: list[tup
     _check_forest(fold.y_train, min(n for _, n, _ in members), **params)
     rows = fold.X_test.tolist()
     tree_votes: dict[int, list[list[int]]] = {limit: [] for limit in limits}
-    for tree_seed in search.tree_seeds[: max(n for _, n, _ in members)]:
-        trees = grow_tree_depths(fold.X_train, fold.y_train, tree_seed, limits, params["criterion"])
+    for i in range(max(n for _, n, _ in members)):
+        trees = grow_tree_depths(fold.X_train, fold.y_train, search.seed, i, limits, **params)
         deep = trees[limits[-1]]
         deep_votes = [_vote(deep, row) for row in rows]
         for limit, tree in trees.items():
@@ -424,7 +425,7 @@ def cross_validate(
         grid = default_grid()
     folds = [
         _Fold(X[train_idx], y[train_idx], X[test_idx], y[test_idx].tolist())
-        for train_idx, test_idx in _stratified_folds(y, k_folds, np.random.default_rng(seed))
+        for train_idx, test_idx in _stratified_folds(y, k_folds, seed)
     ]
     smallest_fold = min(len(fold.y_train) for fold in folds)
     units = []
@@ -436,14 +437,12 @@ def cross_validate(
     if not units:
         raise ValueError("grid must not be empty")
 
-    forests = [n for family, (_, members) in units if family == FAMILY_FOREST
-               for _, n, _ in members]
     tasks = [(family, fold, group) for fold in range(k_folds) for family, group in units]
     # per configuration, per fold: the metrics of a FamilyResult row, in its
     # field order (tuples, not reports: all configurations' folds are held)
     scores: list[list[tuple[float, ...]]] = [[] for _ in grid]
     registry: dict = {}  # the default filter shows each warning once per call
-    search = _Search(folds, grid, seed, tree_seeds(seed, max(forests, default=0)))
+    search = _Search(folds, grid, seed)
     for scored, caught in run_tasks(partial(_run_task, search), tasks):
         for position, metrics in scored:
             scores[position].append(metrics)

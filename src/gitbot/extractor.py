@@ -48,6 +48,17 @@ class RawCommit(NamedTuple):
 
 _BLOCK_BYTES = 1 << 18  # the most one read of git's stdout returns
 
+# what `git rev-parse --local-env-vars` prints (git 2.39), less the three
+# that carry config (GIT_CONFIG, GIT_CONFIG_PARAMETERS, GIT_CONFIG_COUNT):
+# the variables that pick a repository or its objects for this process
+# alone; a git hook runs with GIT_DIR among them set to the hook's repository
+_LOCAL_ENV_VARS = frozenset({
+    "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_OBJECT_DIRECTORY", "GIT_DIR", "GIT_WORK_TREE",
+    "GIT_IMPLICIT_WORK_TREE", "GIT_GRAFT_FILE", "GIT_INDEX_FILE", "GIT_NO_REPLACE_OBJECTS",
+    "GIT_REPLACE_REF_BASE", "GIT_PREFIX", "GIT_INTERNAL_SUPER_PREFIX", "GIT_SHALLOW_FILE",
+    "GIT_COMMON_DIR",
+})
+
 
 def _pretty_format(committer: bool, timed: bool) -> str:
     name, stamp = ("%cn", "%ct") if committer else ("%an", "%at")
@@ -125,9 +136,20 @@ def extract_commits(repo_path, committer=False, start_date=None) -> list[RawComm
       rebased commit authored on or after the cutoff, committed before it.
 
     git's output is parsed as it arrives, one read (at most 256 KiB) at
-    a time, with the filter applied to each block. git gets
-    `GIT_FLUSH=0`, which only makes it write in full buffers, as it does
-    to a file; the rest of its environment is the caller's. Its stderr
+    a time, with the filter applied to each block. git's environment is
+    the caller's, with three things fixed:
+    - `GIT_FLUSH=0`, which only makes it write in full buffers, as it
+      does to a file;
+    - `LC_ALL=C`, so that its messages are in English, as the error
+      below is told apart by them (a translated "no commits yet" would
+      be a failure, not an empty history); the log bytes do not change;
+    - no variable that picks a repository or its objects
+      (`_LOCAL_ENV_VARS`): an inherited `GIT_DIR`, as in a git hook,
+      would read that repository instead of repo_path.
+    `HOME` and the rest still reach git: `GIT_CONFIG_NOSYSTEM`, and the
+    config set through the environment (`GIT_CONFIG_COUNT`,
+    `GIT_CONFIG_PARAMETERS`), such as a container's `safe.directory`. It runs with `--no-show-signature`, as `log.showSignature`
+    would write gpg's verification text into the name field. Its stderr
     goes to a temporary file, so git never blocks on a full stderr pipe
     while this reads stdout. On any error git is killed and reaped
     before the error propagates.
@@ -136,9 +158,11 @@ def extract_commits(repo_path, committer=False, start_date=None) -> list[RawComm
     if start_date is not None:
         cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
     cmd = [
-        "git", "-C", str(repo_path), "log", "-z", "--encoding=UTF-8",
+        "git", "-C", str(repo_path), "log", "-z", "--encoding=UTF-8", "--no-show-signature",
         _pretty_format(committer, timed=cutoff is not None),
     ]
+    env = {name: value for name, value in os.environ.items() if name not in _LOCAL_ENV_VARS}
+    env.update(GIT_FLUSH="0", LC_ALL="C")
     parser = _LogParser(cutoff)
     with tempfile.TemporaryFile() as errors:
         try:
@@ -147,7 +171,7 @@ def extract_commits(repo_path, committer=False, start_date=None) -> list[RawComm
                 bufsize=0,
                 stdout=subprocess.PIPE,
                 stderr=errors,
-                env={**os.environ, "GIT_FLUSH": "0"},
+                env=env,
             )
         except FileNotFoundError as exc:
             raise GitUnavailable("git executable not found on PATH") from exc

@@ -10,7 +10,11 @@ candidate features: given a tree's `_FeatureDraw`, it takes a pick of
 `FEATURE_SUBSET_SIZE` of them at every node that is neither pure nor
 at the depth limit, before the node's scan, in preorder; given None,
 as for the single tree of `baselines`, every feature is a candidate
-and nothing is drawn. Training is fully deterministic given a seed.
+and nothing is drawn. Training is fully deterministic given a seed:
+tree i of a forest draws its bootstrap sample and its picks from one
+stream keyed by (seed, i), `SeedSequence(seed, spawn_key=(i,))`, which
+is the i-th child of `SeedSequence(seed).spawn(n)` for any n > i. So an
+n-tree forest is the first n trees of any larger one with its seed.
 
 The draw is `rng.choice(n, k, replace=False)` without its per-call
 cost: `_FeatureDraw` runs numpy's own algorithm for it on the
@@ -313,31 +317,25 @@ def _check_two_classes(y: np.ndarray):
         raise SingleClassData("training data must contain both classes")
 
 
-def tree_seeds(seed: int, n_estimators: int) -> list[np.random.SeedSequence]:
-    """Each tree's seed: tree i's depends only on (seed, i).
+def grow_tree_depths(
+    X: np.ndarray, y: np.ndarray, seed: int, tree: int, limits, criterion: str
+) -> dict:
+    """Forest tree `tree` of seed `seed` at each depth limit in limits, by limit.
 
-    So an n-tree forest is the first n trees of any larger one:
-    `cross_validate` scores such prefixes.
+    The tree's stream is keyed by (seed, tree) alone (see the module
+    docstring). A tree is a bootstrap sample of (X, y), then its nodes,
+    grown with candidates drawn from that stream. It is grown at the
+    deepest limit D first. The grower limited to d < D makes the same
+    nodes, with the same rows and picks, up to D's first searching node
+    at depth d: there it makes a leaf instead, and takes no pick. So the
+    tree at d is grown again from the root with D's `_FeatureDraw`
+    rewound: each node before that one takes D's recorded split without
+    a search, and each node after it searches the next pick of the same
+    stream, read from the picks drawn so far and drawn only past them.
+    Where no node at depth d searched, the tree at d is D's tree itself,
+    the same object.
     """
-    return np.random.SeedSequence(seed).spawn(n_estimators)
-
-
-def grow_tree_depths(X: np.ndarray, y: np.ndarray, tree_seed, limits, criterion: str) -> dict:
-    """One forest tree at each depth limit in limits, by limit.
-
-    A tree is a bootstrap sample of (X, y), then its nodes, grown with
-    candidates drawn from one stream. It is grown at the deepest limit
-    D first. The grower limited to d < D makes the same nodes, with the
-    same rows and picks, up to D's first searching node at depth d:
-    there it makes a leaf instead, and takes no pick. So the tree at d
-    is grown again from the root with D's `_FeatureDraw` rewound: each
-    node before that one takes D's recorded split without a search, and
-    each node after it searches the next pick of the same stream, read
-    from the picks drawn so far and drawn only past them. Where no node
-    at depth d searched, the tree at d is D's tree itself, the same
-    object.
-    """
-    rng = np.random.default_rng(tree_seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tree,)))
     idx = rng.integers(0, len(y), size=len(y))
     X, y = X[idx], y[idx]
     draw = _FeatureDraw(rng)
@@ -364,8 +362,8 @@ def train_forest(
     """Train the forest: bootstrap per tree, random features per node."""
     _check_forest(y, n_estimators, criterion)
     trees = [
-        grow_tree_depths(X, y, tree_seed, [max_depth], criterion)[max_depth]
-        for tree_seed in tree_seeds(seed, n_estimators)
+        grow_tree_depths(X, y, seed, tree, [max_depth], criterion)[max_depth]
+        for tree in range(n_estimators)
     ]
     return ForestModel(
         trees=trees,

@@ -68,7 +68,7 @@ class TestStratifiedFolds:
     @pytest.mark.parametrize("n_bots,n_humans,k", [(5, 5, 5), (12, 30, 5), (9, 4, 3), (2, 2, 2)])
     def test_partition_with_both_classes_everywhere(self, n_bots, n_humans, k):
         y = np.random.default_rng(k).permutation([1] * n_bots + [0] * n_humans)
-        folds = _stratified_folds(y, k, np.random.default_rng(0))
+        folds = _stratified_folds(y, k, 0)
         assert len(folds) == k
         tests = np.concatenate([test for _, test in folds])
         assert sorted(tests.tolist()) == list(range(len(y)))
@@ -79,7 +79,7 @@ class TestStratifiedFolds:
 
     def test_too_few_per_class_rejected(self):
         with pytest.raises(SingleClassData):
-            _stratified_folds(np.array([1, 1, 0, 0, 0, 0]), 3, np.random.default_rng(0))
+            _stratified_folds(np.array([1, 1, 0, 0, 0, 0]), 3, 0)
 
     @settings(deadline=None)
     @given(
@@ -98,7 +98,7 @@ class TestStratifiedFolds:
             shuffled = rng.permutation(np.nonzero(y == label_id)[0])
             for fold in range(k):
                 members[fold].extend(shuffled[fold::k].tolist())
-        folds = _stratified_folds(y, k, np.random.default_rng(seed))
+        folds = _stratified_folds(y, k, seed)
         for (train, test), fold_members in zip(folds, members, strict=True):
             assert test.tolist() == sorted(fold_members)
             assert train.tolist() == sorted(set(range(len(y))) - set(fold_members))
@@ -209,7 +209,7 @@ PREFIX_GRID = [
 def table_fitting_every_config(data, grid, k_folds, seed):
     """The best row per family, from one `train_config` fit per (configuration, fold)."""
     X, y = data
-    folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
+    folds = _stratified_folds(y, k_folds, seed)
     best = {}
     for config in grid:
         reports = []
@@ -273,9 +273,9 @@ def assert_every_member_scores_as_its_own_fit(X, y, grid, k_folds, seed):
     The labels that the member's family in `_FAMILIES` gives, and the
     metrics that its task scores, are those of its own `train_config` fit.
     """
-    folds = _stratified_folds(y, k_folds, np.random.default_rng(seed))
+    folds = _stratified_folds(y, k_folds, seed)
     rows = [evaluation._Fold(X[tr], y[tr], X[te], y[te].tolist()) for tr, te in folds]
-    search = evaluation._Search(rows, grid, seed, training.tree_seeds(seed, 50))
+    search = evaluation._Search(rows, grid, seed)
     checked = 0
     for family, params, members in evaluation._groups(grid):
         labels_of = evaluation._FAMILIES[family][0]
@@ -305,8 +305,8 @@ def test_forest_depths_score_like_separate_fits(monkeypatch, seed):
     regrown = []
     grow_tree_depths = training.grow_tree_depths
 
-    def counted(X, y, tree_seed, limits, criterion):
-        trees = grow_tree_depths(X, y, tree_seed, limits, criterion)
+    def counted(X, y, seed, tree, limits, criterion):
+        trees = grow_tree_depths(X, y, seed, tree, limits, criterion)
         deep = trees[max(limits)]
         regrown.extend(limit for limit, tree in trees.items() if tree is not deep)
         return trees
@@ -438,22 +438,33 @@ def grown_to(X, y, tree_seed, limit, criterion):
     return _grow_node(X[idx], y[idx], 0, limit, _FeatureDraw(rng), criterion)
 
 
+def spawned(seed, n):
+    """The first n trees' seeds of a forest with this seed: its `SeedSequence`'s children."""
+    return np.random.SeedSequence(seed).spawn(n)
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     n=st.integers(2, 150),
     data_seed=st.integers(0, 2**32 - 1),
-    tree_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 60),
     criterion=st.sampled_from(CRITERIA),
     limits=st.sets(st.integers(0, 12), min_size=1),
 )
 def test_a_tree_resumed_at_a_shallower_limit_is_the_tree_grown_to_it(
-    n, data_seed, tree_seed, criterion, limits
+    n, data_seed, seed, index, criterion, limits
 ):
     X, y = tied_data(data_seed, n)
-    trees = training.grow_tree_depths(X, y, tree_seed, sorted(limits), criterion)
+    trees = training.grow_tree_depths(X, y, seed, index, sorted(limits), criterion)
     assert sorted(trees) == sorted(limits)
+    tree_seed = spawned(seed, index + 1)[index]
     for limit, tree in trees.items():
         assert tree == grown_to(X, y, tree_seed, limit, criterion)
+    if 0 < int(y.sum()) < n:  # a forest needs both classes
+        # tree `index` of a forest is keyed by (seed, index), whatever its size
+        forest = train_forest(X, y, index + 1, max(limits), seed, criterion)
+        assert forest.trees[index] == trees[max(limits)]
 
 
 def count_work(monkeypatch):
@@ -482,20 +493,33 @@ def test_trees_resume_on_the_numpy_path_and_in_python(monkeypatch):
     # alone, run on both sides of SMALL_NODE
     X, y = tied_data(5, 150)
     work = count_work(monkeypatch)
-    for tree_seed in range(4):
-        training.grow_tree_depths(X, y, tree_seed, [12], "entropy")
+    for tree in range(4):
+        training.grow_tree_depths(X, y, 0, tree, [12], "entropy")
     deep = {path: Counter(work[path]) for path in ("numpy", "python")}
     for path in deep:
         work[path].clear()
-    all_trees = [
-        training.grow_tree_depths(X, y, tree_seed, list(range(13)), "entropy")
-        for tree_seed in range(4)
-    ]
+    all_trees = [training.grow_tree_depths(X, y, 0, tree, list(range(13)), "entropy")
+                 for tree in range(4)]
     regrown = {path: Counter(work[path]) - deep[path] for path in deep}
     assert max(regrown["numpy"]) > SMALL_NODE >= max(regrown["python"])
-    for tree_seed, trees in enumerate(all_trees):
+    for tree_seed, trees in zip(spawned(0, 4), all_trees, strict=True):
         for limit, tree in trees.items():
             assert tree == grown_to(X, y, tree_seed, limit, "entropy")
+
+
+def fresh_searches(monkeypatch, X, y, tree_seed, limit):
+    """The (depth, path) of each split search, in preorder, of the tree grown afresh to limit."""
+    searches = []
+    split = training._split
+
+    def recorded(search, data, n_features, draw, depth, criterion):
+        searches.append((depth, "numpy" if search is training.best_split else "python"))
+        return split(search, data, n_features, draw, depth, criterion)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_split", recorded)
+        grown_to(X, y, tree_seed, limit, "entropy")
+    return searches
 
 
 def test_regrowth_does_no_extra_work(monkeypatch):
@@ -504,11 +528,20 @@ def test_regrowth_does_no_extra_work(monkeypatch):
     # before that leaf takes D's recorded split. A pick that D drew is
     # read, not drawn again, so no search draws more than once
     X, y = tied_data(5, 150)
+    expected = Counter()
+    for tree_seed in spawned(0, 4):
+        deep = fresh_searches(monkeypatch, X, y, tree_seed, 12)
+        expected.update(path for _, path in deep)
+        for limit in range(12):
+            at_limit = [i for i, (depth, _) in enumerate(deep) if depth == limit]
+            if at_limit:  # else the tree at this limit is D's, and nothing is searched
+                shallow = fresh_searches(monkeypatch, X, y, tree_seed, limit)
+                expected.update(path for _, path in shallow[at_limit[0]:])
     work = count_work(monkeypatch)
-    for tree_seed in range(4):
-        training.grow_tree_depths(X, y, tree_seed, list(range(13)), "entropy")
-    assert (len(work["numpy"]), len(work["python"])) == (85, 472)
-    assert work["draws"] <= 85 + 472
+    for tree in range(4):
+        training.grow_tree_depths(X, y, 0, tree, list(range(13)), "entropy")
+    assert (len(work["numpy"]), len(work["python"])) == (expected["numpy"], expected["python"])
+    assert work["draws"] <= expected.total()
 
 
 @pytest.mark.parametrize("available", [ONE_CPU, THREE_CPUS], ids=["in-process", "pool"])

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import subprocess
 import sys
 import time
 from datetime import date, datetime
@@ -250,13 +251,13 @@ class TestExtractCommits:
         commits = extract_commits(repo)
         assert commits[0].message == message
 
-    def test_output_is_utf8_whatever_the_log_output_encoding(self, tmp_path, monkeypatch):
+    def test_output_is_utf8_whatever_the_log_output_encoding(self, tmp_path):
         repo = init_repo(tmp_path / "latin")
         add_commit(repo, "Zoë", "café au lait")
-        # a user's config asking git to re-encode its log output as Latin-1
-        monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
-        monkeypatch.setenv("GIT_CONFIG_KEY_0", "i18n.logOutputEncoding")
-        monkeypatch.setenv("GIT_CONFIG_VALUE_0", "latin1")
+        # a repository's config asking git to re-encode its log output as Latin-1
+        subprocess.run(
+            ["git", "-C", str(repo), "config", "i18n.logOutputEncoding", "latin1"], check=True
+        )
         [commit] = extract_commits(repo)
         assert commit.name.encode("utf-8", "surrogateescape") == "Zoë".encode("utf-8")
         assert commit.message.encode("utf-8", "surrogateescape") == "café au lait\n".encode("utf-8")
@@ -281,15 +282,75 @@ class TestExtractCommits:
             RawCommit("ci-runner", "authored early, committed late\n")
         ]
 
-    def test_empty_repository_yields_no_commits(self, tmp_path):
+    def test_empty_repository_yields_no_commits(self, tmp_path, monkeypatch):
         repo = init_repo(tmp_path / "empty")
+        # git's errors are told apart in English, whatever the caller's language
+        monkeypatch.setenv("LC_ALL", "C.UTF-8")
+        monkeypatch.setenv("LANGUAGE", "de")
         assert extract_commits(repo) == []
 
-    def test_not_a_repository(self, tmp_path):
+    def test_not_a_repository(self, tmp_path, monkeypatch):
         plain_dir = tmp_path / "plain"
         plain_dir.mkdir()
-        with pytest.raises(NotAGitRepository):
+        monkeypatch.setenv("LC_ALL", "C.UTF-8")
+        monkeypatch.setenv("LANGUAGE", "de")
+        with pytest.raises(NotAGitRepository, match="is not a git repository"):
             extract_commits(plain_dir)
+
+    def test_an_inherited_git_dir_does_not_pick_the_repository(self, make_repo, monkeypatch):
+        # a git hook runs with GIT_DIR set to its own repository
+        other = make_repo([("mallory", "elsewhere", "2021-01-01T09:00:00+00:00")], name="other")
+        repo = make_repo(THREE_COMMITS)
+        monkeypatch.setenv("GIT_DIR", str(other / ".git"))
+        monkeypatch.setenv("GIT_WORK_TREE", str(other))
+        assert extract_commits(repo) == [
+            RawCommit(name, message + "\n") for name, message, _ in reversed(THREE_COMMITS)
+        ]
+
+    @pytest.mark.parametrize("config", [
+        {"GIT_CONFIG_COUNT": "1", "GIT_CONFIG_KEY_0": "core.useReplaceRefs",
+         "GIT_CONFIG_VALUE_0": "false"},
+        {"GIT_CONFIG_PARAMETERS": "'core.usereplacerefs'='false'"},
+    ], ids=["count", "parameters"])
+    def test_config_set_through_the_environment_reaches_git(self, make_repo, monkeypatch, config):
+        # HEAD is replaced by its parent, unless the caller's config says
+        # not to use replace refs, as `git -c` or a container may set it
+        repo = make_repo(THREE_COMMITS[:2])
+        subprocess.run(["git", "-C", str(repo), "replace", "HEAD", "HEAD~1"], check=True)
+        assert extract_commits(repo) == [RawCommit("alice", "first commit\n")]
+        for name, value in config.items():
+            monkeypatch.setenv(name, value)
+        assert extract_commits(repo) == [
+            RawCommit("bob", "second commit\n"), RawCommit("alice", "first commit\n")
+        ]
+
+    def test_show_signature_config_leaves_names_alone(self, tmp_path):
+        # a signed commit, and a gpg that says it verified it: with
+        # log.showSignature, git log writes that text before the format
+        repo = init_repo(tmp_path / "signed")
+        gpg = tmp_path / "gpg-stub"
+        gpg.write_text("#!/bin/sh\necho 'gpg: Signature made by a stub' >&2\n")
+        gpg.chmod(0o755)
+        git = ["git", "-C", str(repo)]
+        empty_tree = subprocess.run(
+            [*git, "hash-object", "-t", "tree", "-w", "--stdin"],
+            input=b"", capture_output=True, check=True,
+        ).stdout.decode().strip()
+        commit = (
+            f"tree {empty_tree}\n"
+            "author Bot <bot@example.com> 1600000000 +0000\n"
+            "committer Bot <bot@example.com> 1600000000 +0000\n"
+            "gpgsig -----BEGIN PGP SIGNATURE-----\n \n stub\n -----END PGP SIGNATURE-----\n"
+            "\nsigned release\n"
+        )
+        sha = subprocess.run(
+            [*git, "hash-object", "-t", "commit", "-w", "--stdin"],
+            input=commit.encode(), capture_output=True, check=True,
+        ).stdout.decode().strip()
+        for args in (["update-ref", "HEAD", sha], ["config", "gpg.program", str(gpg)],
+                     ["config", "log.showSignature", "true"]):
+            subprocess.run([*git, *args], check=True)
+        assert extract_commits(repo) == [RawCommit("Bot", "signed release\n")]
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises((NotAGitRepository, ExtractionFailed)):
@@ -341,17 +402,35 @@ class TestExtractCommits:
         (True, "%ct", "%at"),
     ], ids=["author", "committer"])
     def test_git_command_line(self, tmp_path, monkeypatch, committer, stamp, other):
-        argv_file = tmp_path / "argv.json"
+        # every variable that would pick another repository, as the real git
+        # lists them, less the three that carry the caller's config
+        config = {"GIT_CONFIG": "1", "GIT_CONFIG_PARAMETERS": "2", "GIT_CONFIG_COUNT": "3"}
+        local = subprocess.run(
+            ["git", "rev-parse", "--local-env-vars"], capture_output=True, check=True, text=True
+        ).stdout.split()
+        assert {"GIT_DIR", "GIT_WORK_TREE", *config} <= set(local)
+        local = [name for name in local if name not in config]
+        for name in local:
+            monkeypatch.setenv(name, str(tmp_path / "elsewhere"))
+        kept = {"HOME": str(tmp_path / "home"), "GIT_CONFIG_NOSYSTEM": "1", "LANGUAGE": "de",
+                **config}
+        for name, value in kept.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setenv("LC_ALL", "de_DE.UTF-8")
+        seen_file = tmp_path / "seen.json"
         fake_git(tmp_path, monkeypatch, (
-            f"import json\njson.dump(sys.argv[1:], open({str(argv_file)!r}, 'w'))"
+            f"import json\njson.dump([sys.argv[1:], dict(os.environ)], open({str(seen_file)!r}, 'w'))"
         ))
 
         def git_argv(**options):
             assert extract_commits(tmp_path, committer=committer, **options) == []
-            argv = json.loads(argv_file.read_text())
+            argv, env = json.loads(seen_file.read_text())
             [pretty] = [arg for arg in argv if arg.startswith("--pretty=")]
-            assert "-z" in argv
+            assert {"-z", "--encoding=UTF-8", "--no-show-signature"} <= set(argv)
             assert pretty.startswith("--pretty=tformat:")
+            assert not set(local) & set(env)
+            assert {name: env.get(name) for name in kept} == kept
+            assert (env["LC_ALL"], env["GIT_FLUSH"]) == ("C", "0")
             return pretty
 
         untimed = git_argv()
