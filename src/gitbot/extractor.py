@@ -148,8 +148,9 @@ def extract_commits(repo_path, committer=False, start_date=None) -> list[RawComm
       would read that repository instead of repo_path.
     `HOME` and the rest still reach git: `GIT_CONFIG_NOSYSTEM`, and the
     config set through the environment (`GIT_CONFIG_COUNT`,
-    `GIT_CONFIG_PARAMETERS`), such as a container's `safe.directory`. It runs with `--no-show-signature`, as `log.showSignature`
-    would write gpg's verification text into the name field. Its stderr
+    `GIT_CONFIG_PARAMETERS`), such as a container's `safe.directory`.
+    It runs with `--no-show-signature`, as `log.showSignature` would
+    write gpg's verification text into the name field. Its stderr
     goes to a temporary file, so git never blocks on a full stderr pipe
     while this reads stdout. On any error git is killed and reaped
     before the error propagates.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot.baselines import (
+    KNN_BLOCK_ROWS,
     Standardizer,
     cut_tree,
     train_knn,
@@ -107,6 +108,27 @@ class TestKnn:
         for k, fraction in zip(ks, fractions):
             assert fraction.tolist() == knn_oracle(X, y, k, queries).tolist()
             assert fraction.tolist() == train_knn(X, y, k=k).bot_fraction(queries).tolist()
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(2, 40),
+        blocks=st.integers(0, 2),
+        extra=st.integers(1, KNN_BLOCK_ROWS - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+        ks=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    )
+    def test_rows_ranked_in_blocks_score_as_all_rows_at_once(self, n, blocks, extra, data_seed, ks):
+        # three levels per feature: most queries lie at equal distances from
+        # several training rows, and the last block is only partly filled
+        rng = np.random.default_rng(data_seed)
+        X = rng.integers(0, 3, (n, 4)) * 0.5
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        queries = rng.integers(0, 3, (blocks * KNN_BLOCK_ROWS + extra, 4)) * 0.5
+        ks = [min(k, n) for k in ks]
+        fractions = train_knn(X, y, k=max(ks)).bot_fractions(queries, ks)
+        for k, fraction in zip(ks, fractions):
+            assert fraction.tolist() == knn_oracle(X, y, k, queries).tolist()
 
 
 class TestLogistic:

@@ -716,49 +716,45 @@ def test_importing_the_cli_loads_neither_numpy_nor_dataclasses():
 
 
 def test_analyze_never_imports_numpy(cli_fixture_repo):
-    # runs `python -m gitbot analyze --json REPO`, then inspects the interpreter
+    # runs `gitbot analyze --json REPO` through `main`, which returns, then
+    # inspects the interpreter; `python -m gitbot` would end the process first
     script = (
-        "import runpy, sys\n"
-        "repo = sys.argv[1]\n"
-        "sys.argv = ['gitbot', 'analyze', '--json', repo]\n"
-        "try:\n"
-        "    runpy.run_module('gitbot', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    if exc.code != 0:\n"
-        "        raise\n"
-        "if 'numpy' in sys.modules:\n"
-        "    sys.exit('analyze imported numpy')\n"
+        "import sys\n"
+        "from gitbot.cli import main\n"
+        "status = main(['analyze', '--json', sys.argv[1]])\n"
+        "if status != 0 or 'numpy' in sys.modules:\n"
+        "    sys.exit(f'analyze exited {status}, numpy loaded: {\"numpy\" in sys.modules}')\n"
+        "print('analyze left numpy unloaded', file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, str(cli_fixture_repo)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "analyze left numpy unloaded"  # the check ran
     assert {row["name"] for row in json.loads(proc.stdout)} == {"carol", "dave", "release-bot"}
 
 
 def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):
-    # runs `python -m gitbot train` on one CPU, so that every fit runs in this
-    # interpreter, then inspects it; np.unique would load numpy.ma (about 40 ms),
-    # and an executor multiprocessing and concurrent.futures (about 9 ms)
+    # runs `gitbot train` through `main` on one CPU, so that every fit runs in
+    # this interpreter, then inspects it; np.unique would load numpy.ma (about
+    # 40 ms), and an executor multiprocessing and concurrent.futures (about 9 ms)
     script = (
-        "import os, runpy, sys\n"
+        "import os, sys\n"
+        "from gitbot.cli import main\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "sys.argv = ['gitbot', 'train', *sys.argv[1:]]\n"
-        "try:\n"
-        "    runpy.run_module('gitbot', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    if exc.code != 0:\n"
-        "        raise\n"
+        "status = main(['train', *sys.argv[1:]])\n"
         "loaded = sorted({'dataclasses', 'numpy.ma', 'multiprocessing', 'concurrent.futures'}\n"
         "                & set(sys.modules))\n"
-        "if loaded:\n"
-        "    sys.exit(f'train imported {loaded}')\n"
+        "if status != 0 or loaded:\n"
+        "    sys.exit(f'train exited {status} and imported {loaded}')\n"
+        "print('train left them unloaded', file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     argv = [str(dataset_csv), "-o", str(tmp_path / "model.json"), "--folds", "3"]
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "train left them unloaded"  # the check ran
     assert "model written to" in proc.stdout
 
 
