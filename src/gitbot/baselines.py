@@ -25,10 +25,14 @@ bias, and both solve it to a stated tolerance:
   predictor-corrector interior-point method, until its residuals and
   its duality gap are below tol relative to their scale (see
   `train_linear_svm`).
-A fit that stops short of its tolerance warns.
+A fit that stops short of its tolerance warns. `train_linear_svm` fits
+one model per value of a sequence of l2 values in one stacked
+iteration, so a grid search solves a fold's SVMs together, each to the
+bits of its fit alone; logistic regression fits one l2 per call.
 """
 
 import warnings
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -154,65 +158,83 @@ def train_logistic(
     return LinearModel(weights=theta[:-1], bias=float(theta[-1]), scaler=scaler)
 
 
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps v + step * dv nonnegative."""
-    shrinking = dv < 0.0
-    if not shrinking.any():
-        return 1.0
-    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking])))
+def _mv(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for each row x of X (M one matrix, or one per row), by the kernel of `M @ x` alone."""
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u @ v for each pair of rows of U and V, by the kernel of `u @ v` alone."""
+    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def _solve(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve(m, r)` for each matrix m of M and row r of R."""
+    return np.linalg.solve(M, R[:, :, None])[:, :, 0]
+
+
+def _max_step(V: np.ndarray, dV: np.ndarray) -> np.ndarray:
+    """Per row, the largest step in (0, 1] that keeps v + step * dv nonnegative."""
+    # divides only where dv < 0, so no other entry can raise
+    ratios = np.divide(-V, dV, out=np.full_like(V, np.inf), where=dV < 0.0)
+    return np.minimum(ratios.min(axis=1), 1.0)
 
 
 def _mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap):
-    """Predictor-corrector direction (dx, du, dv) and its longest feasible step.
+    """Predictor-corrector direction (dx, du, dv) and its longest feasible step, per row.
 
-    u = (s, xi) and v = (lambda, mu) are the complementary pairs. Every
-    Newton system eliminates them and solves (H + A^T G^-1 A) dx = r
-    with the diagonal G = s/lambda + xi/mu.
+    Every argument but A and H holds one row per fit. u = (s, xi) and
+    v = (lambda, mu) are the complementary pairs. Every Newton system
+    eliminates them and solves (H + A^T G^-1 A) dx = r with the
+    diagonal G = s/lambda + xi/mu.
     """
     n = len(A)
-    s, xi = u[:n], u[n:]
-    lam, mu = v[:n], v[n:]
+    s, xi = u[:, :n], u[:, n:]
+    lam, mu = v[:, :n], v[:, n:]
     G = s / lam + xi / mu
-    AG = A / G[:, None]
+    AG = A / G[:, :, None]
     lhs = H + A.T @ AG
+    AGt = AG.transpose(0, 2, 1)
 
     def newton(r_c):
         """Direction with v * du + u * dv = -r_c and the linear residuals zeroed."""
-        r_sl, r_xm = r_c[:n], r_c[n:]
+        r_sl, r_xm = r_c[:, :n], r_c[:, n:]
         q = -r_p - r_sl / lam + (xi / mu) * r_xi + r_xm / mu
-        dx = np.linalg.solve(lhs, AG.T @ q - r_x)
-        dlam = (q - A @ dx) / G
+        dx = _solve(lhs, _mv(AGt, q) - r_x)
+        dlam = (q - _mv(A, dx)) / G
         for _ in range(2):
             # iterative refinement against the unreduced (w, b) equation:
             # the reduced system grows ill-conditioned near the optimum
-            fix = np.linalg.solve(lhs, A.T @ dlam - H @ dx - r_x)
+            fix = _solve(lhs, _mv(A.T, dlam) - _mv(H, dx) - r_x)
             dx += fix
-            dlam -= (A @ fix) / G
+            dlam -= _mv(A, fix) / G
         dxi = (xi / mu) * (dlam - r_xi) - r_xm / mu
-        du = np.concatenate([-(r_sl + s * dlam) / lam, dxi])
-        dv = np.concatenate([dlam, -(r_xm + mu * dxi) / xi])
-        return dx, du, dv, min(_max_step(u, du), _max_step(v, dv))
+        du = np.concatenate([-(r_sl + s * dlam) / lam, dxi], axis=1)
+        dv = np.concatenate([dlam, -(r_xm + mu * dxi) / xi], axis=1)
+        return dx, du, dv, np.minimum(_max_step(u, du), _max_step(v, dv))
 
     # predictor: the affine-scaling direction sets the centring
     _, du, dv, step = newton(u * v)
-    sigma = ((u + step * du) @ (v + step * dv) / (2 * n) / gap) ** 3
+    centring = _dot(u + step[:, None] * du, v + step[:, None] * dv) / (2 * n) / gap
+    # cubed as Python floats: C's pow, which an array power need not call
+    sigma = np.array([float(c) ** 3 for c in centring])
     # corrector: centred, with the predictor's second-order term
-    return newton(u * v + du * dv - sigma * gap)
+    return newton(u * v + du * dv - (sigma * gap)[:, None])
 
 
 def train_linear_svm(
     X: np.ndarray,
     y: np.ndarray,
-    l2: float = 1e-2,
+    l2s: Sequence[float] = (1e-2,),
     tol: float = 1e-9,
     max_iter: int = 100,
-) -> LinearModel:
-    """Minimize (1/n) * sum of hinge losses + (l2/2) * |w|^2; the bias is not penalized.
+) -> list[LinearModel]:
+    """One model per l2 in l2s, each minimizing (1/n) * sum of hinge losses + (l2/2) * |w|^2.
 
-    Scaled by 1/l2 this is the soft-margin SVM: minimize
-    1/2 |w|^2 + C * sum(xi) with C = 1/(n * l2), subject to
-    y_i (z_i . w + b) = 1 - xi_i + s_i and xi, s >= 0. It is solved by
-    Mehrotra's predictor-corrector primal-dual interior-point method;
+    The bias is not penalized. Scaled by 1/l2 this is the soft-margin
+    SVM: minimize 1/2 |w|^2 + C * sum(xi) with C = 1/(n * l2), subject
+    to y_i (z_i . w + b) = 1 - xi_i + s_i and xi, s >= 0. It is solved
+    by Mehrotra's predictor-corrector primal-dual interior-point method;
     each step solves one (d+1)x(d+1) system in (w, b). Convergence is
     declared when every residual is below tol relative to its scale:
     the margin residual relative to 1 + max|(w, b)|, the (w, b)
@@ -222,7 +244,15 @@ def train_linear_svm(
     above is at most 2 * tol. A singular Newton system or a
     floating-point error (overflow, division by zero, invalid value)
     ends the iteration early: like the iteration cap, it warns that the
-    fit did not converge.
+    fit did not converge, once per fit, in l2s order.
+
+    The fits run in lockstep, one row each of (k, ...) arrays, and every
+    step is computed for all of them at once. Each row goes through the
+    matmul and LAPACK kernels, and the elementwise operations, that the
+    fit would go through alone, so each model is the one a call with its
+    l2 alone returns, bit for bit. A fit that converges leaves the rows;
+    a step that breaks down is taken again row by row from the same
+    state, and only the rows that break down alone stop.
     """
     _check_two_classes(y)
     scaler = Standardizer.fit(X)
@@ -230,37 +260,52 @@ def train_linear_svm(
     sy = 2.0 * y - 1.0
     A = sy[:, None] * np.hstack([scaler.transform(X), np.ones((n, 1))])  # rows y_i [z_i, 1]
     H = np.diag([1.0] * (A.shape[1] - 1) + [0.0])
-    C = 1.0 / (n * l2)
-    x = np.zeros(A.shape[1])  # weights, then bias
-    u = np.ones(2 * n)  # margin slacks s, then hinge losses xi
-    v = np.full(2 * n, C / 2)  # their multipliers lambda, then mu
-    stop = None  # why the iteration ended short of the tolerance
+    C = np.array([1.0 / (n * l2) for l2 in l2s])
+    x = np.zeros((len(C), A.shape[1]))  # per fit: weights, then bias
+    u = np.ones((len(C), 2 * n))  # margin slacks s, then hinge losses xi
+    v = np.repeat(C[:, None] / 2, 2 * n, axis=1)  # their multipliers lambda, then mu
+    stops = [None] * len(C)  # why each fit ended short of the tolerance
+    active = np.arange(len(C))  # the fits still iterating
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         for _ in range(max_iter):
-            r_x = H @ x - A.T @ v[:n]
-            r_xi = C - v[:n] - v[n:]
-            r_p = A @ x + u[n:] - 1.0 - u[:n]
-            gap = (u @ v) / (2 * n)
-            if (
-                np.abs(r_p).max() <= tol * (1.0 + np.abs(x).max())
-                and np.abs(r_x).max() <= tol * n * C
-                and max(np.abs(r_xi).max(), gap) <= tol * C
-            ):
+            xa, ua, va, Ca = x[active], u[active], v[active], C[active]
+            r_x = _mv(H, xa) - _mv(A.T, va[:, :n])
+            r_xi = Ca[:, None] - va[:, :n] - va[:, n:]
+            r_p = _mv(A, xa) + ua[:, n:] - 1.0 - ua[:, :n]
+            gap = _dot(ua, va) / (2 * n)
+            going = ~(
+                (np.abs(r_p).max(axis=1) <= tol * (1.0 + np.abs(xa).max(axis=1)))
+                & (np.abs(r_x).max(axis=1) <= tol * n * Ca)
+                & (np.maximum(np.abs(r_xi).max(axis=1), gap) <= tol * Ca)
+            )
+            active, ua, va = active[going], ua[going], va[going]
+            if not len(active):
                 break
+            r_x, r_xi, r_p, gap = r_x[going], r_xi[going], r_p[going], gap[going]
             try:
-                dx, du, dv, step = _mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap)
+                moves = [(active, _mehrotra_step(A, H, ua, va, r_x, r_xi, r_p, gap))]
             except (np.linalg.LinAlgError, FloatingPointError):
-                stop = "broke down in floating point"
-                break
-            step *= 0.99  # stay strictly inside the positive orthant
-            x += step * dx
-            u += step * du
-            v += step * dv
+                moves = []
+                for i, fit in enumerate(active):
+                    row = slice(i, i + 1)
+                    try:
+                        moves.append((active[row], _mehrotra_step(
+                            A, H, ua[row], va[row], r_x[row], r_xi[row], r_p[row], gap[row])))
+                    except (np.linalg.LinAlgError, FloatingPointError):
+                        stops[fit] = "broke down in floating point"
+                active = np.array([fit for rows, _ in moves for fit in rows], dtype=np.intp)
+            for rows, (dx, du, dv, step) in moves:
+                step = step[:, None] * 0.99  # stay strictly inside the positive orthant
+                x[rows] += step * dx
+                u[rows] += step * du
+                v[rows] += step * dv
         else:
-            stop = "hit the iteration cap"
-    if stop is not None:
-        warnings.warn(f"linear SVM {stop} without converging")
-    return LinearModel(weights=x[:-1], bias=float(x[-1]), scaler=scaler)
+            for fit in active:
+                stops[fit] = "hit the iteration cap"
+    for stop in stops:
+        if stop is not None:
+            warnings.warn(f"linear SVM {stop} without converging")
+    return [LinearModel(weights=row[:-1], bias=float(row[-1]), scaler=scaler) for row in x]
 
 
 def train_single_tree(X: np.ndarray, y: np.ndarray, max_depth: int = 8) -> ForestModel:

@@ -36,8 +36,10 @@ TEXT, CSV, JSON = "text", "csv", "json"
 UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 
 # The module docstring is the --help text, so the split is told here:
-# `analyze` runs without numpy, while evaluation and training load it and
-# are imported only when `train` or `evaluate` runs. No command loads
+# `analyze` runs without numpy. `train` and `evaluate` import `dataset`,
+# which loads numpy inside `featurize` while its workers compute features,
+# and import evaluation and training, which need numpy at import, only
+# after `featurize` has returned. No command loads
 # `dataclasses`: every record in the package is a NamedTuple. Training
 # forks its workers through `parallel.run_tasks`, which loads neither
 # `multiprocessing` nor `concurrent.futures`.
@@ -223,8 +225,6 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
 
 
 def run_train(args) -> int:
-    from .evaluation import FAMILY_FOREST, format_grid_table, format_report, stratified_split
-
     cli = sys.modules[__name__]
     cap = FeatureConfig().max_messages
     if args.min_messages > cap:
@@ -233,6 +233,8 @@ def run_train(args) -> int:
     config = FeatureConfig(min_messages=args.min_messages)
     dataset = cli.load_dataset(args.dataset, min_messages=config.min_messages)
     X, y = cli.featurize(dataset, config)
+    from .evaluation import FAMILY_FOREST, format_grid_table, format_report, stratified_split
+
     train_idx, test_idx = stratified_split(y, args.train_fraction, seed=args.seed)
     X_train, y_train = X[train_idx], y[train_idx]
 
@@ -256,14 +258,14 @@ def run_train(args) -> int:
 
 
 def run_evaluate(args) -> int:
-    from .evaluation import format_report
-
     cli = sys.modules[__name__]
     model = load_model(args.model) if args.model else load_default_model()
     config = model.feature_config
     dataset = cli.load_dataset(args.dataset, min_messages=config.min_messages)
-    report = cli.evaluate_pretrained(model, *cli.featurize(dataset, config))
-    print(format_report(report))
+    X, y = cli.featurize(dataset, config)
+    from .evaluation import format_report
+
+    print(format_report(cli.evaluate_pretrained(model, X, y)))
     return 0
 
 
@@ -374,15 +376,35 @@ def main(argv=None) -> int:
             if hasattr(sys.stdout, "reconfigure"):  # not an in-memory stdout
                 sys.stdout.reconfigure(errors="surrogateescape")  # as git's names were read
             sys.stdout.write(output)
-            return 0
-        if args.command == "train":
-            return run_train(args)
-        return run_evaluate(args)
+            status = 0
+        elif args.command == "train":
+            status = run_train(args)
+        else:
+            status = run_evaluate(args)
+        # a write to a closed pipe fails here, whatever the output's size,
+        # not in a flush after `main` returns
+        sys.stdout.flush()
+        return status
     except UsageError as exc:
         args.usage_error(str(exc))
     except (GitbotError, OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _discard_stdout():
+    """Point stdout's descriptor at os.devnull, after a write to a closed pipe.
+
+    What stdout still buffers is then flushed there, so neither `run`
+    nor the interpreter's exit meets the broken pipe again.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 def _observed() -> bool:
@@ -418,9 +440,11 @@ def run() -> NoReturn:
     has, in three cases:
     - `main` raises, argparse's `SystemExit` included: the exception
       propagates;
-    - a flush raises, as on a pipe whose reader has closed or on a
-      closed stdout: `sys.exit(status)`, and Python flushes again at
-      exit and reports the error there;
+    - a flush raises, as on a closed stdout: `sys.exit(status)`, and
+      Python flushes again at exit and reports the error there. A pipe
+      whose reader has closed is not one of them: `main` flushes stdout,
+      meets the broken pipe itself, reports it, points stdout at
+      os.devnull and returns 2;
     - a tracer or profiler is set (`cProfile`, `coverage`, `trace`), or
       on Python 3.12+ a `sys.monitoring` tool, which cProfile uses
       there: `sys.exit(status)`, as it writes its results at exit.

@@ -22,20 +22,24 @@ appear, which the file gives newest first.
 `featurize` turns a loaded dataset into the arrays (X, y) that the
 split, the cross-validation folds, every trainer and every score index:
 one float64 feature row per corpus and its int64 label, bot 1.
+
+Loading a dataset needs no numpy, and this module imports it only in
+`featurize`, after the workers that compute features have started.
 """
 
 import json
 import logging
 from functools import partial
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import MalformedDataset
 from .features import FEATURE_NAMES, FeatureConfig, compute_features
 from .forest import BOT, HUMAN, LABEL_IDS
 from .identity import csv_rows
-from .parallel import run_tasks
+from .parallel import start_tasks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -131,7 +135,7 @@ def load_dataset(path, min_messages: int = 10) -> LabeledDataset:
 def featurize(
     dataset: LabeledDataset,
     config: FeatureConfig = FeatureConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple["np.ndarray", "np.ndarray"]:
     """Feature rows X and labels y of every entry, in dataset order.
 
     X is float64 of shape (n, 4), columns in FEATURE_NAMES order; y is
@@ -141,15 +145,21 @@ def featurize(
     order.
 
     `compute_features` is mapped over the corpora by
-    `parallel.run_tasks`, on every CPU this process may run on. Each
+    `parallel.start_tasks`, on every CPU this process may run on. Each
     corpus is a task, and the runner's queue entries group consecutive
     tasks only beyond 1,024 corpora. A queue entry costs about 2 µs and
     a corpus 0.3-0.6 ms on a 2-CPU machine, so finer tasks balance the
     processes at no measurable cost: 16 corpora per task read no faster
-    on 72 or 2,000 corpora.
+    on 72 or 2,000 corpora. numpy is imported after the workers start
+    and before this process takes its share, so that on several CPUs
+    the import (55-68 ms) overlaps their clustering; a process that
+    loaded numpy before gains nothing, and loses nothing.
     """
     corpora = [entry.corpus for entry in dataset.entries]
-    rows = run_tasks(partial(compute_features, config=config), corpora)
+    with start_tasks(partial(compute_features, config=config), corpora) as started:
+        import numpy as np
+
+        rows = started.join()
     for entry, vector in zip(dataset.entries, rows):
         if vector is None:
             raise MalformedDataset(

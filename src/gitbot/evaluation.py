@@ -227,7 +227,9 @@ def train_config(config: GridConfig, X: np.ndarray, y: np.ndarray, seed: int = 0
     if config.family == FAMILY_LOGISTIC:
         return train_logistic(X, y, **config.params)
     if config.family == FAMILY_SVM:
-        return train_linear_svm(X, y, **config.params)
+        params = dict(config.params)
+        (model,) = train_linear_svm(X, y, [params.pop("l2")], **params)
+        return model
     raise ValueError(f"unknown classifier family {config.family!r}")
 
 
@@ -253,6 +255,17 @@ def _fitted_labels(search: _Search, fold: _Fold, params: dict, members: list[tup
     X, y, seed = fold.X_train, fold.y_train, search.seed
     fits = (train_config(search.grid[position], X, y, seed=seed) for position, _ in members)
     return [predict_labels(model, fold.X_test) for model in fits]
+
+
+def _svm_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
+    """Each member's test labels, from one `train_linear_svm` call for all of the group's l2 values.
+
+    The call fits each l2 to the bits of its own fit (see
+    `baselines.train_linear_svm`), so each member's labels are those of
+    its own `train_config` fit.
+    """
+    models = train_linear_svm(fold.X_train, fold.y_train, [l2 for _, l2 in members], **params)
+    return [predict_labels(model, fold.X_test) for model in models]
 
 
 def _forest_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]):
@@ -313,12 +326,11 @@ def _knn_labels(search: _Search, fold: _Fold, params: dict, members: list[tuple]
 
 # family -> (the function that gives each group member's test labels, the
 # parameters in which the members of a group differ). Each fold's tasks run
-# in this order: the families fitted member by member, then the forests, so
-# that the short tree and kNN tasks are taken last and the processes finish
-# close together.
+# in this order: the linear families, then the forests, so that the short
+# tree and kNN tasks are taken last and the processes finish close together.
 _FAMILIES = {
     FAMILY_LOGISTIC: (_fitted_labels, ("l2",)),
-    FAMILY_SVM: (_fitted_labels, ("l2",)),
+    FAMILY_SVM: (_svm_labels, ("l2",)),
     FAMILY_FOREST: (_forest_labels, ("n_estimators", "max_depth")),
     FAMILY_TREE: (_tree_labels, ("max_depth",)),
     FAMILY_KNN: (_knn_labels, ("k",)),
@@ -407,8 +419,11 @@ def cross_validate(
       deepest one cut there (`baselines.cut_tree`).
     - kNN configurations share one stable neighbour order per test row
       (`KnnModel.bot_fractions`).
-    - Logistic regression and SVM members, which differ in l2, are each
-      fitted alone.
+    - SVM members, which differ in l2, are fitted by one stacked
+      interior-point run (`baselines.train_linear_svm`), each to the
+      bits of its fit alone.
+    - Logistic regression members, which differ in l2, are each fitted
+      alone.
 
     Each fold's rows are sliced once before any task runs. The tasks
     run through `parallel.run_tasks`: in forked workers and this

@@ -8,6 +8,12 @@ pipe is empty. A worker sends its (index, result) pairs back pickled
 over a pipe of its own, then leaves with `os._exit`. With one CPU, or
 one task, `fn` runs in the caller and nothing is forked.
 
+`run_tasks` is `start_tasks` then `join`. A caller with work of its own
+that the tasks do not need starts them, does that work while the
+workers run, then joins: the caller takes what is left of the queue,
+collects every share and reaps the workers. `dataset.featurize` imports
+numpy between the two, so that a worker clusters corpora meanwhile.
+
 The workers are forked, so `fn` and the tasks reach them as memory they
 inherit, not as pickles; only results and exceptions cross a process
 boundary. A spawned worker would start an interpreter and import numpy
@@ -41,50 +47,99 @@ def run_tasks(fn, tasks) -> list:
     closed, before this returns or raises. tasks is a sequence: it is
     indexed, and its length read.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    step = -(-len(tasks) // _MAX_ENTRIES)
-    queue, queue_end = os.pipe()
-    children: dict[int, int] = {}  # worker pid -> read end of its result pipe
-    try:
+    with start_tasks(fn, tasks) as started:
+        return started.join()
+
+
+def start_tasks(fn, tasks) -> "_Started":
+    """`run_tasks(fn, tasks)` begun: the workers are forked and take tasks at once.
+
+    The caller may do other work, then calls `join`, which runs what is
+    left of the queue in the caller and returns what `run_tasks` would
+    return, or raises what it would raise. Use it in a `with` block:
+    leaving the block reaps every worker and closes every pipe, also
+    when the caller raises before `join`; the queue is then emptied, so
+    each worker stops after its current task. With one CPU, or one task,
+    nothing is forked, and `join` runs every task.
+    """
+    return _Started(fn, tasks)
+
+
+class _Started:
+    """The workers and pipes of one `start_tasks` call."""
+
+    def __init__(self, fn, tasks):
+        self._fn, self._tasks = fn, tasks
+        self._queue = None  # read end of the queue, while it is open
+        self._children: dict[int, int] = {}  # worker pid -> read end of its result pipe
+        workers = min(len(os.sched_getaffinity(0)), len(tasks))
+        if workers <= 1:
+            return
+        self._step = -(-len(tasks) // _MAX_ENTRIES)
+        self._queue, queue_end = os.pipe()
         try:
-            entries = b"".join(i.to_bytes(_ENTRY, "little") for i in range(0, len(tasks), step))
-            os.write(queue_end, entries)  # at most 4 KiB into an empty pipe: written whole
-        finally:
-            os.close(queue_end)
-        for _ in range(workers - 1):
-            results, result_end = os.pipe()
             try:
-                pid = os.fork()
-            except BaseException:
-                os.close(results)
+                entries = b"".join(i.to_bytes(_ENTRY, "little")
+                                   for i in range(0, len(tasks), self._step))
+                os.write(queue_end, entries)  # at most 4 KiB into an empty pipe: written whole
+            finally:
+                os.close(queue_end)
+            for _ in range(workers - 1):
+                results, result_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(results)
+                    os.close(result_end)
+                    raise
+                if pid == 0:
+                    _work_and_exit(fn, tasks, self._step, self._queue, result_end,
+                                   [results, *self._children.values()])
                 os.close(result_end)
-                raise
-            if pid == 0:
-                _work_and_exit(fn, tasks, step, queue, result_end, [results, *children.values()])
-            os.close(result_end)
-            children[pid] = results
-        shares = [_share(fn, tasks, step, queue)]
-        for pid in list(children):
-            data = _read_to_end(children[pid])
-            _, status = os.waitpid(pid, 0)
-            os.close(children.pop(pid))
-            shares.append(_received(pid, status, data, len(tasks)))
-    finally:
-        _drain(queue)
-        os.close(queue)
-        for pid, results in children.items():
+                self._children[pid] = results
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def join(self) -> list:
+        """What `run_tasks(fn, tasks)` returns: the caller's share, then every worker's."""
+        fn, tasks = self._fn, self._tasks
+        if self._queue is None:
+            return [fn(task) for task in tasks]
+        try:
+            shares = [_share(fn, tasks, self._step, self._queue)]
+            for pid in list(self._children):
+                data = _read_to_end(self._children[pid])
+                _, status = os.waitpid(pid, 0)
+                os.close(self._children.pop(pid))
+                shares.append(_received(pid, status, data, len(tasks)))
+        finally:
+            self.close()
+        failures = [failure for _, failure in shares if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        out = [None] * len(tasks)
+        for done, _ in shares:
+            for index, result in done:
+                out[index] = result
+        return out
+
+    def close(self):
+        """Empty the queue, then reap every worker and close every pipe; idempotent."""
+        if self._queue is not None:
+            _drain(self._queue)
+            os.close(self._queue)
+            self._queue = None
+        while self._children:
+            pid, results = self._children.popitem()
             os.close(results)  # a worker still sending gets EPIPE and leaves
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * len(tasks)
-    for done, _ in shares:
-        for index, result in done:
-            out[index] = result
-    return out
 
 
 def _share(fn, tasks, step, queue):

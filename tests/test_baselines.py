@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gitbot.baselines import (
     KNN_BLOCK_ROWS,
+    LinearModel,
     Standardizer,
     cut_tree,
     train_knn,
@@ -165,6 +166,102 @@ def svm_objective(model, data, l2, theta=None):
     return np.maximum(0.0, 1.0 - margins).mean() + 0.5 * l2 * (theta[:-1] @ theta[:-1])
 
 
+# The single-l2 solver that the stacked `train_linear_svm` replaced, as it
+# was: every stacked fit must give its bytes.
+def _oracle_max_step(v, dv):
+    shrinking = dv < 0.0
+    if not shrinking.any():
+        return 1.0
+    return min(1.0, float(np.min(-v[shrinking] / dv[shrinking])))
+
+
+def _oracle_mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap):
+    n = len(A)
+    s, xi = u[:n], u[n:]
+    lam, mu = v[:n], v[n:]
+    G = s / lam + xi / mu
+    AG = A / G[:, None]
+    lhs = H + A.T @ AG
+
+    def newton(r_c):
+        r_sl, r_xm = r_c[:n], r_c[n:]
+        q = -r_p - r_sl / lam + (xi / mu) * r_xi + r_xm / mu
+        dx = np.linalg.solve(lhs, AG.T @ q - r_x)
+        dlam = (q - A @ dx) / G
+        for _ in range(2):
+            fix = np.linalg.solve(lhs, A.T @ dlam - H @ dx - r_x)
+            dx += fix
+            dlam -= (A @ fix) / G
+        dxi = (xi / mu) * (dlam - r_xi) - r_xm / mu
+        du = np.concatenate([-(r_sl + s * dlam) / lam, dxi])
+        dv = np.concatenate([dlam, -(r_xm + mu * dxi) / xi])
+        return dx, du, dv, min(_oracle_max_step(u, du), _oracle_max_step(v, dv))
+
+    _, du, dv, step = newton(u * v)
+    sigma = ((u + step * du) @ (v + step * dv) / (2 * n) / gap) ** 3
+    return newton(u * v + du * dv - sigma * gap)
+
+
+def oracle_linear_svm(X, y, l2=1e-2, tol=1e-9, max_iter=100):
+    scaler = Standardizer.fit(X)
+    n = len(y)
+    sy = 2.0 * y - 1.0
+    A = sy[:, None] * np.hstack([scaler.transform(X), np.ones((n, 1))])
+    H = np.diag([1.0] * (A.shape[1] - 1) + [0.0])
+    C = 1.0 / (n * l2)
+    x = np.zeros(A.shape[1])
+    u = np.ones(2 * n)
+    v = np.full(2 * n, C / 2)
+    stop = None
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for _ in range(max_iter):
+            r_x = H @ x - A.T @ v[:n]
+            r_xi = C - v[:n] - v[n:]
+            r_p = A @ x + u[n:] - 1.0 - u[:n]
+            gap = (u @ v) / (2 * n)
+            if (
+                np.abs(r_p).max() <= tol * (1.0 + np.abs(x).max())
+                and np.abs(r_x).max() <= tol * n * C
+                and max(np.abs(r_xi).max(), gap) <= tol * C
+            ):
+                break
+            try:
+                dx, du, dv, step = _oracle_mehrotra_step(A, H, u, v, r_x, r_xi, r_p, gap)
+            except (np.linalg.LinAlgError, FloatingPointError):
+                stop = "broke down in floating point"
+                break
+            step *= 0.99
+            x += step * dx
+            u += step * du
+            v += step * dv
+        else:
+            stop = "hit the iteration cap"
+    if stop is not None:
+        warnings.warn(f"linear SVM {stop} without converging")
+    return LinearModel(weights=x[:-1], bias=float(x[-1]), scaler=scaler)
+
+
+def fitted(fit, *args, **kwargs):
+    """(what fit(*args, **kwargs) returns, the messages of the warnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+def assert_stacked_fits_alone(data, l2s, **options):
+    """Each model of one stacked fit has the bytes, and the warning, of the oracle's fit alone."""
+    models, warned = fitted(train_linear_svm, *data, l2s, **options)
+    alone = [fitted(oracle_linear_svm, *data, l2=l2, **options) for l2 in l2s]
+    assert len(models) == len(l2s)
+    for model, (expected, _) in zip(models, alone):
+        assert model.weights.tobytes() == expected.weights.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(expected.bias).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(model.scaler, expected.scaler))
+    assert warned == [message for _, messages in alone for message in messages]
+    return warned
+
+
 NOISY = random_examples(np.random.default_rng(7), 40, separable=False)
 
 # objectives reached by the full-batch subgradient solver this one replaced
@@ -185,12 +282,12 @@ ROUNDING = 1e-14
 
 class TestLinearSvm:
     def test_separates_training_data(self):
-        model = train_linear_svm(*SEPARABLE)
+        (model,) = train_linear_svm(*SEPARABLE)
         assert accuracy(model, SEPARABLE) == 1.0
 
     @pytest.mark.parametrize("data,l2,subgradient_objective", SUBGRADIENT_OBJECTIVES)
     def test_converges_to_the_minimum(self, data, l2, subgradient_objective):
-        model = converged(train_linear_svm, *data, l2=l2)
+        (model,) = converged(train_linear_svm, *data, [l2])
         optimum = svm_objective(model, data, l2)
         assert optimum <= subgradient_objective + ROUNDING
         theta = np.append(model.weights, model.bias)
@@ -205,19 +302,63 @@ class TestLinearSvm:
 
     def test_iteration_cap_flags_nonconvergence(self):
         with pytest.warns(UserWarning, match="hit the iteration cap"):
-            model = train_linear_svm(*SEPARABLE, max_iter=2, tol=0.0)
-        assert not np.array_equal(model.weights, converged(train_linear_svm, *SEPARABLE).weights)
+            (model,) = train_linear_svm(*SEPARABLE, max_iter=2, tol=0.0)
+        (fit,) = converged(train_linear_svm, *SEPARABLE)
+        assert not np.array_equal(model.weights, fit.weights)
 
     def test_floating_point_breakdown_flags_nonconvergence(self):
         # with tol 0 the iterates approach the optimum until floating point fails
         with pytest.warns(UserWarning, match="broke down"):
-            model = train_linear_svm(*SEPARABLE, l2=1.0, tol=0.0, max_iter=1000)
+            (model,) = train_linear_svm(*SEPARABLE, [1.0], tol=0.0, max_iter=1000)
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
         assert accuracy(model, SEPARABLE) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
             train_linear_svm(*example(10, 0, 1, 0.0, HUMAN, copies=5))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(4, 40),
+        data_seed=st.integers(0, 2**16),
+        tied=st.booleans(),
+        copies=st.integers(1, 3),
+        exponents=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=9),
+        repeat=st.booleans(),
+    )
+    def test_each_stacked_fit_is_its_fit_alone(self, n, data_seed, tied, copies, exponents, repeat):
+        # tied rows, or random rows; copies duplicates every row; repeat
+        # fits one l2 twice in the stack
+        if tied:
+            X, y = two_class_tied_data(data_seed, n)
+        else:
+            X, y = random_examples(np.random.default_rng(data_seed), n, separable=False)
+            y[:2] = [0, 1]
+        data = (np.tile(X, (copies, 1)), np.tile(y, copies))
+        l2s = [10.0**e for e in exponents]
+        if repeat:
+            l2s.append(l2s[0])
+        assert_stacked_fits_alone(data, l2s)
+
+    def test_a_cap_that_only_some_fits_reach_warns_once_for_each(self):
+        # alone, these fits converge within 7, 7, 8, 9 and 10 iterations
+        l2s = [1e4, 1e-4, 1e2, 1e-2, 1.0]
+        warned = assert_stacked_fits_alone(SEPARABLE, l2s, max_iter=8)
+        assert warned == ["linear SVM hit the iteration cap without converging"] * 2
+
+    def test_a_fit_that_breaks_down_stops_alone(self):
+        # C = 1/(n * 1e300) underflows the step: only that fit breaks down
+        warned = assert_stacked_fits_alone(NOISY, [1e-2, 1e300, 1.0])
+        assert warned == ["linear SVM broke down in floating point without converging"]
+        assert_stacked_fits_alone(NOISY, [1e300])
+
+    def test_every_fit_of_a_stack_may_break_down_or_hit_the_cap(self):
+        # tol 0: no fit converges, and each ends alone in its own way
+        assert_stacked_fits_alone(SEPARABLE, [1e-4, 1e-2, 1.0, 1e2, 1e4], tol=0.0, max_iter=60)
+        assert_stacked_fits_alone(SEPARABLE, [1.0, 1e-2], tol=0.0, max_iter=1000)
+
+    def test_no_l2_gives_no_model(self):
+        assert train_linear_svm(*SEPARABLE, []) == []
 
 
 class TestSingleTree:

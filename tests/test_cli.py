@@ -758,6 +758,32 @@ def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):
     assert "model written to" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_numpy_and_evaluation_load_only_once_featurize_runs(dataset_csv, tmp_path, command):
+    # featurize imports numpy once its workers have started, so that they
+    # compute features meanwhile; nothing may have loaded it before
+    script = (
+        "import sys\n"
+        "from gitbot import cli, dataset\n"
+        "featurize = dataset.featurize\n"
+        "def probed(*args, **kwargs):\n"
+        "    loaded = {'numpy', 'gitbot.evaluation', 'gitbot.training'} & set(sys.modules)\n"
+        "    print('loaded before featurize:', sorted(loaded), file=sys.stderr)\n"
+        "    return featurize(*args, **kwargs)\n"
+        "dataset.featurize = probed\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [command, str(dataset_csv)]
+    if command == "train":
+        argv += ["-o", str(tmp_path / "model.json"), "--folds", "3"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "loaded before featurize: []" in proc.stderr.splitlines()
+    assert "confusion: tp=" in proc.stdout
+
+
 # Names that git holds as bytes that are not UTF-8: the extractor reads
 # them with surrogateescape, so b"Bad\xffName" is the name "Bad\udcffName".
 BAD_NAME = b"Bad\xffName"

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from gitbot.dataset import LabeledDataset, featurize, load_dataset
 from gitbot.errors import MalformedDataset
 from gitbot.features import FEATURE_NAMES, FeatureConfig, compute_features
 from gitbot.synthesis import synthetic_dataset
+
+from .test_cli import SRC
 
 
 def write_csv(tmp_path, rows, header=True, name="dataset.csv"):
@@ -233,6 +237,7 @@ class TestFeaturize:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(available))
         dataset = synthetic_dataset(n_bots=20, n_humans=20, seed=9, max_messages=30)
         X, y = featurize(dataset)
+        assert (X.dtype, X.shape, y.dtype, y.shape) == (np.float64, (40, 4), np.int64, (40,))
         for row, entry in zip(X.tolist(), dataset.entries):
             assert tuple(row) == compute_features(entry.corpus)
         entries = list(dataset.entries)
@@ -242,3 +247,13 @@ class TestFeaturize:
             featurize(LabeledDataset(entries=entries))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # no worker left
+
+    def test_importing_the_dataset_module_loads_no_numpy(self):
+        # featurize imports numpy only once its workers have started
+        script = "import sys, gitbot.dataset; print('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -616,7 +616,7 @@ TRAINERS = [
     lambda X, y: train_single_tree(X, y, max_depth=3),
     lambda X, y: train_knn(X, y, k=4),
     train_logistic,
-    lambda X, y: train_linear_svm(X, y, l2=0.1),
+    lambda X, y: train_linear_svm(X, y, [0.1])[0],
 ]
 
 

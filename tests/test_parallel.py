@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot import parallel
-from gitbot.parallel import run_tasks
+from gitbot.parallel import run_tasks, start_tasks
 
 # Every test limits the CPUs the runner sees to at most three, so that it
 # forks at most two workers.
@@ -152,3 +152,55 @@ def test_a_killed_worker_raises_child_process_error_instead_of_hanging():
     with cpus(3), pytest.raises(ChildProcessError, match="killed by signal 9"):
         run_tasks(killed_in_a_worker, range(20))
     assert_no_child_left()
+
+
+def open_fds() -> set[int]:
+    return set(map(int, os.listdir("/proc/self/fd")))
+
+
+class CallerFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_a_caller_that_raises_before_join_leaves_no_worker_and_no_pipe(n_cpus):
+    task, runs = failing_where(lambda pid, caller: False)  # naps 10 ms a task
+    before = open_fds()
+    with cpus(n_cpus), pytest.raises(CallerFailed):
+        with start_tasks(task, range(1_000)):
+            time.sleep(0.05)  # the workers take tasks meanwhile
+            raise CallerFailed
+    assert_no_child_left()
+    assert open_fds() == before
+    assert runs() < 100  # the queue was emptied: the workers stopped
+
+
+def test_a_worker_runs_tasks_while_the_caller_works():
+    caller = os.getpid()
+    read_end, write_end = os.pipe()
+
+    def task(index):
+        if os.getpid() != caller:
+            os.write(write_end, b".")
+        return index
+
+    try:
+        with cpus(2), start_tasks(task, range(40)) as started:
+            # returns only once a worker has run a task: the caller has not joined yet
+            assert os.read(read_end, 1) == b"."
+            assert started.join() == list(range(40))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert_no_child_left()
+
+
+def test_with_one_cpu_start_forks_nothing_and_join_runs_every_task():
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    caller = os.getpid()
+    with cpus(1), mock.patch.object(os, "fork", no_fork):
+        with start_tasks(lambda task: (task, os.getpid()), range(5)) as started:
+            results = started.join()
+    assert results == [(task, caller) for task in range(5)]
