@@ -10,41 +10,49 @@ even bytes that are not UTF-8, which JSON escapes as \\udcXX.
 """
 
 import argparse
-import csv
 import gc
 import importlib
 import io
-import json
 import os
 import sys
-from datetime import date
-from importlib import resources
-from json.encoder import encode_basestring_ascii
 from math import copysign
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
-from . import forest
 from .errors import GitbotError, UsageError
-from .extractor import extract_commits, group_messages
-from .features import FeatureConfig, compute_features
-from .forest import ForestModel
-from .identity import IdentityMapping, apply_mapping, load_mapping
-from .model_io import load_model, model_from_json, save_model
+from .extractor import GitLog, extract_commits, group_messages
+
+if TYPE_CHECKING:
+    from .features import FeatureConfig
+    from .forest import ForestModel
 
 TEXT, CSV, JSON = "text", "csv", "json"
 UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 
-# The module docstring is the --help text, so the split is told here:
+# The module docstring is the --help text, so the split is told here.
+# This module imports what parsing the command line and spawning git
+# need, and no more. `analyze` parses its arguments and spawns the first
+# repository's `git log`; only then does `run_analysis` import the
+# analysis modules (features, similarity, forest, identity, model_io)
+# and load the model and the mapping, while git walks the history on
+# another CPU. `json`, `csv`, `datetime` and `importlib.resources` are
+# imported where they are used. The package imports none of `subprocess`,
+# `tempfile` and `calendar`: `extractor.GitLog` spawns git itself (numpy,
+# which train and evaluate load, imports `tempfile` and `datetime`).
 # `analyze` runs without numpy. `train` and `evaluate` import `dataset`,
-# which loads numpy inside `featurize` while its workers compute features,
-# and import evaluation and training, which need numpy at import, only
-# after `featurize` has returned. No command loads
+# which loads numpy inside `featurize` while its workers compute
+# features, and import evaluation and training, which need numpy at
+# import, only after `featurize` has returned. No command loads
 # `dataclasses`: every record in the package is a NamedTuple. Training
 # forks its workers through `parallel.run_tasks`, which loads neither
 # `multiprocessing` nor `concurrent.futures`.
-# Attribute -> module of the names those commands call through this module.
-_TRAINING_NAMES = {
+# Attribute -> module of the names the commands call through this module.
+_DEFERRED_NAMES = {
+    "compute_features": "features",
+    "load_mapping": "identity",
+    "apply_mapping": "identity",
+    "load_model": "model_io",
+    "save_model": "model_io",
     "load_dataset": "dataset",
     "featurize": "dataset",
     "cross_validate": "evaluation",
@@ -54,15 +62,16 @@ _TRAINING_NAMES = {
 
 
 def __getattr__(name):
-    """Import a training name on first use; it stays an attribute of this module.
+    """Import a deferred name on first use; it stays an attribute of this module.
 
-    `run_train` and `run_evaluate` look these names up through the module
-    at call time, so a wrapper set on one still fires. No other name is
-    answered: the import system probes names such as __path__.
+    `run_analysis`, `run_train` and `run_evaluate` look these names up
+    through the module at call time, so a wrapper set on one still
+    fires. No other name is answered: the import system probes names
+    such as __path__.
     """
-    if name not in _TRAINING_NAMES:
+    if name not in _DEFERRED_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_TRAINING_NAMES[name]}", __package__), name)
+    return getattr(importlib.import_module(f".{_DEFERRED_NAMES[name]}", __package__), name)
 
 
 class ResultRow(NamedTuple):
@@ -74,13 +83,19 @@ class ResultRow(NamedTuple):
     empties: int | None = None  # shown only with --verbose
 
 
-def load_default_model() -> ForestModel:
+def load_default_model() -> "ForestModel":
+    from importlib import resources
+
+    from .model_io import model_from_json
+
     text = resources.files("gitbot").joinpath("data/default_model.json").read_text("utf-8")
     return model_from_json(text)
 
 
-def _analysis_config(args, model: ForestModel) -> FeatureConfig:
+def _analysis_config(args, model: "ForestModel") -> "FeatureConfig":
     """The model's feature configuration with --min-commits and --max-commits applied."""
+    from .features import FeatureConfig
+
     base = model.feature_config
     low, high = base.min_messages, base.max_messages
     low_name, high_name = "the model's minimum", "the model's maximum"
@@ -102,20 +117,42 @@ def run_analysis(args) -> list[ResultRow]:
     --max-commits is not given, the model's training-time value is used.
     Any extraction, mapping, or model error aborts the run and carries
     the offending repository's path in its message.
+
+    The first repository's git is spawned before anything else, and it
+    walks the history while the analysis modules, the model and the
+    mapping load. Errors still come in their order: the model's, the
+    mapping's, then git's. Leaving the block kills and reaps a git that
+    was not read to its end.
     """
+    with GitLog(args.repositories[0], args.committer, args.start_date) as first:
+        rows = _analysis_rows(args, first)
+    if args.only_predicted:
+        rows = [row for row in rows if row.prediction != UNKNOWN]
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
+def _analysis_rows(args, first: GitLog) -> list[ResultRow]:
+    """The rows of every repository, unsorted; first is the first one's git, started."""
+    from . import forest
+    from .identity import IdentityMapping
+
+    cli = sys.modules[__name__]
     if args.model_path is not None:
-        model = load_model(args.model_path)
+        model = cli.load_model(args.model_path)
     else:
         model = load_default_model()
     config = _analysis_config(args, model)
     mapping = IdentityMapping()
     if args.mapping is not None:
-        mapping = load_mapping(args.mapping)
+        mapping = cli.load_mapping(args.mapping)
+    apply_mapping, compute_features = cli.apply_mapping, cli.compute_features
 
     rows = []
-    for repo in args.repositories:
+    for i, repo in enumerate(args.repositories):
         try:
-            commits = extract_commits(repo, committer=args.committer, start_date=args.start_date)
+            commits = extract_commits(repo, committer=args.committer, start_date=args.start_date,
+                                      log=first if i == 0 else None)
             groups = group_messages(commits)
             if args.include is not None:
                 wanted = set(args.include)
@@ -139,9 +176,6 @@ def run_analysis(args) -> list[ResultRow]:
                     empties=features.n_empty,
                 )
             )
-    if args.only_predicted:
-        rows = [row for row in rows if row.prediction != UNKNOWN]
-    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -181,6 +215,9 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
     tail_cells = {shape: [_tail_cell(row, c) for c in columns[2:]]
                   for shape, row in dict(zip(shapes, rows)).items()}
     if output_format == JSON:
+        import json
+        from json.encoder import encode_basestring_ascii
+
         # The text of `json.dumps(payload, indent=2)`, laid out here: with
         # `indent` set, json falls back to its pure-Python encoder, which
         # took 0.142 s for the 19,845 analyze-history rows; this takes
@@ -198,6 +235,8 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
         return "[\n  {\n" + "\n  },\n  {\n".join(objects) + "\n  }\n]\n"
     texts = {shape: list(map(_text_cell, cells)) for shape, cells in tail_cells.items()}
     if output_format == CSV:
+        import csv
+
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(
             [columns, *([row[0], row[1], *texts[shape]] for row, shape in zip(rows, shapes))]
@@ -225,6 +264,8 @@ def format_output(rows: list[ResultRow], output_format: str, verbose: bool = Fal
 
 
 def run_train(args) -> int:
+    from .features import FeatureConfig
+
     cli = sys.modules[__name__]
     cap = FeatureConfig().max_messages
     if args.min_messages > cap:
@@ -249,7 +290,7 @@ def run_train(args) -> int:
         feature_config=config,
         **best.config.params,
     )
-    save_model(model, args.output)
+    cli.save_model(model, args.output)
     print(f"model written to {args.output}")
 
     report = cli.evaluate_pretrained(model, X[test_idx], y[test_idx])
@@ -259,7 +300,7 @@ def run_train(args) -> int:
 
 def run_evaluate(args) -> int:
     cli = sys.modules[__name__]
-    model = load_model(args.model) if args.model else load_default_model()
+    model = cli.load_model(args.model) if args.model else load_default_model()
     config = model.feature_config
     dataset = cli.load_dataset(args.dataset, min_messages=config.min_messages)
     X, y = cli.featurize(dataset, config)
@@ -293,6 +334,16 @@ def _fraction(text: str) -> float:
 _fraction.__name__ = "float"  # argparse names it in "invalid float value"
 
 
+def _iso_date(text: str):
+    """argparse type: a datetime.date written YYYY-MM-DD."""
+    from datetime import date
+
+    return date.fromisoformat(text)
+
+
+_iso_date.__name__ = "fromisoformat"  # argparse names it in "invalid fromisoformat value"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -308,7 +359,7 @@ def build_parser() -> _Parser:
     analyze.add_argument("--include", metavar="NAME", nargs="+", default=None,
                          help="only analyze these contributor names; list them after "
                               "the repositories, or end them with --")
-    analyze.add_argument("--start-date", type=date.fromisoformat, default=None,
+    analyze.add_argument("--start-date", type=_iso_date, default=None,
                          help="ignore commits before this date (YYYY-MM-DD), "
                               "UTC, by the selected role's date")
     analyze.add_argument("--mapping", default=None,
@@ -373,9 +424,7 @@ def main(argv=None) -> int:
             finally:
                 if collecting:
                     gc.enable()
-            if hasattr(sys.stdout, "reconfigure"):  # not an in-memory stdout
-                sys.stdout.reconfigure(errors="surrogateescape")  # as git's names were read
-            sys.stdout.write(output)
+            _write_stdout(output)
             status = 0
         elif args.command == "train":
             status = run_train(args)
@@ -392,6 +441,27 @@ def main(argv=None) -> int:
             _discard_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _write_stdout(output: str) -> None:
+    """Write output to stdout whole, or raise the error that stops it.
+
+    Names are encoded with surrogateescape, as git's names were read. A
+    stdout with a binary layer is written through that layer, in a
+    loop: unbuffered (`python -u`, PYTHONUNBUFFERED) the layer is the
+    raw file, whose write may take only part of the output when the
+    pipe's reader goes away, and the text layer drops the rest without
+    an error; the loop writes on into EPIPE.
+    """
+    stdout = sys.stdout
+    binary = getattr(stdout, "buffer", None)
+    if binary is None:  # an in-memory stdout
+        stdout.write(output)
+        return
+    stdout.flush()
+    data = memoryview(output.encode(stdout.encoding, "surrogateescape"))
+    while data:
+        data = data[binary.write(data):]
 
 
 def _discard_stdout():
@@ -432,7 +502,7 @@ def run() -> NoReturn:
 
     Nothing is lost by skipping it. Every file that gitbot writes is
     closed by a `with` before `main` returns; `parallel.run_tasks` reaps
-    its workers and `extractor.extract_commits` reaps git; gitbot starts
+    its workers and `run_analysis` leaves every git reaped; gitbot starts
     no thread and registers no atexit handler; and logging's handler
     only writes to stderr, which is flushed here.
 

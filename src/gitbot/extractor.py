@@ -28,12 +28,18 @@ at a NUL never splits a UTF-8 sequence, because no multibyte sequence
 contains a NUL byte. The reader is woken after each of git's 4 KiB
 writes and then mostly runs on git's CPU, so the two share one CPU and
 every step the parser spends on a commit adds to the wall time.
+
+Spawning git and reading its output are two steps of a `GitLog`, so a
+caller can start git first and load what it needs while git walks the
+history; `extract_commits` takes both steps, or only the second.
 """
 
-import calendar
 import os
-import subprocess
-import tempfile
+
+# `signal` makes every constant an enum member on import: 0.58-0.66 ms
+# under `-X importtime`, three times what starting git takes (0.20 ms
+# median, 2-CPU shared machine). `_signal`, which it wraps, has the ints.
+from _signal import SIGKILL, SIGPIPE, SIGXFSZ
 from itertools import compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -47,6 +53,7 @@ class RawCommit(NamedTuple):
 
 
 _BLOCK_BYTES = 1 << 18  # the most one read of git's stdout returns
+_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
 
 # what `git rev-parse --local-env-vars` prints (git 2.39), less the three
 # that carry config (GIT_CONFIG, GIT_CONFIG_PARAMETERS, GIT_CONFIG_COUNT):
@@ -124,7 +131,106 @@ class _LogParser:
         return self._commits
 
 
-def extract_commits(repo_path, committer=False, start_date=None) -> list[RawCommit]:
+def _utc_midnight(start_date) -> int:
+    """Unix seconds of UTC midnight of start_date (a datetime.date)."""
+    return (start_date.toordinal() - _EPOCH_ORDINAL) * 86400
+
+
+class GitLog:
+    """A `git log` of one repository: spawned on creation, parsed by `read`.
+
+    Creating one only spawns git, with `os.posix_spawnp`, and raises no
+    spawn error: a missing git is reported by `read`. So a caller can
+    start git, do other work while git walks the history, and still
+    report its own errors first. `read` and `close` each leave git
+    reaped; `close`, also run on leaving a `with` block, kills a git
+    that was not read to its end. git runs as `extract_commits` tells.
+    """
+
+    def __init__(self, repo_path, committer=False, start_date=None):
+        cutoff = None if start_date is None else _utc_midnight(start_date)
+        argv = [
+            "git", "-C", str(repo_path), "log", "-z", "--encoding=UTF-8", "--no-show-signature",
+            _pretty_format(committer, timed=cutoff is not None),
+        ]
+        env = {name: value for name, value in os.environ.items() if name not in _LOCAL_ENV_VARS}
+        env.update(GIT_FLUSH="0", LC_ALL="C")
+        self._repo_path = repo_path
+        self._parser = _LogParser(cutoff)
+        self._pid = None
+        self._spawn_error = None
+        # the pipe comes first: it takes descriptor 1 if stdout is closed,
+        # so the memfd is never 1, which the first dup2 below overwrites
+        self._stdout, write_end = os.pipe()
+        try:
+            self._stderr = os.memfd_create("git-log-stderr")  # close-on-exec, as the pipe is
+        except OSError:
+            os.close(self._stdout)
+            os.close(write_end)
+            raise
+        try:
+            self._pid = os.posix_spawnp(
+                "git", argv, env,
+                file_actions=[(os.POSIX_SPAWN_DUP2, write_end, 1),
+                              (os.POSIX_SPAWN_DUP2, self._stderr, 2)],
+                # Python ignores them, and git would inherit that
+                setsigdef=(SIGPIPE, SIGXFSZ),
+            )
+        except OSError as exc:
+            self._spawn_error = exc
+        finally:
+            os.close(write_end)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def read(self) -> list[RawCommit]:
+        """The commits git writes, once it has exited with success."""
+        try:
+            if self._spawn_error is not None:
+                if isinstance(self._spawn_error, FileNotFoundError):
+                    raise GitUnavailable("git executable not found on PATH") from self._spawn_error
+                raise self._spawn_error
+            while block := os.read(self._stdout, _BLOCK_BYTES):
+                self._parser.feed(block)
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+            returncode = os.waitstatus_to_exitcode(status)
+            if returncode != 0:
+                size = os.fstat(self._stderr).st_size
+                stderr = os.pread(self._stderr, size, 0).decode("utf-8", "replace")
+                low = stderr.lower()
+                if "not a git repository" in low:
+                    raise NotAGitRepository(f"{self._repo_path} is not a git repository")
+                if "does not have any commits" in low or "bad default revision" in low:
+                    return []  # freshly initialized repository
+                detail = stderr.strip().splitlines()[0] if stderr.strip() else ""
+                raise ExtractionFailed(f"git log failed with exit code {returncode}: {detail}")
+            return self._parser.close()
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Kill and reap git if it has not been reaped; close the descriptors.
+
+        The parser goes too, so a caller that keeps this object keeps no
+        commits through it.
+        """
+        self._parser = None
+        if self._pid is not None:
+            os.kill(self._pid, SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        for fd in (self._stdout, self._stderr):
+            if fd >= 0:
+                os.close(fd)
+        self._stdout = self._stderr = -1
+
+
+def extract_commits(repo_path, committer=False, start_date=None, log=None) -> list[RawCommit]:
     """All commits reachable from HEAD, newest first, named by author, or by committer.
 
     When start_date (a datetime.date) is given, only commits whose
@@ -134,6 +240,9 @@ def extract_commits(repo_path, committer=False, start_date=None) -> list[RawComm
     - `--since` stops its walk at an older-dated commit (clock skew);
     - it compares commit dates, so it (and `--since-as-filter`) drops a
       rebased commit authored on or after the cutoff, committed before it.
+
+    log, when given, is a `GitLog` the caller has already started with
+    these arguments, and this reads it; otherwise this starts one.
 
     git's output is parsed as it arrives, one read (at most 256 KiB) at
     a time, with the filter applied to each block. git's environment is
@@ -150,51 +259,18 @@ def extract_commits(repo_path, committer=False, start_date=None) -> list[RawComm
     config set through the environment (`GIT_CONFIG_COUNT`,
     `GIT_CONFIG_PARAMETERS`), such as a container's `safe.directory`.
     It runs with `--no-show-signature`, as `log.showSignature` would
-    write gpg's verification text into the name field. Its stderr
-    goes to a temporary file, so git never blocks on a full stderr pipe
-    while this reads stdout. On any error git is killed and reaped
-    before the error propagates.
+    write gpg's verification text into the name field. git is spawned
+    with SIGPIPE and SIGXFSZ at their defaults, as `subprocess` spawns
+    a child. Its stdout is a pipe and its stderr an in-memory file (a
+    memfd), so git never blocks on a full stderr pipe while this reads
+    stdout, and the stderr is read only when git fails. Of the
+    descriptors this process opens, git inherits only those two; one
+    that this process inherited without close-on-exec reaches git too.
+    On any error git is killed and reaped before the error propagates.
     """
-    cutoff = None
-    if start_date is not None:
-        cutoff = calendar.timegm(start_date.timetuple())  # UTC midnight
-    cmd = [
-        "git", "-C", str(repo_path), "log", "-z", "--encoding=UTF-8", "--no-show-signature",
-        _pretty_format(committer, timed=cutoff is not None),
-    ]
-    env = {name: value for name, value in os.environ.items() if name not in _LOCAL_ENV_VARS}
-    env.update(GIT_FLUSH="0", LC_ALL="C")
-    parser = _LogParser(cutoff)
-    with tempfile.TemporaryFile() as errors:
-        try:
-            proc = subprocess.Popen(
-                cmd,
-                bufsize=0,
-                stdout=subprocess.PIPE,
-                stderr=errors,
-                env=env,
-            )
-        except FileNotFoundError as exc:
-            raise GitUnavailable("git executable not found on PATH") from exc
-        with proc:  # closes stdout and reaps git on the way out
-            try:
-                while block := proc.stdout.read(_BLOCK_BYTES):
-                    parser.feed(block)
-            except BaseException:
-                proc.kill()
-                raise
-        errors.seek(0)
-        stderr = errors.read().decode("utf-8", "replace")
-
-    if proc.returncode != 0:
-        low = stderr.lower()
-        if "not a git repository" in low:
-            raise NotAGitRepository(f"{repo_path} is not a git repository")
-        if "does not have any commits" in low or "bad default revision" in low:
-            return []  # freshly initialized repository
-        detail = stderr.strip().splitlines()[0] if stderr.strip() else ""
-        raise ExtractionFailed(f"git log failed with exit code {proc.returncode}: {detail}")
-    return parser.close()
+    if log is None:
+        log = GitLog(repo_path, committer, start_date)
+    return log.read()
 
 
 def group_messages(commits: list[RawCommit]) -> dict[str, list[int]]:

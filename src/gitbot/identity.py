@@ -15,7 +15,6 @@ A merged identity keeps git's walk order, so its newest commits are
 chosen as an unmerged name's are.
 """
 
-import csv
 import sys
 from itertools import chain
 from typing import NamedTuple
@@ -39,6 +38,8 @@ def csv_rows(handle, header: list[str], error: type[Exception]):
     Blank rows are skipped, and so is a row 1 equal to header. A row of
     another width, or one that csv cannot parse, raises error naming it.
     """
+    import csv  # only here: `analyze` without --mapping reads no CSV
+
     csv.field_size_limit(sys.maxsize)  # a name or a commit message may be of any length
     row_number = 0
     try:

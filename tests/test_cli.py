@@ -246,7 +246,7 @@ def test_analysis_rows_equal_featurizing_every_identity(commits, min_commits, ma
         config = cli._analysis_config(args, model)
     except UsageError:
         assume(False)  # a minimum above the maximum, given or the model's
-    with mock.patch.object(cli, "extract_commits", lambda repo, committer, start_date: commits):
+    with mock.patch.object(cli, "extract_commits", lambda repo, committer, start_date, log: commits):
         rows = cli.run_analysis(args)
     assert rows == rows_featurizing_every_identity(commits, config, model)
 
@@ -732,6 +732,133 @@ def test_analyze_never_imports_numpy(cli_fixture_repo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "analyze left numpy unloaded"  # the check ran
     assert {row["name"] for row in json.loads(proc.stdout)} == {"carol", "dave", "release-bot"}
+
+
+def run_python(script, *argv, timeout=60):
+    """`python -c script argv...` run to its end, with gitbot's source on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_importing_the_cli_loads_no_analysis_module_and_no_spawn_helper():
+    # what only --start-date, --csv, --mapping, the model or git's output
+    # needs; a site hook may load some of them at start, so only what the
+    # import adds counts
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gitbot.cli\n"
+        "deferred = {'subprocess', 'tempfile', 'calendar', 'datetime', 'csv', 'json',\n"
+        "            'gitbot.features', 'gitbot.model_io'}\n"
+        "print(sorted(deferred & (set(sys.modules) - before)))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_analyze_spawns_git_before_it_imports_the_analysis_modules(cli_fixture_repo):
+    script = (
+        "import os, sys\n"
+        "from gitbot.cli import main\n"
+        "spawn, loaded = os.posix_spawnp, []\n"
+        "def probed(*args, **kwargs):\n"
+        "    loaded.append('gitbot.features' in sys.modules)\n"
+        "    return spawn(*args, **kwargs)\n"
+        "os.posix_spawnp = probed\n"
+        "status = main(['analyze', '--json', sys.argv[1]])\n"
+        "print(status, loaded, 'gitbot.features' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = run_python(script, cli_fixture_repo)
+    assert proc.returncode == 0, proc.stderr
+    # one git, spawned while features was not loaded; loaded by the end
+    assert proc.stderr.splitlines()[-1] == "0 [False] True"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_train_and_evaluate_load_no_spawn_helper(dataset_csv, tmp_path, command):
+    # numpy 2.4 imports datetime itself, so datetime is probed when
+    # featurize starts, before numpy loads
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from gitbot import cli, dataset\n"
+        "featurize = dataset.featurize\n"
+        "def added(names):\n"
+        "    return sorted(set(names) & (set(sys.modules) - before))\n"
+        "def probed(*args, **kwargs):\n"
+        "    print('before featurize:', added({'datetime', 'numpy'}), file=sys.stderr)\n"
+        "    return featurize(*args, **kwargs)\n"
+        "dataset.featurize = probed\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print('at the end:', status, added({'subprocess', 'calendar'}), file=sys.stderr)\n"
+    )
+    argv = [command, dataset_csv]
+    if command == "train":
+        argv += ["-o", tmp_path / "model.json", "--folds", "3"]
+    proc = run_python(script, *argv, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert "before featurize: []" in lines
+    assert lines[-1] == "at the end: 0 []"
+
+
+@pytest.mark.parametrize("model_text,message", [
+    (None, "cannot read model file: [Errno 2] No such file or directory: {path!r}"),
+    ("{", "not valid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+], ids=["missing", "malformed"])
+def test_a_model_error_comes_before_the_repositorys(capsys, tmp_path, model_text, message):
+    # git of the plain directory has started, and failed, before the model loads
+    model = tmp_path / "model.json"
+    if model_text is not None:
+        model.write_text(model_text, encoding="utf-8")
+    assert main(["analyze", "--model", str(model), str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=str(model))}\n")
+
+
+def test_a_mapping_error_comes_before_the_repositorys(capsys, tmp_path):
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("alice,alice,extra\n", encoding="utf-8")
+    assert main(["analyze", "--mapping", str(mapping), str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", "error: row 1: expected 2 fields, got 3\n")
+
+
+def test_no_git_is_left_once_main_returns(cli_fixture_repo, tmp_path):
+    # in a child interpreter, so that no other child of the test run is seen
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    model = tmp_path / "model.json"
+    model.write_text("{", encoding="utf-8")
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("alice,alice,extra\n", encoding="utf-8")
+    script = (
+        "import os, sys\n"
+        "from gitbot.cli import main\n"
+        "repo, plain, model, mapping = sys.argv[1:]\n"
+        "for argv in (['--json', repo], ['--model', model, repo], ['--mapping', mapping, repo],\n"
+        "             ['--min-commits', '50', '--max-commits', '5', repo], [plain]):\n"
+        "    try:\n"
+        "        status = main(['analyze', *argv])\n"
+        "    except SystemExit as exc:  # a usage error\n"
+        "        status = exc.code\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "        left = 'a child left'\n"
+        "    except ChildProcessError:\n"
+        "        left = 'no child left'\n"
+        "    print('status', status, left, file=sys.stderr)\n"
+    )
+    proc = run_python(script, cli_fixture_repo, plain, model, mapping)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("status ")] == [
+        "status 0 no child left",
+        "status 2 no child left",
+        "status 2 no child left",
+        "status 1 no child left",
+        "status 2 no child left",
+    ]
 
 
 def test_train_loads_neither_dataclasses_nor_numpy_ma(dataset_csv, tmp_path):

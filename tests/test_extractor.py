@@ -1,3 +1,4 @@
+import calendar
 import json
 import os
 import signal
@@ -7,11 +8,11 @@ import time
 from datetime import date, datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gitbot.errors import ExtractionFailed, GitUnavailable, NotAGitRepository
-from gitbot.extractor import RawCommit, _LogParser, extract_commits, group_messages
+from gitbot.extractor import RawCommit, _LogParser, _utc_midnight, extract_commits, group_messages
 
 from .conftest import add_commit, init_repo
 
@@ -87,6 +88,15 @@ _records = st.lists(
     ),
     max_size=8,
 )
+
+
+@settings(max_examples=500)
+@given(day=st.dates(min_value=date.min, max_value=date.max))
+@example(day=date.min)
+@example(day=date.max)
+@example(day=date(1970, 1, 1))
+def test_the_cutoff_is_utc_midnight_in_unix_seconds(day):
+    assert _utc_midnight(day) == calendar.timegm(day.timetuple())
 
 
 class TestExtractCommits:

@@ -19,17 +19,22 @@ from .test_cli import SRC, write_dataset_csv
 EPIPE = b"error: [Errno 32] Broken pipe\n"
 
 
-def python(*args, unbuffered=False, **kwargs):
-    """`python ARGS` run to its end, with gitbot's source on the path.
+def python_env(unbuffered=False):
+    """The environment of a child `python`, with gitbot's source on the path.
 
-    stdout is block-buffered, as Python makes a pipe by default, unless
-    unbuffered sets PYTHONUNBUFFERED.
+    Its stdout is block-buffered, as Python makes a pipe by default,
+    unless unbuffered sets PYTHONUNBUFFERED.
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+    return env
+
+
+def python(*args, unbuffered=False, **kwargs):
+    """`python ARGS` run to its end in `python_env(unbuffered)`."""
+    return subprocess.run([sys.executable, *args], env=python_env(unbuffered), timeout=120, **kwargs)
 
 
 def to_a_closed_pipe(argv, unbuffered):
@@ -108,6 +113,25 @@ def test_a_plain_directory_exits_2(tmp_path):
 def test_a_large_output_to_a_closed_pipe_exits_2(crowded_repo, unbuffered):
     # the write in `main` fails, and `main` reports it
     assert to_a_closed_pipe(["analyze", "--json", str(crowded_repo)], unbuffered) == (2, EPIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_mid_output_ends_analyze_with_2(crowded_repo, unbuffered):
+    # the output is larger than the pipe holds, so gitbot is still writing
+    # when the reader closes: unbuffered, that write returns a short count,
+    # and the rest of the output must still meet the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "gitbot", "analyze", "--json", str(crowded_repo)],
+                            bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=python_env(unbuffered))
+    with proc:
+        taken = b""
+        while len(taken) < 64 and (chunk := proc.stdout.read(64 - len(taken))):
+            taken += chunk
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.wait(timeout=120)
+    assert len(taken) == 64 and taken.startswith(b'[\n  {\n    "name": "drive-by-0000",\n')
+    assert (proc.returncode, stderr) == (2, EPIPE)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
