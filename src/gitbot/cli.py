@@ -28,6 +28,9 @@ if TYPE_CHECKING:
 
 TEXT, CSV, JSON = "text", "csv", "json"
 UNKNOWN = "unknown"  # the prediction of a contributor too small for features
+# installed beside the modules by pyproject's [tool.setuptools.package-data]
+SHIPPED_MODEL = os.path.join(os.path.dirname(__file__), "data", "default_model.json")
+_MODEL_HELP = "model file to use instead of the shipped one"
 
 # The module docstring is the --help text, so the split is told here.
 # This module imports what parsing the command line and spawning git
@@ -35,8 +38,10 @@ UNKNOWN = "unknown"  # the prediction of a contributor too small for features
 # repository's `git log`; only then does `run_analysis` import the
 # analysis modules (features, similarity, forest, identity, model_io)
 # and load the model and the mapping, while git walks the history on
-# another CPU. `json`, `csv`, `datetime` and `importlib.resources` are
-# imported where they are used. The package imports none of `subprocess`,
+# another CPU. `json`, `csv` and `datetime` are imported where they are
+# used. The shipped model is SHIPPED_MODEL, a file beside the modules
+# that `model_io.load_model` reads as it reads any --model file. The
+# package imports none of `pathlib`, `zipfile`, `subprocess`,
 # `tempfile` and `calendar`: `extractor.GitLog` spawns git itself (numpy,
 # which train and evaluate load, imports `tempfile` and `datetime`).
 # `analyze` runs without numpy. `train` and `evaluate` import `dataset`,
@@ -81,15 +86,6 @@ class ResultRow(NamedTuple):
     dispersion: float | None
     prediction: str
     empties: int | None = None  # shown only with --verbose
-
-
-def load_default_model() -> "ForestModel":
-    from importlib import resources
-
-    from .model_io import model_from_json
-
-    text = resources.files("gitbot").joinpath("data/default_model.json").read_text("utf-8")
-    return model_from_json(text)
 
 
 def _analysis_config(args, model: "ForestModel") -> "FeatureConfig":
@@ -138,10 +134,7 @@ def _analysis_rows(args, first: GitLog) -> list[ResultRow]:
     from .identity import IdentityMapping
 
     cli = sys.modules[__name__]
-    if args.model_path is not None:
-        model = cli.load_model(args.model_path)
-    else:
-        model = load_default_model()
+    model = cli.load_model(args.model)
     config = _analysis_config(args, model)
     mapping = IdentityMapping()
     if args.mapping is not None:
@@ -300,7 +293,7 @@ def run_train(args) -> int:
 
 def run_evaluate(args) -> int:
     cli = sys.modules[__name__]
-    model = cli.load_model(args.model) if args.model else load_default_model()
+    model = cli.load_model(args.model)
     config = model.feature_config
     dataset = cli.load_dataset(args.dataset, min_messages=config.min_messages)
     X, y = cli.featurize(dataset, config)
@@ -374,8 +367,7 @@ def build_parser() -> _Parser:
                          help="include the full feature columns")
     analyze.add_argument("--only-predicted", action="store_true",
                          help="drop contributors predicted as unknown")
-    analyze.add_argument("--model", dest="model_path", default=None,
-                         help="model file to use instead of the shipped one")
+    analyze.add_argument("--model", default=SHIPPED_MODEL, help=_MODEL_HELP)
     fmt = analyze.add_mutually_exclusive_group()
     fmt.add_argument("--text", dest="output_format", action="store_const", const=TEXT)
     fmt.add_argument("--csv", dest="output_format", action="store_const", const=CSV)
@@ -392,8 +384,7 @@ def build_parser() -> _Parser:
 
     evaluate = sub.add_parser("evaluate", help="score a model on a labeled dataset")
     evaluate.add_argument("dataset", help="labeled dataset file (CSV or JSON lines)")
-    evaluate.add_argument("--model", default=None,
-                          help="model file (defaults to the shipped one)")
+    evaluate.add_argument("--model", default=SHIPPED_MODEL, help=_MODEL_HELP)
     for command in (analyze, train, evaluate):
         # a check made after parsing reports with its command's usage line
         command.set_defaults(usage_error=command.error)

@@ -156,6 +156,6 @@ def load_model(path) -> ForestModel:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableModel(f"cannot read model file: {exc}") from exc
     return model_from_json(text)

@@ -6,7 +6,6 @@ import os
 import signal
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -241,7 +240,7 @@ def test_analysis_rows_equal_featurizing_every_identity(commits, min_commits, ma
         if value is not None:
             argv += [option, str(value)]
     args = cli.build_parser().parse_args(argv)
-    model = cli.load_default_model()
+    model = load_model(cli.SHIPPED_MODEL)
     try:
         config = cli._analysis_config(args, model)
     except UsageError:
@@ -363,7 +362,7 @@ def test_message_bounds_out_of_range_are_usage_errors(capsys, cli_fixture_repo, 
 
 
 def test_model_with_fractional_message_cap_exits_2(capsys, cli_fixture_repo, tmp_path):
-    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    shipped = Path(cli.SHIPPED_MODEL)
     doc = json.loads(shipped.read_text("utf-8"))
     doc["feature_config"]["max_messages"] = 100.5
     model = tmp_path / "model.json"
@@ -375,7 +374,7 @@ def test_model_with_fractional_message_cap_exits_2(capsys, cli_fixture_repo, tmp
 
 
 def test_model_without_trees_exits_2(capsys, cli_fixture_repo, tmp_path):
-    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    shipped = Path(cli.SHIPPED_MODEL)
     doc = json.loads(shipped.read_text("utf-8"))
     doc.update(trees=[], n_estimators=0)
     model = tmp_path / "model.json"
@@ -398,7 +397,7 @@ def assert_one_error_line(capsys):
 
 def test_model_nested_too_deeply_exits_2(capsys, cli_fixture_repo, tmp_path):
     # a left spine of 5,000 splits: json.loads alone would raise RecursionError
-    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    shipped = Path(cli.SHIPPED_MODEL)
     doc = json.loads(shipped.read_text("utf-8"))
     doc["trees"][0] = "TREE"
     split = '{"feature": 0, "threshold": 1.0, "right": {"counts": [0, 1]}, "left": '
@@ -423,7 +422,7 @@ def test_json_lines_dataset_nested_too_deeply_exits_2(capsys, tmp_path, deep_lin
 
 
 def test_model_with_an_integer_too_long_to_read_exits_2(capsys, cli_fixture_repo, tmp_path):
-    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    shipped = Path(cli.SHIPPED_MODEL)
     doc = json.loads(shipped.read_text("utf-8"))
     doc["seed"] = "SEED"
     model = tmp_path / "model.json"
@@ -661,7 +660,7 @@ def test_evaluate_without_a_large_enough_corpus_says_so(capsys, tmp_path):
 
 
 def test_evaluate_scores_the_shipped_or_a_given_model(capsys, dataset_csv):
-    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    shipped = Path(cli.SHIPPED_MODEL)
     model = load_model(shipped)
     X, y = featurize(load_dataset(dataset_csv), model.feature_config)
     expected = format_report(evaluate_pretrained(model, X, y))
@@ -734,11 +733,11 @@ def test_analyze_never_imports_numpy(cli_fixture_repo):
     assert {row["name"] for row in json.loads(proc.stdout)} == {"carol", "dave", "release-bot"}
 
 
-def run_python(script, *argv, timeout=60):
-    """`python -c script argv...` run to its end, with gitbot's source on the path."""
+def run_python(script, *argv, timeout=60, flags=()):
+    """`python flags... -c script argv...` run to its end, with gitbot's source on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *flags, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_importing_the_cli_loads_no_analysis_module_and_no_spawn_helper():
@@ -756,6 +755,28 @@ def test_importing_the_cli_loads_no_analysis_module_and_no_spawn_helper():
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_shipped_model_loads_what_a_model_file_loads(cli_fixture_repo):
+    # -S: no site hook imports anything before the run, so all it adds counts
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from gitbot import cli\n"
+        "model = ['--model', cli.SHIPPED_MODEL] if sys.argv[2] == 'given' else []\n"
+        "status = cli.main(['analyze', '--json', *model, sys.argv[1]])\n"
+        "print(status, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    added = []
+    for model in ("shipped", "given"):
+        proc = run_python(script, cli_fixture_repo, model, flags=["-S"])
+        assert proc.returncode == 0, proc.stderr
+        status, *modules = proc.stderr.splitlines()[-1].split()
+        assert status == "0"
+        added.append(modules)
+    shipped, given = added
+    assert shipped == given
+    assert {"importlib.resources", "tempfile", "zipfile", "pathlib"}.isdisjoint(shipped)
 
 
 def test_analyze_spawns_git_before_it_imports_the_analysis_modules(cli_fixture_repo):
@@ -816,6 +837,14 @@ def test_a_model_error_comes_before_the_repositorys(capsys, tmp_path, model_text
         model.write_text(model_text, encoding="utf-8")
     assert main(["analyze", "--model", str(model), str(tmp_path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(path=str(model))}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_an_empty_model_path_is_a_model_error(capsys, cli_fixture_repo, dataset_csv, command):
+    # an empty --model names no file; it does not mean the shipped model
+    target = cli_fixture_repo if command == "analyze" else dataset_csv
+    assert main([command, str(target), "--model", ""]) == 2
+    assert "cannot read model file" in assert_one_error_line(capsys)
 
 
 def test_a_mapping_error_comes_before_the_repositorys(capsys, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitbot import training
-from gitbot.cli import load_default_model
+from gitbot.cli import SHIPPED_MODEL
 from gitbot.errors import SingleClassData
 from gitbot.features import FeatureConfig, FeatureVector
 from gitbot.forest import (
@@ -19,7 +19,7 @@ from gitbot.forest import (
     Split,
     predict,
 )
-from gitbot.model_io import model_to_json
+from gitbot.model_io import load_model, model_to_json
 from gitbot.training import (
     FEATURE_SUBSET_SIZE,
     IMPURITY,
@@ -531,10 +531,10 @@ class TestBotFraction:
     @settings(deadline=None)
     @given(rows=st.lists(feature_rows, min_size=1, max_size=20))
     def test_shipped_model(self, rows):
-        self.assert_matches_numpy_walk(load_default_model(), rows)
+        self.assert_matches_numpy_walk(load_model(SHIPPED_MODEL), rows)
 
     def test_shipped_model_on_its_own_thresholds(self):
-        model = load_default_model()
+        model = load_model(SHIPPED_MODEL)
         rows = []
         for feature, threshold in sorted({s for tree in model.trees for s in thresholds_of(tree)}):
             for value in (np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf)):

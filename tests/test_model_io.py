@@ -1,6 +1,7 @@
+import glob
 import json
+import os
 import runpy
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gitbot
+from gitbot.cli import SHIPPED_MODEL
 from gitbot.errors import UnreadableModel
 from gitbot.features import FEATURE_NAMES, FeatureConfig, FeatureVector
 from gitbot.forest import predict
@@ -142,6 +145,12 @@ class TestUnreadable:
         with pytest.raises(UnreadableModel):
             load_model(tmp_path / "nope.json")
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(UnreadableModel, match="^cannot read model file: 'utf-8' codec"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -174,7 +183,7 @@ class TestUnreadable:
         ],
     )
     def test_invalid_split_or_leaf_in_shipped_model(self, corrupt, tmp_path):
-        shipped = resources.files("gitbot").joinpath("data/default_model.json")
+        shipped = Path(SHIPPED_MODEL)
         doc = json.loads(shipped.read_text("utf-8"))
         corrupt(doc)
         path = tmp_path / "model.json"
@@ -187,5 +196,15 @@ def test_build_script_reproduces_shipped_model(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "build_default_model.py"
     output = tmp_path / "default_model.json"
     runpy.run_path(str(script))["main"](output)
-    shipped = resources.files("gitbot").joinpath("data/default_model.json")
+    shipped = Path(SHIPPED_MODEL)
     assert output.read_bytes() == shipped.read_bytes()
+
+
+def test_the_shipped_model_is_package_data():
+    # setuptools installs beside the modules the files that these globs match
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        globs = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["gitbot"]
+    package = os.path.dirname(gitbot.__file__)
+    shipped = os.path.relpath(SHIPPED_MODEL, package)
+    assert any(shipped in glob.glob(pattern, root_dir=package) for pattern in globs), globs
